@@ -73,7 +73,7 @@ def _parse_kernel(text, d=None):
 
 def _empirical(path):
     X = load_dataset(path)
-    return DiscreteMeasure(X, np.full(X.shape[0], 1.0 / X.shape[0]))
+    return DiscreteMeasure(X, np.ones(X.shape[0]))
 
 
 def _build_parser():
@@ -397,7 +397,7 @@ def dispatch(argv):
             os.environ[var] = str(threads)
     try:
         return _run(args)
-    except (UsageError, OSError, ValueError, TypeError) as e:
+    except (UsageError, OSError, ValueError, TypeError, RuntimeError) as e:
         print(f"E: {e}", file=sys.stderr)
         return 1
     except BoundViolation as e:

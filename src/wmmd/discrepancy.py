@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, project, sample, stream_rng
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _sq_dists
 from .reporting import scaling_exponent
 
 __all__ = [
@@ -59,23 +59,43 @@ def _as_components(measure):
     raise TypeError("unsupported measure type")
 
 
+# Rows per block of the Gaussian sums: a 256 x 8192 float64 block is 16 MiB.
+_BLOCK = 256
+
+
+def _gauss_block(m1, s1, m2, s2, sig2, d):
+    """E[exp(-||X_i - Y_j||^2 / (2 sig2))] for X_i ~ N(m1_i, s1_i^2 I), Y_j ~ N(m2_j, s2_j^2 I)."""
+    sq = _sq_dists(m1, m2)
+    if s1.any() or s2.any():
+        denom = sig2 + s1[:, None] ** 2 + s2[None, :] ** 2
+    else:
+        denom = sig2
+    sq /= -2.0 * denom
+    np.exp(sq, out=sq)
+    if np.ndim(denom):
+        sq *= (sig2 / denom) ** (d / 2)
+    return sq
+
+
 def _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d):
     """sum_ij w1_i w2_j E[kappa(X_i, Y_j)] for kernel scale*exp(-||z||^2/(2 sigma_k^2))."""
     total = 0.0
-    chunk = 2048
-    sig2 = sigma_k**2
-    for i0 in range(0, m1.shape[0], chunk):
-        M = m1[i0 : i0 + chunk]
-        sq = (
-            np.sum(M**2, axis=1)[:, None]
-            + np.sum(m2**2, axis=1)[None, :]
-            - 2.0 * (M @ m2.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        denom = sig2 + s1[i0 : i0 + chunk, None] ** 2 + s2[None, :] ** 2
-        term = scale * (sig2 / denom) ** (d / 2) * np.exp(-sq / (2.0 * denom))
-        total += float(w1[i0 : i0 + chunk] @ term @ w2)
-    return total
+    for i0 in range(0, m1.shape[0], _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        total += w1[rows] @ _gauss_block(m1[rows], s1[rows], m2, s2, sigma_k**2, d) @ w2
+    return scale * float(total)
+
+
+def _gauss_self(w, m, s, sigma_k, scale, d):
+    """_gauss_cross of one mixture with itself, summed over the upper block triangle."""
+    total = 0.0
+    for i0 in range(0, m.shape[0], _BLOCK):
+        i1 = i0 + _BLOCK
+        block = _gauss_block(m[i0:i1], s[i0:i1], m[i0:], s[i0:], sigma_k**2, d)
+        wb = w[i0:i1]
+        b = wb.shape[0]
+        total += wb @ block[:, :b] @ wb + 2.0 * (wb @ block[:, b:] @ w[i1:])
+    return scale * float(total)
 
 
 def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):
@@ -90,8 +110,8 @@ def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):
     if m1.shape[1] != m2.shape[1]:
         raise ValueError("dimension mismatch")
     d = m1.shape[1]
-    aa = _gauss_cross(w1, m1, s1, w1, m1, s1, sigma_k, scale, d)
-    bb = _gauss_cross(w2, m2, s2, w2, m2, s2, sigma_k, scale, d)
+    aa = _gauss_self(w1, m1, s1, sigma_k, scale, d)
+    bb = _gauss_self(w2, m2, s2, sigma_k, scale, d)
     ab = _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d)
     sq = aa + bb - 2.0 * ab
     return np.sqrt(_clamp_sq(sq, aa + bb))

@@ -62,6 +62,8 @@ class DiscreteMeasure:
             raise ValueError("need at least one atom")
         if weights.shape[0] != points.shape[0]:
             raise ValueError("points/weights length mismatch")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise ValueError("points and weights must be finite")
         if np.any(weights < 0):
             raise ValueError("NegativeWeight: weights must be nonnegative")
         total = weights.sum()

@@ -156,3 +156,28 @@ def test_threads_env_validation(monkeypatch, data):
     assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 1
     monkeypatch.setenv("WMMD_THREADS", "2")
     assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
+
+
+@pytest.mark.parametrize("body", ["x0\n", "x0\n1\nnan\n", "x0\n1\ninf\n2\n"])
+@pytest.mark.parametrize("command", [["wass", "--p", "1"], ["mmd", "--kernel", "gaussian"]])
+def test_bad_dataset_is_input_error(tmp_path, capsys, body, command):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(body)
+    good.write_text("x0\n1\n2\n")
+    for a, b in ((bad, good), (good, bad)):
+        assert dispatch([command[0], str(a), str(b), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("E:") and captured.out == ""
+
+
+def test_failed_lp_is_reported(data, tmp_path, capsys, monkeypatch):
+    class Failed:
+        success = False
+        message = "solver gave up"
+
+    monkeypatch.setattr("wmmd.transport.linprog", lambda *a, **k: Failed())
+    p, X = data
+    q = tmp_path / "y.csv"
+    save_dataset(q, X[:7])
+    assert dispatch(["wass", str(p), str(q)]) == 1
+    assert capsys.readouterr().err.startswith("E: transport LP failed: solver gave up")

@@ -17,6 +17,9 @@ from wmmd.discrepancy import (
     smoothed_l2,
     mmd_sliced,
     mmd_rate,
+    _BLOCK,
+    _gauss_cross,
+    _gauss_self,
 )
 
 
@@ -63,6 +66,40 @@ def test_closed_form_matches_double_sum_on_diracs():
         assert mmd_gaussian_kernel(k, mu, nu) == pytest.approx(
             mmd_discrete(k, mu, nu), abs=1e-12
         )
+
+
+def _gauss_double_sum(w1, m1, s1, w2, m2, s2, sigma_k, d):
+    """sum_ij w1_i w2_j E[exp(-||X_i - Y_j||^2 / (2 sigma_k^2))], term by term."""
+    diff = m1[:, None, :] - m2[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    var = sigma_k**2 + s1[:, None] ** 2 + s2[None, :] ** 2
+    terms = (sigma_k**2 / var) ** (d / 2) * np.exp(-sq / (2.0 * var))
+    return float(np.sum(w1[:, None] * w2[None, :] * terms))
+
+
+@pytest.mark.parametrize("n", [1, 100, _BLOCK, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("widths", ["zero", "mixed"])
+def test_blocked_gauss_sums_match_double_sum(n, d, widths):
+    rng = stream_rng(31, n, d)
+    sigma_k, scale = 0.9, 1.7
+
+    def components(size):
+        w = rng.uniform(0.1, 1.0, size)
+        s = rng.uniform(0.2, 1.5, size) * (rng.uniform(size=size) < 0.5)
+        if widths == "zero":
+            s[:] = 0.0
+        return w / w.sum(), rng.normal(size=(size, d)), s
+
+    A, B = components(n), components(37)
+    aa = _gauss_double_sum(*A, *A, sigma_k, d)
+    bb = _gauss_double_sum(*B, *B, sigma_k, d)
+    ab = _gauss_double_sum(*A, *B, sigma_k, d)
+    tol = 1e-12 * scale * (aa + bb)
+    assert abs(_gauss_self(*A, sigma_k, scale, d) - scale * aa) <= tol
+    assert abs(_gauss_self(*B, sigma_k, scale, d) - scale * bb) <= tol
+    assert abs(_gauss_cross(*A, *B, sigma_k, scale, d) - scale * ab) <= tol
+    assert abs(_gauss_cross(*B, *A, sigma_k, scale, d) - scale * ab) <= tol
 
 
 def test_gmm_closed_form_two_gaussians():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from wmmd.measures import DiscreteMeasure, GaussianMixture, make_discrete, stream_rng
 from wmmd.kernels import sphere_directions
@@ -11,6 +13,7 @@ from wmmd.transport import (
     sliced_w1,
     translation_split,
     w_rate,
+    _quantile_cost_discrete,
 )
 
 
@@ -49,6 +52,85 @@ def test_w1d_matches_lp_on_random_discrete_pairs():
         for p in (1, 2):
             ref, _ = w_exact(p, mu, nu)
             assert w1d(p, mu, nu) == pytest.approx(ref, abs=1e-10)
+
+
+def _merge_loop_cost(p, x, a, y, b):
+    """Reference: walk the merged cumulative weights one breakpoint at a time."""
+    ix = np.argsort(x, kind="stable")
+    iy = np.argsort(y, kind="stable")
+    xs, aw = x[ix], a[ix]
+    ys, bw = y[iy], b[iy]
+    ca = np.cumsum(aw)
+    cb = np.cumsum(bw)
+    ca[-1] = cb[-1] = 1.0
+    i = j = 0
+    q = 0.0
+    cost = 0.0
+    while i < xs.size and j < ys.size:
+        qn = min(ca[i], cb[j])
+        if qn > q:
+            cost += (qn - q) * abs(xs[i] - ys[j]) ** p
+            q = qn
+        if ca[i] <= qn:
+            i += 1
+        if cb[j] <= qn:
+            j += 1
+    return cost
+
+
+# Few distinct positions so that ties are common, plus arbitrary ones.
+_positions = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+_masses = st.sampled_from([0.0]) | st.floats(1e-3, 1.0)
+_atoms = st.lists(st.tuples(_positions, _masses), min_size=1, max_size=12).filter(
+    lambda atoms: sum(m for _, m in atoms) > 0
+)
+
+
+def _split(atoms):
+    x = np.array([v for v, _ in atoms])
+    w = np.array([m for _, m in atoms])
+    return x, w / w.sum()
+
+
+# Weights 7, 6, 9, 5, 1, 0 (out of 28) sum to 1 + 2^-52 before the last atom.
+_OVERSHOOT = [(0.3 * k, float(m)) for k, m in enumerate([7, 6, 9, 5, 1, 0])]
+
+
+@given(_atoms, _atoms, st.sampled_from([1, 2, 3]))
+@example([(0.0, 1.0)], [(1.5, 1.0)], 2)
+@example(_OVERSHOOT, [(1.0, 1.0), (1.0, 0.0), (-2.0, 0.5)], 1)
+@example(_OVERSHOOT, list(reversed(_OVERSHOOT)), 3)
+@settings(max_examples=300, deadline=None)
+def test_quantile_coupling_matches_merge_loop(atoms_a, atoms_b, p):
+    x, a = _split(atoms_a)
+    y, b = _split(atoms_b)
+    ref = _merge_loop_cost(p, x, a, y, b)
+    # Summation order changes the result by a few ulps of the (nonnegative)
+    # total; clipping an overshooting cumsum at 1 moves one breakpoint by a
+    # few ulps of 1, which can add that much times the largest gap^p.
+    spread = max(x.max() - y.min(), y.max() - x.min(), 0.0)
+    tol = 1e-12 * ref + 8 * np.finfo(float).eps * spread**p
+    assert abs(_quantile_cost_discrete(p, x, a, y, b) - ref) <= tol
+
+
+def test_overshoot_example_passes_one_early():
+    _, a = _split(_OVERSHOOT)
+    assert np.cumsum(a)[-2] > 1.0
+
+
+def test_w1d_matches_lp_with_ties_and_zero_weights():
+    rng = stream_rng(202)
+    for _ in range(20):
+        n, m = (int(v) for v in rng.integers(1, 8, 2))
+        x = rng.integers(-3, 4, (n, 1)) * 0.5
+        y = rng.normal(size=(m, 1))
+        a = rng.uniform(0.1, 1, n) * (rng.uniform(size=n) > 0.3)
+        b = rng.uniform(0.1, 1, m)
+        a[0] += 0.1
+        mu, nu = DiscreteMeasure(x, a), DiscreteMeasure(y, b)
+        for p in (1, 2, 3):
+            ref, _ = w_exact(p, mu, nu)
+            assert w1d(p, mu, nu) ** p == pytest.approx(ref**p, rel=1e-7, abs=1e-9)
 
 
 def test_w1d_gmm_translation():
@@ -93,9 +175,19 @@ class TestExact:
         assert val == pytest.approx(0.0, abs=1e-7)
 
     def test_size_guard(self):
-        big = _uniform(np.zeros((1001, 1)) + np.arange(1001)[:, None])
+        points = np.arange(1001.0)[:, None]
+        big = DiscreteMeasure(points, 1.0 + points[:, 0] % 3)
         with pytest.raises(ValueError, match="size guard"):
             w_exact(1, big, big)
+
+    def test_large_uniform_instance_uses_assignment(self):
+        rng = stream_rng(1024)
+        X, Y = rng.uniform(size=(1024, 3)), rng.uniform(size=(1024, 3))
+        val, plan = w_exact(1, _uniform(X), _uniform(Y))
+        C = np.sqrt(((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2))
+        rows, cols = linear_sum_assignment(C)
+        assert val == pytest.approx(C[rows, cols].mean(), rel=1e-12)
+        assert np.count_nonzero(plan.coupling) == 1024
 
     def test_plan_validation_catches_corruption(self):
         mu = _uniform([[0.0], [1.0]])
