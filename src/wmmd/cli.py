@@ -8,6 +8,7 @@ the machine-parseable prefix "E:".
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -53,6 +54,46 @@ class UsageError(Exception):
 
 class BoundViolation(Exception):
     pass
+
+
+def _openblas_fns(name):
+    """OpenBLAS's `name` function from every OpenBLAS mapped into this process.
+
+    numpy and scipy may each load their own copy, and the environment
+    variables are read only when a copy loads, so a running process is capped
+    through these functions instead.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted(
+                {ln.split()[-1] for ln in f if "openblas" in ln.lower() and ln.rstrip().endswith(".so")}
+            )
+    except OSError:
+        return []
+    fns = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, sym):
+                fns.append(getattr(lib, sym))
+                break
+    return fns
+
+
+def blas_threads():
+    """Thread count of every loaded OpenBLAS, read back from the library."""
+    counts = []
+    for fn in _openblas_fns("get_num_threads"):
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts.append(int(fn()))
+    return counts
+
+
+def set_blas_threads(n):
+    """Set the thread count of every loaded OpenBLAS to n."""
+    for fn in _openblas_fns("set_num_threads"):
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(int(n))
 
 
 def _parse_kernel(text, d=None):
@@ -395,6 +436,7 @@ def dispatch(argv):
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
+        set_blas_threads(threads)
     try:
         return _run(args)
     except (UsageError, OSError, ValueError, TypeError, RuntimeError) as e:

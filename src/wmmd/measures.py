@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
 def stream_rng(seed, *stream):
@@ -153,6 +154,18 @@ class GaussianMixture:
         z = (x[..., None] - self.means[:, 0]) / self.sigmas
         return ndtr(z) @ self.weights
 
+    def pdf(self, x):
+        """Density, d=1 only."""
+        if self.d != 1:
+            raise ValueError("pdf defined for d=1 only")
+        x = np.asarray(x, dtype=float)
+        e = x[..., None] - self.means[:, 0]
+        e /= self.sigmas
+        e *= e
+        e *= -0.5
+        np.exp(e, out=e)
+        return e @ (self.weights / (_SQRT_2PI * self.sigmas))
+
     def moment_s(self, s):
         """E ||x||_2^s by Monte-Carlo with a fixed internal stream.
 
@@ -252,45 +265,78 @@ def smooth(mu, alpha):
 
 
 def gmm_quantile(g, q):
-    """Quantile of a 1-D Gaussian mixture by bisection, |F(x)-q| <= 1e-12."""
-    if g.d != 1:
-        raise ValueError("gmm_quantile needs d=1")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0,1)")
-    span = 12.0 * float(np.max(g.sigmas)) + float(np.max(np.abs(g.means)))
-    lo, hi = -span, span
-    while g.cdf(np.array(lo)) > q:
-        lo *= 2.0
-    while g.cdf(np.array(hi)) < q:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = float(g.cdf(np.array(mid)))
-        if abs(f - q) <= 1e-13 or hi - lo < 1e-14 * max(1.0, abs(mid)):
-            return mid
-        if f < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Quantile of a 1-D Gaussian mixture at one level q in (0, 1)."""
+    return float(gmm_quantiles(g, np.array([q], dtype=float))[0])
+
+
+_TABLE_POINTS = 257
+_NEWTON_CAP = 200
 
 
 def gmm_quantiles(g, qs):
-    """Vectorized quantiles of a 1-D GMM (monotone bisection on a batch)."""
+    """Quantiles of a 1-D Gaussian mixture at every level in `qs` (all in (0, 1)).
+
+    A CDF table on a span that covers every level gives each point a bracket
+    and a linearly interpolated start; safeguarded Newton with the closed-form
+    density then finishes each point.  A point stops when |F(x) - q| reaches
+    F's rounding level 4 eps q, or when its step or bracket shrinks to 2 ulp of
+    max(1, |x|).  A Newton step that leaves the bracket, is not finite, or
+    fails to halve the step before last is replaced by the bracket midpoint.
+    Raises RuntimeError if a point is still running after `_NEWTON_CAP` steps.
+    """
+    if g.d != 1:
+        raise ValueError("gmm_quantiles needs d=1")
     qs = np.asarray(qs, dtype=float)
+    flat = qs.ravel()
+    if flat.size == 0:
+        return np.empty(qs.shape)
+    if not (np.all(flat > 0.0) and np.all(flat < 1.0)):
+        raise ValueError("q must lie in (0,1)")
     span = 12.0 * float(np.max(g.sigmas)) + float(np.max(np.abs(g.means)))
-    lo = np.full(qs.shape, -span)
-    hi = np.full(qs.shape, span)
-    while np.any(g.cdf(lo) > qs):
-        lo[g.cdf(lo) > qs] *= 2.0
-    while np.any(g.cdf(hi) < qs):
-        hi[g.cdf(hi) < qs] *= 2.0
-    for _ in range(53):
-        mid = 0.5 * (lo + hi)
-        below = g.cdf(mid) < qs
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = -span, span
+    while g.cdf(np.array(lo)) > flat.min():
+        lo *= 2.0
+    while g.cdf(np.array(hi)) < flat.max():
+        hi *= 2.0
+    t = np.linspace(lo, hi, _TABLE_POINTS)
+    F = np.maximum.accumulate(g.cdf(t))
+    # F[k-1] < q <= F[k]; the clip covers q == F[0] exactly.
+    k = np.clip(np.searchsorted(F, flat, side="left"), 1, _TABLE_POINTS - 1)
+    a, b = t[k - 1], t[k]
+    x = a + (flat - F[k - 1]) / (F[k] - F[k - 1]) * (b - a)
+    out = np.empty_like(flat)
+    idx = np.arange(flat.size)
+    q = flat
+    fit_tol = 4.0 * np.finfo(float).eps * q
+    step_old = b - a  # the step before last, for the halving test
+    step = step_old
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_CAP):
+            f = g.cdf(x) - q
+            below = f < 0.0
+            np.copyto(a, x, where=below)
+            np.copyto(b, x, where=~below)
+            dx = f / g.pdf(x)
+            # nan and inf steps fail both bracket comparisons.
+            xn = x - dx
+            newton = (xn >= a) & (xn <= b) & (np.abs(dx) <= 0.5 * np.abs(step_old))
+            mid = 0.5 * (a + b)
+            np.copyto(xn, mid, where=~newton)
+            step_old, step = step, xn - x
+            tol = 2.0 * np.spacing(np.maximum(1.0, np.abs(x)))
+            fit = np.abs(f) <= fit_tol
+            done = fit | (np.abs(step) <= tol) | (b - a <= tol)
+            np.copyto(xn, x, where=fit)
+            out[idx[done]] = xn[done]
+            keep = ~done
+            if not keep.any():
+                return out.reshape(qs.shape)
+            idx, q, fit_tol, x, a, b = idx[keep], q[keep], fit_tol[keep], xn[keep], a[keep], b[keep]
+            step_old, step = step_old[keep], step[keep]
+    raise RuntimeError(
+        f"gmm_quantiles did not converge in {_NEWTON_CAP} steps "
+        f"({idx.size} of {flat.size} points left)"
+    )
 
 
 def sample(measure, n, rng):
@@ -338,11 +384,14 @@ def load_dataset(path):
     # CSV path: auto-detect a header by a non-numeric first row.
     with open(path, "r") as f:
         first = f.readline()
+        rest = any(line.strip() and not line.lstrip().startswith("#") for line in f)
     skip = 0
     try:
         [float(tok) for tok in first.strip().split(",") if tok != ""]
     except ValueError:
         skip = 1
+    if not (rest or (skip == 0 and first.strip())):
+        raise ValueError(f"{path}: no data rows")
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return data
 

@@ -35,15 +35,16 @@ class TransportPlan:
 
     __slots__ = ("coupling", "cost", "p", "source", "target")
 
-    def __init__(self, coupling, cost, p, source, target):
+    def __init__(self, coupling, cost, p, source, target, cost_matrix=None):
         self.coupling = coupling
         self.cost = float(cost)
         self.p = float(p)
         self.source = source
         self.target = target
-        self.validate()
+        self.validate(cost_matrix=cost_matrix)
 
-    def validate(self, tol=1e-9):
+    def validate(self, tol=1e-9, cost_matrix=None):
+        """Check marginals, sign and stored cost; `cost_matrix` is |x_i - y_j|^p if known."""
         g = self.coupling
         if np.any(g < -tol):
             raise ValueError("coupling has negative mass")
@@ -51,8 +52,9 @@ class TransportPlan:
             raise ValueError("row marginals do not match source weights")
         if np.max(np.abs(g.sum(axis=0) - self.target.weights)) > tol:
             raise ValueError("column marginals do not match target weights")
-        D = _dist_matrix(self.source.points, self.target.points)
-        recomputed = float(np.sum(g * D**self.p))
+        if cost_matrix is None:
+            cost_matrix = _dist_matrix(self.source.points, self.target.points) ** self.p
+        recomputed = float(np.sum(g * cost_matrix))
         if abs(recomputed - self.cost) > tol * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
 
@@ -116,6 +118,9 @@ def w1d(p, mu, nu):
     uses midpoint quantile quadrature on a uniform q-grid (>= 4096 nodes)
     with grid doubling and Richardson extrapolation of the tail-dominated
     O(1/n) error, stopping when two extrapolants agree to 1e-6 relative.
+    Mixture quantiles come from `gmm_quantiles` afresh at every doubling:
+    midpoint grids of n and 2n nodes share no node, and its CDF-table start
+    makes each solve a few density and CDF sweeps.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -173,30 +178,37 @@ def w_exact(p, mu, nu):
         cost = float(C[rows, cols].sum() / n)
     else:
         g, cost = _solve_transport_lp(C, mu.weights, nu.weights)
-    plan = TransportPlan(g, cost, p, mu, nu)
+    plan = TransportPlan(g, cost, p, mu, nu, cost_matrix=C)
     return cost ** (1.0 / p), plan
+
+
+def _transport_constraints(n, m):
+    """Equality matrix on the row-major n x m plan.
+
+    Row sums for every source atom; column sums for all but the last target
+    atom (the dropped constraint is implied by total mass).
+    """
+    idx = np.arange(n * m)
+    in_col = idx[idx % m < m - 1]
+    rows = np.concatenate([idx // m, n + in_col % m])
+    cols = np.concatenate([idx, in_col])
+    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
 
 
 def _solve_transport_lp(C, a, b):
     n, m = C.shape
-    # Row-sum constraints for every source atom; column sums for all but the
-    # last target atom (the dropped constraint is implied by total mass).
-    rows = []
-    cols = []
-    data = []
-    for i in range(n):
-        for j in range(m):
-            rows.append(i)
-            cols.append(i * m + j)
-            data.append(1.0)
-    for j in range(m - 1):
-        for i in range(n):
-            rows.append(n + j)
-            cols.append(i * m + j)
-            data.append(1.0)
-    A = csr_matrix((data, (rows, cols)), shape=(n + m - 1, n * m))
+    A = _transport_constraints(n, m)
     rhs = np.concatenate([a, b[:-1]])
-    res = linprog(C.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    # HiGHS's default 1e-7 feasibility tolerance leaves entries down to about -1e-7
+    # whose clipping below breaks the marginals by more than validate's 1e-9.
+    res = linprog(
+        C.ravel(),
+        A_eq=A,
+        b_eq=rhs,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     g = res.x.reshape(n, m)

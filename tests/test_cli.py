@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from wmmd.measures import save_dataset, stream_rng
-from wmmd.cli import dispatch
+from wmmd.cli import blas_threads, dispatch, set_blas_threads
 from wmmd.sketch import load_sketch
 
 
@@ -156,6 +159,48 @@ def test_threads_env_validation(monkeypatch, data):
     assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 1
     monkeypatch.setenv("WMMD_THREADS", "2")
     assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
+
+
+@pytest.fixture
+def blas_pool():
+    """The loaded OpenBLAS thread counts, restored after the test."""
+    before = blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded in this process")
+    yield before
+    set_blas_threads(max(before))
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "1"], None), ([], "1")])
+def test_threads_cap_loaded_blas(monkeypatch, data, blas_pool, flag, env):
+    p, _ = data
+    set_blas_threads(2)
+    if env is None:
+        monkeypatch.delenv("WMMD_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("WMMD_THREADS", env)
+    assert dispatch([*flag, "mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
+    assert blas_threads() == [1] * len(blas_pool)
+
+
+def test_threads_unset_leaves_blas_alone(monkeypatch, data, blas_pool):
+    p, _ = data
+    monkeypatch.delenv("WMMD_THREADS", raising=False)
+    assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
+    assert blas_threads() == blas_pool
+
+
+def test_header_only_csv_stderr_is_clean(tmp_path):
+    (tmp_path / "hdr.csv").write_text("x0\n")
+    (tmp_path / "ok.csv").write_text("x0\n1\n2\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "wmmd.cli", "wass", "hdr.csv", "ok.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("E:") and run.stdout == ""
 
 
 @pytest.mark.parametrize("body", ["x0\n", "x0\n1\nnan\n", "x0\n1\ninf\n2\n"])

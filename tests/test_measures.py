@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wmmd import measures
 from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
@@ -94,6 +97,32 @@ class TestGaussianMixture:
         for q, x in zip(qs, xs):
             assert x == pytest.approx(gmm_quantile(g, q), abs=1e-9)
 
+    def test_pdf_matches_cdf_slope(self):
+        g = GaussianMixture([0.2, 0.8], [[-1.0], [0.5]], [0.3, 2.0])
+        x = np.linspace(-4.0, 5.0, 37)
+        h = 1e-5
+        slope = (g.cdf(x + h) - g.cdf(x - h)) / (2 * h)
+        assert np.allclose(g.pdf(x), slope, rtol=1e-8, atol=1e-12)
+        assert float(g.pdf(np.array(0.5))) == pytest.approx(
+            0.2 * np.exp(-0.5 * (1.5 / 0.3) ** 2) / (0.3 * np.sqrt(2 * np.pi))
+            + 0.8 / (2.0 * np.sqrt(2 * np.pi)),
+            rel=1e-14,
+        )
+
+    def test_quantiles_reject_levels_outside_unit_interval(self):
+        g = GaussianMixture([1.0], [[0.0]], [1.0])
+        for bad in (0.0, 1.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                gmm_quantiles(g, [0.5, bad])
+        assert gmm_quantiles(g, np.empty((0,))).shape == (0,)
+        assert gmm_quantiles(g, np.full((2, 3), 0.5)).shape == (2, 3)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        g = GaussianMixture([0.3, 0.7], [[-1.0], [2.0]], [0.5, 1.5])
+        monkeypatch.setattr(measures, "_NEWTON_CAP", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            gmm_quantiles(g, (np.arange(64) + 0.5) / 64)
+
     def test_moment_1d_matches_closed_form(self):
         # E|X|^2 for N(mu, s^2) is mu^2 + s^2
         g = GaussianMixture([1.0], [[1.0]], [2.0])
@@ -102,6 +131,50 @@ class TestGaussianMixture:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             GaussianMixture([1.0], [[0.0]], [0.0])
+
+
+def _bisection_quantiles(g, qs):
+    """The 53-step batch bisection that `gmm_quantiles` replaced."""
+    qs = np.asarray(qs, dtype=float)
+    span = 12.0 * float(np.max(g.sigmas)) + float(np.max(np.abs(g.means)))
+    lo = np.full(qs.shape, -span)
+    hi = np.full(qs.shape, span)
+    while np.any(g.cdf(lo) > qs):
+        lo[g.cdf(lo) > qs] *= 2.0
+    while np.any(g.cdf(hi) < qs):
+        hi[g.cdf(hi) < qs] *= 2.0
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        below = g.cdf(mid) < qs
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+_component = st.tuples(
+    st.floats(1e-6, 1.0), st.floats(-1e3, 1e3), st.floats(1e-4, 10.0)
+)
+
+
+@given(
+    st.lists(_component, min_size=1, max_size=4),
+    st.lists(st.floats(1e-12, 1.0 - 1e-9), max_size=40),
+)
+@example([(0.5, -50.0, 1.0), (0.5, 50.0, 1.0)], [0.5])
+@example([(1e-6, 1e3, 1e-4), (1.0, -1e3, 10.0)], [1e-6 / (1 + 1e-6), 0.75])
+@settings(max_examples=60, deadline=None)
+def test_quantiles_match_bisection(components, levels):
+    w, c, s = (np.array(v) for v in zip(*components))
+    g = GaussianMixture(w, c[:, None], s)
+    qs = np.array(levels + [1e-12, 0.5, 1.0 - 1e-9])
+    x = gmm_quantiles(g, qs)
+    ref = _bisection_quantiles(g, qs)
+    eps = np.finfo(float).eps
+    # Where F is steep the quantile is well defined and both must agree.
+    steep = g.pdf(ref) >= 1e-3
+    assert np.all(np.abs(x - ref)[steep] <= 1e-12 * np.maximum(1.0, np.abs(ref[steep])))
+    # Plateaus of F admit many quantiles; the residual must still be as small.
+    assert np.all(np.abs(g.cdf(x) - qs) <= np.abs(g.cdf(ref) - qs) + 4 * eps)
 
 
 def test_regularizer_moment_closed_form():
@@ -189,6 +262,16 @@ def test_dataset_csv_with_header(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("x0,x1\n1.0,2.0\n3.0,4.0\n")
     assert np.array_equal(load_dataset(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("body", ["", "x0\n", "x0,x1\n\n", "x0\n# no rows\n"])
+def test_dataset_without_rows_rejected_quietly(tmp_path, body):
+    p = tmp_path / "h.csv"
+    p.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(p)
 
 
 def test_truncated_binary_rejected(tmp_path):

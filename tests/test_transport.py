@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
 
 from wmmd.measures import DiscreteMeasure, GaussianMixture, make_discrete, stream_rng
 from wmmd.kernels import sphere_directions
@@ -13,7 +14,9 @@ from wmmd.transport import (
     sliced_w1,
     translation_split,
     w_rate,
+    _dist_matrix,
     _quantile_cost_discrete,
+    _transport_constraints,
 )
 
 
@@ -197,6 +200,54 @@ class TestExact:
         bad[0, 0] += 0.2
         with pytest.raises(ValueError):
             TransportPlan(bad, plan.cost, plan.p, mu, nu)
+
+    def test_plan_validation_uses_given_cost_matrix(self):
+        mu = DiscreteMeasure([[0.0], [1.0]], [0.75, 0.25])
+        nu = DiscreteMeasure([[0.0], [2.0]], [0.25, 0.75])
+        _, plan = w_exact(2, mu, nu)
+        C = (mu.points - nu.points.T) ** 2
+        plan.validate(cost_matrix=C)
+        with pytest.raises(ValueError, match="stored cost"):
+            plan.validate(cost_matrix=C + 1.0)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (5, 2), (60, 50), (120, 100)])
+    def test_constraint_matrix_matches_loop_build(self, n, m):
+        rows, cols = [], []
+        for i in range(n):
+            for j in range(m):
+                rows.append(i)
+                cols.append(i * m + j)
+        for j in range(m - 1):
+            for i in range(n):
+                rows.append(n + j)
+                cols.append(i * m + j)
+        ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
+        A = _transport_constraints(n, m)
+        assert A.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(ref, attr))
+
+    def test_lp_plan_within_validation_tolerance(self):
+        """A pair whose HiGHS plan, at HiGHS's default 1e-7 feasibility
+        tolerance, held entries near -7.7e-8; clipping them broke the row
+        marginals by more than `validate`'s 1e-9 (pair 112 of 400 drawn in
+        this order)."""
+        rng = np.random.default_rng([100, 6])
+        for _ in range(113):
+            X = rng.standard_normal((120, 2))
+            Y = rng.standard_normal((120, 2)) * rng.uniform(0.5, 1.5) + rng.uniform(-1, 1)
+            a, b = rng.uniform(0.1, 1, 120), rng.uniform(0.1, 1, 120)
+        mu, nu = DiscreteMeasure(X, a), DiscreteMeasure(Y, b)
+        val, plan = w_exact(2, mu, nu)
+        assert plan.coupling.min() >= 0.0
+        ref = linprog(
+            (_dist_matrix(X, Y) ** 2).ravel(),
+            A_eq=_transport_constraints(120, 120),
+            b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
+            bounds=(0, None),
+            method="highs",
+        )
+        assert val**2 == pytest.approx(ref.fun, rel=1e-7)
 
     def test_plan_csv(self, tmp_path):
         mu = _uniform([[0.0], [1.0]])
