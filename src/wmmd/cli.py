@@ -117,6 +117,34 @@ def _empirical(path):
     return DiscreteMeasure(X, np.ones(X.shape[0]))
 
 
+def _decode_domain(s, center_text, radius):
+    """Centre and radius of the ball `decode` searches.
+
+    Defaults come from the data box [lo, hi] stored in the sketch: its midpoint
+    and 1.5 times its half diagonal, the margin `excess_risk_report` uses.
+    Sketch files without the box default to the origin and radius 10.
+    """
+    d = s.feature_map.d
+    if center_text is not None:
+        try:
+            center = np.array([float(t) for t in center_text.split(",")])
+        except ValueError:
+            raise UsageError(f"--center {center_text!r} is not a comma-separated list of numbers")
+        if center.shape != (d,) or not np.all(np.isfinite(center)):
+            raise UsageError(f"--center needs {d} finite coordinates")
+    elif s.lo is not None:
+        center = 0.5 * (s.lo + s.hi)
+    else:
+        center = np.zeros(d)
+    if radius is None:
+        radius = 1.5 * 0.5 * float(np.linalg.norm(s.hi - s.lo)) if s.lo is not None else 10.0
+        if radius == 0:
+            raise UsageError("the sketched rows are one point; give --radius")
+    elif not (radius > 0 and np.isfinite(radius)):
+        raise UsageError("--radius must be positive and finite")
+    return center, radius
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="wmmd", description=__doc__)
     ap.add_argument(
@@ -143,6 +171,7 @@ def _build_parser():
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--center", default=None, help="domain centre x0,x1,... (default: middle of the data box)")
     p.add_argument("--radius", type=float, default=None)
 
     p = sub.add_parser("mmd", help="MMD between two datasets")
@@ -466,8 +495,7 @@ def _run(args):
         return 0
     if cmd == "decode":
         s = load_sketch(args.input)
-        center = np.zeros(s.feature_map.d)
-        radius = args.radius if args.radius else 10.0
+        center, radius = _decode_domain(s, args.center, args.radius)
         dec = decode_diracs(s, args.k, (center, radius), {"seed": args.seed})
         with open(args.output, "w") as f:
             f.write(",".join([f"x{i}" for i in range(dec.d)] + ["weight"]) + "\n")

@@ -9,11 +9,13 @@ coordinate(s) of each atom hold the response.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import nnls
 
 from .measures import DiscreteMeasure, stream_rng
-from .sketch import Sketch, sketch_measure
+from .sketch import Sketch, _cos_sin, sketch_measure
 from .reporting import Report
 
 __all__ = [
@@ -236,16 +238,29 @@ def task_metric_probe(task, mu, nu, n_hypotheses, rng):
 
 
 def _phi_single(F, theta):
-    return np.exp(-1j * (F.omega @ theta)) / np.sqrt(F.m)
+    """Phi(theta) for one atom.
+
+    The decoder builds its atom matrices with one F.phi call; this name stays
+    because bench/tracer.py looks it up.
+    """
+    return F.phi(theta)[0]
 
 
 def _atom_objective_grad(F, r, theta):
-    """f = Re<r, Phi(theta)> and its gradient in theta."""
-    e = np.exp(-1j * (F.omega @ theta)) / np.sqrt(F.m)
-    prod = np.conj(r) * e
-    f = float(np.sum(prod.real))
-    grad = F.omega.T @ prod.imag
-    return f, grad
+    """f = Re<r, Phi(theta)> and its gradient in theta, in real arithmetic.
+
+    With r = a + ib and Phi_j = (cos t_j - i sin t_j)/sqrt(m), t = omega theta:
+    f = sum_j (a_j cos t_j - b_j sin t_j)/sqrt(m), and its gradient is
+    -omega^T (a sin t + b cos t)/sqrt(m).
+    """
+    c, s = _cos_sin(F.omega @ theta)
+    a, b = r.real, r.imag
+    scale = 1.0 / math.sqrt(F.m)
+    f = float(a @ c - b @ s) * scale
+    s *= a  # s <- a sin t + b cos t, in place
+    c *= b
+    s += c
+    return f, (s @ F.omega) * -scale
 
 
 def _clamp_ball(theta, center, radius):
@@ -277,12 +292,11 @@ def _ascend_atom(F, r, theta0, center, radius, iters):
 
 
 def _residual(F, s_vals, atoms, weights):
-    A = np.array([_phi_single(F, th) for th in atoms])  # (K, m)
-    return weights @ A - s_vals
+    return weights @ F.phi(atoms) - s_vals
 
 
 def _nnls_weights(F, s_vals, atoms):
-    A = np.array([_phi_single(F, th) for th in atoms]).T  # (m, K)
+    A = F.phi(atoms).T  # (m, K)
     M = np.vstack([A.real, A.imag])
     y = np.concatenate([s_vals.real, s_vals.imag])
     w, _ = nnls(M, y)
@@ -325,7 +339,7 @@ def decode_diracs(s, K, domain, opts=None):
         obj, r, w = objective(thetas, v)
         step = radius / 8.0
         for _ in range(refine_iters):
-            A = np.array([_phi_single(F, th) for th in thetas])  # (k, m)
+            A = F.phi(thetas)  # (k, m)
             # d obj / d theta_k = 2 w_k sum_j Im(conj(r_j) A_kj) omega_j
             gth = 2.0 * w[:, None] * ((np.conj(r)[None, :] * A).imag @ F.omega)
             re_rA = (np.conj(r)[None, :] * A).real.sum(axis=1)
@@ -356,9 +370,7 @@ def decode_diracs(s, K, domain, opts=None):
         w_cur = (
             _nnls_weights(F, s_vals, atoms) if atoms else np.array([])
         )
-        r = s_vals - (
-            w_cur @ np.array([_phi_single(F, th) for th in atoms]) if atoms else 0.0
-        )
+        r = s_vals - (w_cur @ F.phi(atoms) if atoms else 0.0)
         best_theta, best_val = None, -np.inf
         for j in range(n_starts):
             rng = stream_rng(seed, stage, j)

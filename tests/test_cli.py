@@ -226,3 +226,112 @@ def test_failed_lp_is_reported(data, tmp_path, capsys, monkeypatch):
     save_dataset(q, X[:7])
     assert dispatch(["wass", str(p), str(q)]) == 1
     assert capsys.readouterr().err.startswith("E: transport LP failed: solver gave up")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_sketch_rejects_non_finite_rows(tmp_path, capsys, bad):
+    src = tmp_path / "x.csv"
+    src.write_text(f"x0,x1\n1,2\n{bad},0\n3,4\n")
+    out = tmp_path / "s.json"
+    assert dispatch(["sketch", str(src), "-o", str(out), "--m", "16", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("E:")
+    assert not out.exists()
+
+
+def _malformed(obj, case):
+    if case == "no kernel":
+        del obj["kernel"]
+    elif case == "omega rows":
+        obj["omega"] = obj["omega"][:-1]
+    elif case == "omega columns":
+        obj["omega"] = [row[:1] for row in obj["omega"]]
+    elif case == "re length":
+        obj["re"] = obj["re"][:-1]
+    elif case == "im length":
+        obj["im"] = obj["im"] + [0.0]
+    elif case == "negative count":
+        obj["n_samples"] = -1
+    return obj
+
+
+@pytest.mark.parametrize(
+    "case", ["no kernel", "omega rows", "omega columns", "re length", "im length", "negative count"]
+)
+def test_malformed_sketch_file_is_input_error(data, tmp_path, capsys, case):
+    p, _ = data
+    good = tmp_path / "good.json"
+    assert dispatch(["sketch", str(p), "-o", str(good), "--m", "16", "--seed", "3"]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(json.loads(good.read_text()), case)))
+    for argv in (
+        ["decode", str(bad), "-o", str(tmp_path / "c.csv"), "--k", "1"],
+        ["merge", str(good), str(bad), "-o", str(tmp_path / "m.json")],
+    ):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E:") and str(bad) in err
+
+
+def test_decode_domain_follows_the_data(tmp_path):
+    """Clusters far from the origin decode near their centres by default."""
+    rng = stream_rng(0xFA)
+    truth = np.array([[50.0, 50.0], [56.0, 50.0]])
+    parts = [rng.standard_normal((2000, 2)) * 0.5 + c for c in truth]
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, part in zip(paths, parts):
+        save_dataset(path, part)
+        assert dispatch(["sketch", str(path), "-o", f"{path}.json", "--m", "512", "--seed", "5"]) == 0
+    sk = tmp_path / "all.json"
+    assert dispatch(["merge", f"{paths[0]}.json", f"{paths[1]}.json", "-o", str(sk)]) == 0
+    out = tmp_path / "c.csv"
+    assert dispatch(["decode", str(sk), "-o", str(out), "--k", "2"]) == 0
+    got = np.loadtxt(out, delimiter=",", skiprows=1)[:, :2]
+    assert np.all(np.min(np.linalg.norm(truth[:, None] - got[None], axis=2), axis=1) < 1.0)
+    # an explicit centre with a radius that reaches the clusters
+    out2 = tmp_path / "c2.csv"
+    argv = ["decode", str(sk), "-o", str(out2), "--k", "2", "--center", "52,49", "--radius", "8"]
+    assert dispatch(argv) == 0
+    got = np.loadtxt(out2, delimiter=",", skiprows=1)[:, :2]
+    assert np.all(np.min(np.linalg.norm(truth[:, None] - got[None], axis=2), axis=1) < 1.0)
+
+
+def test_decode_domain_defaults(data, tmp_path):
+    from wmmd.cli import _decode_domain
+
+    p, X = data
+    sk = tmp_path / "s.json"
+    assert dispatch(["sketch", str(p), "-o", str(sk), "--m", "16", "--seed", "3"]) == 0
+    s = load_sketch(sk)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    center, radius = _decode_domain(s, None, None)
+    assert np.allclose(center, (lo + hi) / 2, rtol=0, atol=1e-15)
+    assert radius == pytest.approx(0.75 * np.linalg.norm(hi - lo), rel=1e-15)
+    assert _decode_domain(s, "1,-2.5", 3.0)[0].tolist() == [1.0, -2.5]
+    # files written without the data box keep the origin and radius 10
+    obj = json.loads(sk.read_text())
+    del obj["lo"], obj["hi"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(obj))
+    center, radius = _decode_domain(load_sketch(old), None, None)
+    assert center.tolist() == [0.0, 0.0] and radius == 10.0
+    assert dispatch(["decode", str(old), "-o", str(tmp_path / "c.csv"), "--k", "1"]) == 0
+
+
+@pytest.mark.parametrize("extra", [["--center", "1"], ["--center", "1,2,3"], ["--center", "a,b"],
+                                   ["--center", "nan,0"], ["--radius", "0"], ["--radius", "-1"]])
+def test_decode_rejects_bad_domain(data, tmp_path, capsys, extra):
+    p, _ = data
+    sk = tmp_path / "s.json"
+    assert dispatch(["sketch", str(p), "-o", str(sk), "--m", "16", "--seed", "3"]) == 0
+    assert dispatch(["decode", str(sk), "-o", str(tmp_path / "c.csv"), "--k", "1", *extra]) == 1
+    assert capsys.readouterr().err.startswith("E:")
+
+
+def test_decode_single_point_needs_radius(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    src.write_text("x0,x1\n1,2\n1,2\n")
+    sk = tmp_path / "s.json"
+    assert dispatch(["sketch", str(src), "-o", str(sk), "--m", "16", "--seed", "3"]) == 0
+    assert dispatch(["decode", str(sk), "-o", str(tmp_path / "c.csv"), "--k", "1"]) == 1
+    assert "--radius" in capsys.readouterr().err
+    assert dispatch(["decode", str(sk), "-o", str(tmp_path / "c.csv"), "--k", "1", "--radius", "1"]) == 0

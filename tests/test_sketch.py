@@ -1,9 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
-from wmmd.kernels import KernelSpec
+from wmmd.kernels import KernelSpec, kernel_to_dict
 from wmmd.sketch import (
+    _BLOCK_ENTRIES,
+    _cos_sin,
     draw_features,
     sketch_samples,
     sketch_measure,
@@ -155,3 +160,123 @@ def test_load_rejects_unknown_tag(tmp_path):
     p.write_text('{"format": "other-v9"}\n')
     with pytest.raises(ValueError, match="format"):
         load_sketch(p)
+
+
+def test_save_sketch_bytes_match_float_loop_writer(tmp_path):
+    """The .tolist() writer produces the bytes of the per-value float() writer."""
+
+    def float_loop_writer(s, path):
+        obj = {
+            "format": "wmmd-sketch-v1",
+            "kernel": kernel_to_dict(s.feature_map.kernel),
+            "d": s.feature_map.d,
+            "m": s.m,
+            "seed": s.feature_map.seed,
+            "n_samples": s.n_samples,
+            "omega": [[float(v) for v in row] for row in s.feature_map.omega],
+            "re": [float(v) for v in s.values.real],
+            "im": [float(v) for v in s.values.imag],
+        }
+        if s.lo is not None:
+            obj["lo"] = [float(v) for v in s.lo]
+            obj["hi"] = [float(v) for v in s.hi]
+        with open(path, "w") as f:
+            json.dump(obj, f, separators=(",", ":"))
+            f.write("\n")
+
+    F = draw_features(K2, 64, 21)
+    X = stream_rng(22).standard_normal((30, 2)) * 1e3
+    for s in (sketch_samples(F, X), sketch_measure(F, DiscreteMeasure(X, np.full(30, 1 / 30)))):
+        save_sketch(s, tmp_path / "new.json")
+        float_loop_writer(s, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_sketch_bounds_roundtrip_and_merge(tmp_path):
+    F = draw_features(K2, 16, 23)
+    rng = stream_rng(24)
+    X, Y = rng.standard_normal((5, 2)), 3.0 + rng.standard_normal((7, 2))
+    sx, sy = sketch_samples(F, X), sketch_samples(F, Y)
+    assert np.array_equal(sx.lo, X.min(axis=0)) and np.array_equal(sx.hi, X.max(axis=0))
+    m = merge([sx, sy])
+    assert np.array_equal(m.lo, np.vstack([X, Y]).min(axis=0))
+    assert np.array_equal(m.hi, np.vstack([X, Y]).max(axis=0))
+    save_sketch(m, tmp_path / "m.json")
+    back = load_sketch(tmp_path / "m.json")
+    assert np.array_equal(back.lo, m.lo) and np.array_equal(back.hi, m.hi)
+    # a sketch without bounds (here of a mixture) makes the merged bounds unknown
+    mix = sketch_measure(F, GaussianMixture([1.0], [[0.0, 0.0]], [1.0]))
+    unknown = merge([sx, mix], counts=[5, 7])
+    assert unknown.lo is None and unknown.hi is None
+    point_box = sketch_measure(F, DiscreteMeasure(Y, np.full(7, 1 / 7)))
+    assert np.array_equal(point_box.lo, Y.min(axis=0)) and np.array_equal(point_box.hi, Y.max(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# The half-angle feature kernel and the blocked sums built on it.
+
+
+def _dense_sketch(F, X, weights=None):
+    """The sketch from the full n x m complex feature matrix."""
+    E = np.exp(-1j * (X @ F.omega.T)) / np.sqrt(F.m)
+    return E.mean(axis=0) if weights is None else weights @ E
+
+
+def test_cos_sin_matches_numpy():
+    rng = stream_rng(40)
+    args = [
+        rng.uniform(-1e3, 1e3, 100_000),
+        rng.uniform(-1, 1, 100_000) * 10.0 ** rng.uniform(-300, 300, 100_000),
+        np.array([1e300, -1e300, 1e-300, np.pi / 2, -np.pi / 2, 1.0, -1.0]),
+        (2 * rng.integers(-(10**6), 10**6, 100_000) + 1) * np.pi,  # odd multiples of pi
+    ]
+    for T in args:
+        c, s = _cos_sin(T.copy())
+        assert np.max(np.abs(c - np.cos(T))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(T))) <= 4.5e-16
+    c, s = _cos_sin(np.array([0.0, -0.0]))
+    assert np.array_equal(c, [1.0, 1.0])
+    assert np.array_equal(np.signbit(s), [False, True]) and np.all(s == 0.0)
+
+
+@pytest.mark.parametrize("m", [1024, 4096])
+def test_blocked_sums_match_dense(m):
+    F = draw_features(KernelSpec.gaussian(0.5, 2), m, 41)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    rng = stream_rng(42, m)
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        X = 40.0 + 3.0 * rng.standard_normal((n, 2))
+        w = rng.uniform(0.1, 1.0, n)
+        w /= w.sum()
+        got = sketch_samples(F, X).values
+        assert np.max(np.abs(got - _dense_sketch(F, X))) <= 1e-15
+        got = sketch_measure(F, DiscreteMeasure(X, w)).values
+        assert np.max(np.abs(got - _dense_sketch(F, X, w))) <= 1e-15
+
+
+def test_phi_matches_dense():
+    F = draw_features(K2, 256, 43)
+    X = 40.0 + stream_rng(44).standard_normal((9, 2))
+    E = np.exp(-1j * (X @ F.omega.T)) / np.sqrt(F.m)
+    assert np.max(np.abs(F.phi(X) - E)) <= 1e-16
+
+
+def test_sketch_samples_memory_is_bounded():
+    F = draw_features(K2, 4096, 45)
+    X = stream_rng(46).standard_normal((20_000, 2))
+    tracemalloc.start()
+    try:
+        sketch_samples(F, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sketch_samples_rejects_non_finite_rows(bad):
+    F = draw_features(K2, 16, 47)
+    X = stream_rng(48).standard_normal((6, 2))
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sketch_samples(F, X)

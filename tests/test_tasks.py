@@ -15,6 +15,7 @@ from wmmd.tasks import (
     decode_diracs,
     lloyd,
     excess_risk_report,
+    _atom_objective_grad,
 )
 
 
@@ -177,6 +178,29 @@ class TestDecoder:
             decode_diracs(s, 0, (np.zeros(2), 1.0))
         with pytest.raises(ValueError):
             decode_diracs(s, 1, (np.zeros(2), 0.0))
+
+
+def test_atom_objective_grad_matches_complex_formula_and_differences():
+    def complex_objective_grad(F, r, theta):
+        e = np.exp(-1j * (F.omega @ theta)) / np.sqrt(F.m)
+        prod = np.conj(r) * e
+        return float(np.sum(prod.real)), F.omega.T @ prod.imag
+
+    F = draw_features(KernelSpec.gaussian(3.0, 2), 1024, 12)
+    rng = stream_rng(31)
+    for _ in range(20):
+        r = (rng.standard_normal(F.m) + 1j * rng.standard_normal(F.m)) / np.sqrt(F.m)
+        theta = rng.uniform(-60.0, 60.0, 2)
+        f, g = _atom_objective_grad(F, r, theta)
+        f_ref, g_ref = complex_objective_grad(F, r, theta)
+        assert abs(f - f_ref) <= 1e-14 * np.sum(np.abs(r))
+        assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.sum(np.abs(r) * np.abs(F.omega).sum(axis=1))
+        h = 1e-6
+        fd = [
+            (_atom_objective_grad(F, r, theta + h * e)[0] - _atom_objective_grad(F, r, theta - h * e)[0]) / (2 * h)
+            for e in np.eye(2)
+        ]
+        assert np.allclose(g, fd, rtol=1e-6, atol=1e-7 * np.linalg.norm(g_ref) + 1e-9)
 
 
 def test_lloyd_separated_clusters():
