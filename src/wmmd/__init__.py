@@ -12,7 +12,6 @@ from .measures import (
     DiscreteMeasure,
     GaussianMixture,
     RegularizerSpec,
-    make_discrete,
     project,
     smooth,
     gmm_quantile,
@@ -30,7 +29,6 @@ __all__ = [
     "GaussianMixture",
     "RegularizerSpec",
     "KernelSpec",
-    "make_discrete",
     "project",
     "smooth",
     "gmm_quantile",

@@ -15,17 +15,10 @@ import sys
 
 import numpy as np
 
-from .measures import (
-    DiscreteMeasure,
-    GaussianMixture,
-    RegularizerSpec,
-    load_dataset,
-    sample,
-    stream_rng,
-)
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, load_dataset, stream_rng
 from .kernels import KernelSpec, kernel_from_json, sphere_directions
-from .discrepancy import mmd_discrete, mmd_sliced, mmd_spectral_1d, mmd_rate
-from .transport import w1d, w_exact, w_rate
+from .discrepancy import mmd, mmd_discrete, mmd_sliced, mmd_rate
+from .transport import w1d, w_exact, w_rate, wasserstein
 from .sketch import (
     draw_features,
     sketch_samples,
@@ -33,15 +26,7 @@ from .sketch import (
     load_sketch,
     save_sketch,
 )
-from .tasks import (
-    TaskSpec,
-    Hypothesis,
-    risk,
-    task_metric_probe,
-    task_constant,
-    decode_diracs,
-    excess_risk_report,
-)
+from .tasks import TaskSpec, task_metric_probe, task_constant, decode_diracs, excess_risk_report
 from . import lab
 from .reporting import Report, emit_report
 
@@ -50,6 +35,13 @@ __all__ = ["main", "dispatch"]
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as UsageError, so they end as one E: line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 class BoundViolation(Exception):
@@ -96,13 +88,14 @@ def set_blas_threads(n):
         fn(int(n))
 
 
-def _parse_kernel(text, d=None):
-    """Kernel from JSON, or from a bare family name with default parameters."""
-    text = text.strip()
+def _parse_kernel(text, d):
+    """Kernel from JSON, or from a bare family name with default parameters in dimension d.
+
+    No text means the Gaussian kernel with sigma 1.
+    """
+    text = (text or "gaussian").strip()
     if text.startswith("{"):
         return kernel_from_json(text)
-    if d is None:
-        d = 1
     if text == "gaussian":
         return KernelSpec.gaussian(1.0, d)
     if text == "laplacian":
@@ -146,7 +139,7 @@ def _decode_domain(s, center_text, radius):
 
 
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="wmmd", description=__doc__)
+    ap = _Parser(prog="wmmd", description=__doc__)
     ap.add_argument(
         "--threads",
         type=int,
@@ -223,7 +216,7 @@ def _build_parser():
 
 def _lab_counterexample(args):
     k = args.k
-    kernel = _parse_kernel(args.kernel or "gaussian", d=1)
+    kernel = _parse_kernel(args.kernel, 1)
     cons = lab.BinomialDiracs(k=k, x0=(0.0,), radius=100.0, direction=(1.0,))
     eps_grid = [2.0**-j for j in range(1, 7)]
     rep = Report("counterexample", ["eps", "mmd", "w1", "ratio_delta1"])
@@ -268,7 +261,7 @@ def _lab_rates(args):
             return rng.uniform(0.0, 1.0, size=(n, args.d))
 
         grid = [2**j for j in range(6, 12)] if args.d == 1 else [2**j for j in range(5, 11)]
-        fit = w_rate(sampler, 1, grid, trials, args.seed, d=args.d)
+        fit = w_rate(sampler, 1, grid, trials, args.seed)
         target, tol = -1.0 / args.d, 0.07
     for lx, ly in fit.grid:
         rep.add_row(float(np.exp(lx)), float(np.exp(ly)))
@@ -286,7 +279,7 @@ def _lab_rates(args):
 
 def _lab_fourier_bound(args):
     trials = args.trials or 20
-    kernel = _parse_kernel(args.kernel or "matern", d=1)
+    kernel = _parse_kernel(args.kernel or "matern", 1)
     rep = Report("fourier-bound", ["index", "w2", "rhs"])
     ok = True
     for t in range(trials):
@@ -360,10 +353,7 @@ def _lab_dominance(args):
                 DiscreteMeasure(rng.normal(size=(n2, 2)), rng.uniform(0.1, 1, n2)),
             )
         )
-    kernel = (
-        _parse_kernel(args.kernel, d=2) if args.kernel else KernelSpec.gaussian(1.0, 2)
-    )
-    return lab.mmd_dominance_check(kernel, pairs, p=args.p)
+    return lab.mmd_dominance_check(_parse_kernel(args.kernel, 2), pairs, p=args.p)
 
 
 def _lab_sliced(args):
@@ -395,7 +385,7 @@ def _lab_sliced(args):
 
 def _lab_embeddability(args):
     trials = args.trials or 60
-    kernel = _parse_kernel(args.kernel or "matern", d=1)
+    kernel = _parse_kernel(args.kernel or "matern", 1)
 
     def sampler(rng):
         return _same_mean_gmm_pair(rng)
@@ -444,14 +434,15 @@ _LAB_DRIVERS = {
 
 def dispatch(argv):
     """Run one command; returns the process exit code."""
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    if args.command is None:
-        ap.print_usage(sys.stderr)
+        args = _build_parser().parse_args(argv)
+        if args.command is None:
+            raise UsageError("no command given (see wmmd -h)")
+    except UsageError as e:
+        print(f"E: {e}", file=sys.stderr)
         return 1
+    except SystemExit as e:  # -h prints help and exits 0
+        return 1 if e.code not in (0, None) else 0
     threads = args.threads
     if threads is None and os.environ.get("WMMD_THREADS"):
         try:
@@ -480,12 +471,7 @@ def _run(args):
     cmd = args.command
     if cmd == "sketch":
         X = load_dataset(args.input)
-        kernel = (
-            _parse_kernel(args.kernel, d=X.shape[1])
-            if args.kernel
-            else KernelSpec.gaussian(1.0, X.shape[1])
-        )
-        F = draw_features(kernel, args.m, args.seed)
+        F = draw_features(_parse_kernel(args.kernel, X.shape[1]), args.m, args.seed)
         s = sketch_samples(F, X)
         save_sketch(s, args.output)
         return 0
@@ -504,28 +490,16 @@ def _run(args):
         return 0
     if cmd == "mmd":
         mu, nu = _empirical(args.a), _empirical(args.b)
-        kernel = _parse_kernel(args.kernel, d=mu.d)
-        print(f"{mmd_discrete(kernel, mu, nu):.17g}")
+        print(f"{mmd(_parse_kernel(args.kernel, mu.d), mu, nu):.17g}")
         return 0
     if cmd == "wass":
         mu, nu = _empirical(args.a), _empirical(args.b)
-        if mu.d == 1:
-            val = w1d(args.p, mu, nu)
-        else:
-            val, _ = w_exact(args.p, mu, nu)
-        print(f"{val:.17g}")
+        print(f"{wasserstein(args.p, mu, nu):.17g}")
         return 0
     if cmd == "ckmeans":
         X = load_dataset(args.input)
-        kernel = (
-            _parse_kernel(args.kernel, d=X.shape[1])
-            if args.kernel
-            else KernelSpec.gaussian(1.0, X.shape[1])
-        )
-        task = TaskSpec("kmeans", K=args.k)
-        rep = excess_risk_report(
-            X, task, {"kernel": kernel, "m": args.m, "seed": args.seed}
-        )
+        opts = {"kernel": _parse_kernel(args.kernel, X.shape[1]), "m": args.m, "seed": args.seed}
+        rep = excess_risk_report(X, TaskSpec("kmeans", K=args.k), opts)
         emit_report(rep, args.output)
         return 0 if rep.passed else 2
     if cmd == "lab":

@@ -13,10 +13,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, project, sample, stream_rng
-from .kernels import KernelSpec, _sq_dists
+from .kernels import _sq_dists
 from .reporting import scaling_exponent
 
 __all__ = [
+    "mmd",
     "mmd_discrete",
     "mmd_gmm_gaussian",
     "mmd_gaussian_kernel",
@@ -200,6 +201,21 @@ def mmd_spectral_1d(k, mu, nu):
             sq += mult * w[i] * w[j] * term
     sq /= np.pi  # doubled half-line divided by 2 pi
     return np.sqrt(_clamp_sq(sq, max(abs(sq), 1.0)))
+
+
+def mmd(k, mu, nu):
+    """MMD by the route the pair allows.
+
+    Two discrete measures take the double sum; otherwise Gaussian-type
+    kernels take the closed form, and other 1-D kernels spectral quadrature.
+    """
+    if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
+        return mmd_discrete(k, mu, nu)
+    if k.family in ("gaussian", "convroot"):
+        return mmd_gaussian_kernel(k, mu, nu)
+    if k.d == 1:
+        return mmd_spectral_1d(k, mu, nu)
+    raise ValueError("no MMD route for this kernel/measure combination")
 
 
 def _smooth_components(measure, alpha):

@@ -37,6 +37,12 @@ def _sq_dists(X, Y):
     return sq
 
 
+def _positive(**params):
+    for name, v in params.items():
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 class KernelSpec:
     """Descriptor of a p.s.d. kernel; immutable, evaluation is pure.
 
@@ -45,6 +51,8 @@ class KernelSpec:
     """
 
     def __init__(self, family, d, **params):
+        if not (np.isfinite(d) and d == int(d) and d >= 1):
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
         self.family = family
         self.d = int(d)
         self.params = params
@@ -55,20 +63,17 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, sigma, d, scale=1.0):
-        if sigma <= 0 or scale <= 0:
-            raise ValueError("sigma and scale must be positive")
+        _positive(sigma=sigma, scale=scale)
         return cls("gaussian", d, sigma=float(sigma), scale=float(scale))
 
     @classmethod
     def laplacian(cls, sigma, d):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _positive(sigma=sigma)
         return cls("laplacian", d, sigma=float(sigma))
 
     @classmethod
     def matern(cls, nu, sigma, d):
-        if sigma <= 0 or nu <= 0:
-            raise ValueError("nu and sigma must be positive")
+        _positive(nu=nu, sigma=sigma)
         return cls("matern", d, nu=float(nu), sigma=float(sigma))
 
     @classmethod
@@ -92,8 +97,8 @@ class KernelSpec:
         if base.d != 1:
             raise ValueError("base kernel must be 1-D")
         norms = np.linalg.norm(theta_set, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("theta_set rows must be unit vectors")
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+            raise ValueError("theta_set rows must be finite unit vectors")
         theta_set = theta_set.copy()
         theta_set.setflags(write=False)
         return cls("sliced", theta_set.shape[1], base=base, theta_set=theta_set)
@@ -101,15 +106,11 @@ class KernelSpec:
     @classmethod
     def modified(cls, base, mean_weight):
         """kappa~(x, y) = base(x, y) + mean_weight * <x, y>."""
-        if mean_weight not in (1, 1.0) and abs(mean_weight - 1.0 / base.d) > 1e-15:
-            raise ValueError("mean_weight must be 1 or 1/d")
+        if not (mean_weight == 1 or abs(mean_weight - 1.0 / base.d) <= 1e-15):
+            raise ValueError(f"mean_weight must be 1 or 1/d, got {mean_weight!r}")
         return cls("modified", base.d, base=base, mean_weight=float(mean_weight))
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def is_ti(self):
-        return self.family in ("gaussian", "laplacian", "matern", "convroot", "sliced")
 
     def kappa0_0(self):
         """kappa0(0) = kappa(x, x) for TI families."""
@@ -281,18 +282,6 @@ class KernelSpec:
         lam = float(np.max(-diag))
         return self.kappa0_0() * np.sqrt(lam)
 
-    # -- convenience wrappers ----------------------------------------------
-
-    def sliced_eval(self, x, y):
-        if self.family != "sliced":
-            raise ValueError("not a sliced kernel")
-        return self.eval(x, y)
-
-    def modified_eval(self, x, y):
-        if self.family != "modified":
-            raise ValueError("not a modified kernel")
-        return self.eval(x, y)
-
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items() if k != "theta_set")
         return f"KernelSpec({self.family}, d={self.d}, {ps})"
@@ -334,19 +323,32 @@ def kernel_to_dict(k):
 
 
 def kernel_from_dict(obj):
+    """KernelSpec from its dict form; a missing or malformed field raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"kernel must be a JSON object, got {obj!r}")
     fam = obj.get("family")
+
+    def field(name):
+        if name not in obj:
+            raise ValueError(f"{fam} kernel needs field {name!r}")
+        return obj[name]
+
     if fam == "gaussian":
-        return KernelSpec.gaussian(obj["sigma"], obj["d"], obj.get("scale", 1.0))
+        return KernelSpec.gaussian(field("sigma"), field("d"), obj.get("scale", 1.0))
     if fam == "laplacian":
-        return KernelSpec.laplacian(obj["sigma"], obj["d"])
+        return KernelSpec.laplacian(field("sigma"), field("d"))
     if fam == "matern":
-        return KernelSpec.matern(obj["nu"], obj["sigma"], obj["d"])
+        return KernelSpec.matern(field("nu"), field("sigma"), field("d"))
     if fam == "convroot":
-        return KernelSpec.conv_root(RegularizerSpec(obj["sigma"]), obj["d"])
-    if fam == "sliced":
-        return KernelSpec.sliced(kernel_from_dict(obj["base"]), np.array(obj["theta_set"]))
-    if fam == "modified":
-        return KernelSpec.modified(kernel_from_dict(obj["base"]), obj["mean_weight"])
+        return KernelSpec.conv_root(RegularizerSpec(field("sigma")), field("d"))
+    if fam in ("sliced", "modified"):
+        base = field("base")
+        if not isinstance(base, dict):
+            raise ValueError(f"{fam} kernel field 'base' must be a JSON object, got {base!r}")
+        base = kernel_from_dict(base)
+        if fam == "sliced":
+            return KernelSpec.sliced(base, np.array(field("theta_set"), dtype=float))
+        return KernelSpec.modified(base, field("mean_weight"))
     raise ValueError(f"unknown kernel family {fam!r}")
 
 

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, smooth, sample, stream_rng
-from .kernels import KernelSpec, NonSmoothAtZero
-from .discrepancy import (
-    mmd_discrete,
-    mmd_gaussian_kernel,
-    mmd_gmm_gaussian,
-    mmd_spectral_1d,
-)
-from .transport import w1d, w_exact, _dist_matrix
-from .reporting import Report, SlopeFit, DegenerateZero, scaling_exponent
+from .measures import DiscreteMeasure, smooth, sample, stream_rng
+from .kernels import KernelSpec
+# mmd_discrete is unused here; bench/tracer.py patches lab's copy of the name.
+from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_spectral_1d
+from .transport import w1d, w_exact, wasserstein, _dist_matrix
+from .reporting import Report, scaling_exponent
 
 __all__ = [
     "BinomialDiracs",
@@ -121,30 +117,6 @@ def disjoint_segment(pi0, pi1, lam):
 
 
 # ---------------------------------------------------------------------------
-# Generic distance dispatch used by the probes.
-
-
-def generic_mmd(kernel, mu, nu):
-    both_discrete = isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure)
-    if both_discrete and kernel.family not in ("modified",):
-        return mmd_discrete(kernel, mu, nu)
-    if kernel.family in ("gaussian", "convroot"):
-        return mmd_gaussian_kernel(kernel, mu, nu)
-    if kernel.d == 1:
-        return mmd_spectral_1d(kernel, mu, nu)
-    raise ValueError("no MMD route for this kernel/measure combination")
-
-
-def generic_w(p, mu, nu):
-    if mu.d == 1:
-        return w1d(p, mu, nu)
-    if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        val, _ = w_exact(p, mu, nu)
-        return val
-    raise ValueError("no Wasserstein route for this measure pair")
-
-
-# ---------------------------------------------------------------------------
 # Experiments.
 
 
@@ -163,8 +135,8 @@ def embeddability_probe(model_sampler, kernel, p, delta, trials, rng, path=None)
     if path is None:
         for t in range(trials):
             mu, nu = model_sampler(rng)
-            w = generic_w(p, mu, nu)
-            m = generic_mmd(kernel, mu, nu)
+            w = wasserstein(p, mu, nu)
+            m = mmd(kernel, mu, nu)
             ratio = w / m**delta if m > 0 else float("inf")
             rep.add_row(t, 1.0, w, m, ratio)
             sups.append(ratio)
@@ -182,8 +154,8 @@ def embeddability_probe(model_sampler, kernel, p, delta, trials, rng, path=None)
         return rep
     ratios = []
     for i, (scale, mu, nu) in enumerate(path):
-        w = generic_w(p, mu, nu)
-        m = generic_mmd(kernel, mu, nu)
+        w = wasserstein(p, mu, nu)
+        m = mmd(kernel, mu, nu)
         ratio = w / m**delta if m > 0 else float("inf")
         rep.add_row(i, scale, w, m, ratio)
         ratios.append(ratio)
@@ -264,7 +236,7 @@ def smoothing_bound(alpha, p, mu, nu, s, M):
         raise ValueError("moment precondition violated")
     kernel = KernelSpec.conv_root(alpha, d)
     mmd = mmd_gaussian_kernel(kernel, mu, nu)
-    w = generic_w(p, mu, nu)
+    w = wasserstein(p, mu, nu)
     ms = alpha.moment_p(s, d)
     mp = alpha.moment_p(p, d)
     e_main = (2.0 * p + d) / ((d + 2.0 * s) * p)
@@ -306,8 +278,8 @@ def mmd_dominance_check(kernel, pairs, p=2):
     rep = Report("mmd-dominance", ["index", "mmd", "w", "bound", "ok"])
     worst = -np.inf
     for i, (mu, nu) in enumerate(pairs):
-        m = generic_mmd(kernel, mu, nu)
-        w = generic_w(p, mu, nu)
+        m = mmd(kernel, mu, nu)
+        w = wasserstein(p, mu, nu)
         bound = C * w
         ok = m <= bound + 1e-9
         worst = max(worst, m - bound)
@@ -347,18 +319,14 @@ def lemma24_check(alpha, mu, nu, n=2048, boot=20, seed=0):
     exact assignment, with a bootstrap standard error; passes when the margin
     is not significantly negative.
     """
-    from scipy.optimize import linear_sum_assignment
-
     d = mu.d
-    w_true = generic_w(1, mu, nu)
+    w_true = wasserstein(1, mu, nu)
     vals = []
     for b in range(boot):
         rng = stream_rng(seed, b)
-        X = sample(smooth(mu, alpha), n, rng).points
-        Y = sample(smooth(nu, alpha), n, rng).points
-        Cm = _dist_matrix(X, Y)
-        rows, cols = linear_sum_assignment(Cm)
-        vals.append(float(Cm[rows, cols].mean()))
+        X = sample(smooth(mu, alpha), n, rng)
+        Y = sample(smooth(nu, alpha), n, rng)
+        vals.append(w_exact(1, X, Y)[0])
     est = float(np.mean(vals))
     stderr = float(np.std(vals) / np.sqrt(len(vals)))
     margin = est + 2.0 * alpha.sigma * np.sqrt(d) - w_true

@@ -15,8 +15,6 @@ __all__ = [
     "DiscreteMeasure",
     "GaussianMixture",
     "RegularizerSpec",
-    "ModelSetSpec",
-    "make_discrete",
     "project",
     "smooth",
     "gmm_quantile",
@@ -205,8 +203,8 @@ class RegularizerSpec:
     def __init__(self, sigma, family="Gaussian"):
         if family != "Gaussian":
             raise ValueError("unsupported regularizer family")
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.family = family
         self.sigma = float(sigma)
 
@@ -217,34 +215,6 @@ class RegularizerSpec:
 
     def __repr__(self):
         return f"RegularizerSpec(Gaussian, sigma={self.sigma})"
-
-
-class ModelSetSpec:
-    """Restricted family of distributions that bounds are stated over."""
-
-    __slots__ = ("variant", "params")
-
-    _VARIANTS = ("DiracMixture", "GMM1D", "BoundedMoment")
-
-    def __init__(self, variant, **params):
-        if variant not in self._VARIANTS:
-            raise ValueError(f"unknown model set variant {variant!r}")
-        if variant == "DiracMixture":
-            if params["K"] < 1 or params["radius"] <= 0:
-                raise ValueError("DiracMixture needs K >= 1, radius > 0")
-        elif variant == "GMM1D":
-            if params["K"] < 1 or params["sigma_min"] <= 0:
-                raise ValueError("GMM1D needs K >= 1, sigma_min > 0")
-        else:
-            if params["M"] <= 0 or params["s"] <= 1:
-                raise ValueError("BoundedMoment needs M > 0, s > 1")
-        self.variant = variant
-        self.params = dict(params)
-
-
-def make_discrete(points, weights):
-    """Normalized DiscreteMeasure from raw points and nonnegative weights."""
-    return DiscreteMeasure(points, weights)
 
 
 def project(mu, theta):

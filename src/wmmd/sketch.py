@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .measures import DiscreteMeasure, GaussianMixture
-from .kernels import KernelSpec, kernel_to_dict, kernel_from_dict
+from .kernels import kernel_to_dict, kernel_from_dict
 
 __all__ = [
     "FeatureMap",
@@ -269,7 +269,7 @@ def load_sketch(path):
     seed, n_samples = _integer(obj, "seed", path), _integer(obj, "n_samples", path, 0)
     try:
         kernel = kernel_from_dict(obj["kernel"])
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad kernel: {e}") from e
     omega = _finite_array(obj, "omega", path, (m, d))
     vals = _finite_array(obj, "re", path, (m,)) + 1j * _finite_array(obj, "im", path, (m,))

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
+from .kernels import _sq_dists
 from .measures import DiscreteMeasure, GaussianMixture, gmm_quantiles, project, sample, stream_rng
 from .reporting import scaling_exponent
 
@@ -21,6 +22,7 @@ __all__ = [
     "TransportPlan",
     "w1d",
     "w_exact",
+    "wasserstein",
     "w_brute",
     "sliced_w1",
     "translation_split",
@@ -54,7 +56,7 @@ class TransportPlan:
             raise ValueError("column marginals do not match target weights")
         if cost_matrix is None:
             cost_matrix = _dist_matrix(self.source.points, self.target.points) ** self.p
-        recomputed = float(np.sum(g * cost_matrix))
+        recomputed = float(np.vdot(g, cost_matrix))
         if abs(recomputed - self.cost) > tol * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
 
@@ -68,13 +70,7 @@ class TransportPlan:
 
 
 def _dist_matrix(X, Y):
-    sq = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(Y**2, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    return np.sqrt(_sq_dists(X, Y))
 
 
 def _quantile_cost_discrete(p, x, a, y, b):
@@ -182,6 +178,19 @@ def w_exact(p, mu, nu):
     return cost ** (1.0 / p), plan
 
 
+def wasserstein(p, mu, nu):
+    """W_p by the exact route the pair allows.
+
+    1-D pairs take the quantile coupling (`w1d`), other discrete pairs
+    `w_exact` (assignment when uniform and equal-size, else the LP).
+    """
+    if mu.d == 1:
+        return w1d(p, mu, nu)
+    if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
+        return w_exact(p, mu, nu)[0]
+    raise ValueError("no Wasserstein route for this measure pair")
+
+
 def _transport_constraints(n, m):
     """Equality matrix on the row-major n x m plan.
 
@@ -263,7 +272,11 @@ def _sampler_of(measure):
     return lambda n, rng: sample(measure, n, rng).points
 
 
-def w_rate(measure, p, n_grid, trials, seed, d=None):
+def _uniform(points):
+    return DiscreteMeasure(points, np.full(points.shape[0], 1.0 / points.shape[0]))
+
+
+def w_rate(measure, p, n_grid, trials, seed):
     """Fitted log-log slope of E W_p(pi, pi_n) against n.
 
     `measure` is a measure object or a callable (n, rng) -> points sampler.
@@ -278,29 +291,19 @@ def w_rate(measure, p, n_grid, trials, seed, d=None):
     if len(n_grid) < 5:
         raise ValueError("n_grid needs at least 5 points")
     draw = _sampler_of(measure)
-    probe = draw(2, stream_rng(seed, 0xFFFF))
-    dim = probe.shape[1] if d is None else d
+    dim = draw(2, stream_rng(seed, 0xFFFF)).shape[1]
     pairs = []
     for gi, n in enumerate(n_grid):
         acc = 0.0
         for t in range(trials):
             rng = stream_rng(seed, gi, t)
+            emp = _uniform(draw(n, rng))
             if isinstance(measure, DiscreteMeasure):
-                X = draw(n, rng)
-                emp = DiscreteMeasure(X, np.full(n, 1.0 / n))
                 val, _ = w_exact(p, measure, emp)
             elif dim == 1:
-                X = draw(n, rng)[:, 0]
-                R = draw(64 * n, rng)[:, 0]
-                acc_mu = DiscreteMeasure(X[:, None], np.full(n, 1.0 / n))
-                acc_nu = DiscreteMeasure(R[:, None], np.full(64 * n, 1.0 / (64 * n)))
-                val = w1d(p, acc_mu, acc_nu)
+                val = w1d(p, emp, _uniform(draw(64 * n, rng)))
             else:
-                X = draw(n, rng)
-                Y = draw(n, rng)
-                C = _dist_matrix(X, Y) ** p
-                rows, cols = linear_sum_assignment(C)
-                val = (C[rows, cols].sum() / n) ** (1.0 / p)
+                val, _ = w_exact(p, emp, _uniform(draw(n, rng)))
             acc += val
         pairs.append((n, acc / trials))
     return scaling_exponent(pairs)

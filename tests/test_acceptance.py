@@ -287,10 +287,10 @@ def test_criterion_09_convergence_rates():
     def u3(n, rng):
         return rng.uniform(0.0, 1.0, size=(n, 3))
 
-    fit_w1 = w_rate(u1, 1, [2**j for j in range(7, 14)], 50, SEED, d=1)
+    fit_w1 = w_rate(u1, 1, [2**j for j in range(7, 14)], 50, SEED)
     # d=3 grid capped so the exact assignment solver stays tractable; the
     # n^(-1/3) law is already clean over this range.
-    fit_w3 = w_rate(u3, 1, [2**j for j in range(5, 11)], 50, SEED, d=3)
+    fit_w3 = w_rate(u3, 1, [2**j for j in range(5, 11)], 50, SEED)
     dt = time.time() - t0
     ok = (
         abs(fit_mmd.slope + 0.5) <= 0.05

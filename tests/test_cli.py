@@ -335,3 +335,78 @@ def test_decode_single_point_needs_radius(tmp_path, capsys):
     assert dispatch(["decode", str(sk), "-o", str(tmp_path / "c.csv"), "--k", "1"]) == 1
     assert "--radius" in capsys.readouterr().err
     assert dispatch(["decode", str(sk), "-o", str(tmp_path / "c.csv"), "--k", "1", "--radius", "1"]) == 0
+
+
+def _fails_with_one_line(argv, capsys):
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("E:") and captured.err.count("\n") == 1 and captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--threads"],
+        ["nosuchcommand"],
+        ["sketch", "x.csv", "--m", "8", "--seed", "1"],
+        ["sketch", "x.csv", "-o", "s.json", "--m", "eight", "--seed", "1"],
+        ["decode", "s.json", "-o", "c.csv", "--k", "1", "--center", "-1.5,2"],
+        ["lab", "nosuchexperiment"],
+    ],
+)
+def test_argument_errors_end_as_one_line(argv, capsys):
+    assert "usage:" not in _fails_with_one_line(argv, capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    assert dispatch(["-h"]) == 0
+    assert dispatch(["sketch", "-h"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "kernel, field",
+    [
+        ({"family": "gaussian", "sigma": 1}, "'d'"),
+        ({"family": "matern", "sigma": 1, "d": 1}, "'nu'"),
+        ({"family": "modified", "base": 5, "mean_weight": 1, "d": 2}, "base"),
+        ({"family": "sliced", "base": 5, "theta_set": [[1.0, 0.0]], "d": 2}, "base"),
+        ({"family": "sliced", "base": {"family": "gaussian", "sigma": 1, "d": 1}, "d": 2}, "'theta_set'"),
+    ],
+)
+def test_kernel_json_missing_or_bad_field(data, capsys, kernel, field):
+    p, _ = data
+    assert field in _fails_with_one_line(["mmd", str(p), str(p), "--kernel", json.dumps(kernel)], capsys)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_G1 = {"family": "gaussian", "sigma": 1.0, "d": 1}
+
+
+@pytest.mark.parametrize(
+    "kernel, field",
+    [
+        ({"family": "gaussian", "sigma": _NAN, "d": 2}, "sigma"),
+        ({"family": "gaussian", "sigma": _INF, "d": 2}, "sigma"),
+        ({"family": "gaussian", "sigma": 1.0, "scale": _NAN, "d": 2}, "scale"),
+        ({"family": "gaussian", "sigma": 1.0, "scale": 0.0, "d": 2}, "scale"),
+        ({"family": "laplacian", "sigma": _INF, "d": 2}, "sigma"),
+        ({"family": "laplacian", "sigma": -1.0, "d": 2}, "sigma"),
+        ({"family": "matern", "nu": _NAN, "sigma": 1.0, "d": 2}, "nu"),
+        ({"family": "matern", "nu": 0.0, "sigma": 1.0, "d": 2}, "nu"),
+        ({"family": "matern", "nu": 1.5, "sigma": _INF, "d": 2}, "sigma"),
+        ({"family": "convroot", "sigma": _INF, "d": 2}, "sigma"),
+        ({"family": "convroot", "sigma": _NAN, "d": 2}, "sigma"),
+        ({"family": "gaussian", "sigma": 1.0, "d": 0}, "d must"),
+        ({"family": "gaussian", "sigma": 1.0, "d": _INF}, "d must"),
+        ({"family": "gaussian", "sigma": 1.0, "d": 1.5}, "d must"),
+        ({"family": "modified", "base": {**_G1, "d": 2}, "mean_weight": _NAN, "d": 2}, "mean_weight"),
+        ({"family": "sliced", "base": _G1, "theta_set": [[_NAN, 0.0]], "d": 2}, "theta_set"),
+        ({"family": "sliced", "base": _G1, "theta_set": [[1.0, 0.0], [_INF, 0.0]], "d": 2}, "theta_set"),
+    ],
+)
+def test_kernel_parameters_must_be_finite(data, capsys, kernel, field):
+    p, _ = data
+    assert field in _fails_with_one_line(["mmd", str(p), str(p), "--kernel", json.dumps(kernel)], capsys)

@@ -5,7 +5,6 @@ from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
     RegularizerSpec,
-    make_discrete,
     stream_rng,
 )
 from wmmd.kernels import KernelSpec, sphere_directions
@@ -51,8 +50,8 @@ def test_mmd_symmetric():
 def test_two_diracs_closed_form():
     # ||delta_x - delta_y||^2 = 2(kappa0(0) - kappa0(x - y))
     k = KernelSpec.gaussian(1.0, 1)
-    mu = make_discrete([[0.0]], [1.0])
-    nu = make_discrete([[1.5]], [1.0])
+    mu = DiscreteMeasure([[0.0]], [1.0])
+    nu = DiscreteMeasure([[1.5]], [1.0])
     expect = np.sqrt(2.0 * (1.0 - np.exp(-1.5**2 / 2.0)))
     assert mmd_discrete(k, mu, nu) == pytest.approx(expect, rel=1e-14)
 

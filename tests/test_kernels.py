@@ -121,7 +121,7 @@ def test_sliced_kernel_eval_is_direction_average():
     x = np.array([0.3, -0.7, 1.1])
     y = np.zeros(3)
     manual = np.mean([base.kappa0(np.array([t @ (x - y)])) for t in theta])
-    assert k.sliced_eval(x, y) == pytest.approx(manual, rel=1e-14)
+    assert k.eval(x, y) == pytest.approx(manual, rel=1e-14)
 
 
 def test_sliced_rejects_bad_directions():
@@ -134,7 +134,7 @@ def test_modified_kernel_adds_inner_product():
     base = KernelSpec.gaussian(1.0, 2)
     k = KernelSpec.modified(base, 0.5)
     x = np.array([1.0, 2.0])
-    assert k.modified_eval(x, x) == pytest.approx(base.kappa0_0() + 0.5 * 5.0)
+    assert k.eval(x, x) == pytest.approx(base.kappa0_0() + 0.5 * 5.0)
 
 
 def test_modified_mean_weight_restricted():

@@ -7,7 +7,6 @@ from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
     RegularizerSpec,
-    make_discrete,
     stream_rng,
 )
 from wmmd.kernels import KernelSpec

@@ -9,8 +9,6 @@ from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
     RegularizerSpec,
-    ModelSetSpec,
-    make_discrete,
     project,
     smooth,
     gmm_quantile,
@@ -39,7 +37,7 @@ def test_zero_total_mass_rejected():
 
 
 def test_immutability():
-    m = make_discrete([[1.0, 2.0]], [1.0])
+    m = DiscreteMeasure([[1.0, 2.0]], [1.0])
     with pytest.raises(ValueError):
         m.points[0, 0] = 5.0
 
@@ -56,15 +54,15 @@ def test_mean_and_moment():
     st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6),
 )
 @settings(max_examples=40, deadline=None)
-def test_make_discrete_always_normalized(xs, ws):
+def test_discrete_measure_always_normalized(xs, ws):
     k = min(len(xs), len(ws))
-    m = make_discrete(np.array(xs[:k])[:, None], np.array(ws[:k]))
+    m = DiscreteMeasure(np.array(xs[:k])[:, None], np.array(ws[:k]))
     assert abs(m.weights.sum() - 1.0) <= 1e-12
     assert np.all(m.weights >= 0)
 
 
 def test_project_requires_unit_direction():
-    m = make_discrete([[1.0, 0.0]], [1.0])
+    m = DiscreteMeasure([[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
         project(m, [2.0, 0.0])
     p = project(m, [0.0, 1.0])
@@ -191,19 +189,11 @@ def test_regularizer_rejects_other_families():
 
 
 def test_smooth_builds_mixture():
-    m = make_discrete([[0.0], [1.0]], [0.5, 0.5])
+    m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     g = smooth(m, RegularizerSpec(0.3))
     assert isinstance(g, GaussianMixture)
     assert g.K == 2
     assert np.all(g.sigmas == 0.3)
-
-
-def test_model_set_spec_validation():
-    ModelSetSpec("DiracMixture", K=3, radius=1.0)
-    with pytest.raises(ValueError):
-        ModelSetSpec("DiracMixture", K=0, radius=1.0)
-    with pytest.raises(ValueError):
-        ModelSetSpec("Nope")
 
 
 class TestStreams:

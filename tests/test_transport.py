@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
-from wmmd.measures import DiscreteMeasure, GaussianMixture, make_discrete, stream_rng
+from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
 from wmmd.kernels import sphere_directions
 from wmmd.transport import (
     TransportPlan,
@@ -26,21 +26,21 @@ def _uniform(points):
 
 
 def test_w1d_two_diracs():
-    mu = make_discrete([[0.0]], [1.0])
-    nu = make_discrete([[1.0]], [1.0])
+    mu = DiscreteMeasure([[0.0]], [1.0])
+    nu = DiscreteMeasure([[1.0]], [1.0])
     for p in (1, 1.5, 2, 3):
         assert w1d(p, mu, nu) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_w1d_symmetric_split():
     mu = _uniform([[0.0], [2.0]])
-    nu = make_discrete([[1.0]], [1.0])
+    nu = DiscreteMeasure([[1.0]], [1.0])
     assert w1d(1, mu, nu) == pytest.approx(1.0, abs=1e-14)
     assert w1d(2, mu, nu) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_w1d_rejects_bad_input():
-    mu = make_discrete([[0.0]], [1.0])
+    mu = DiscreteMeasure([[0.0]], [1.0])
     with pytest.raises(ValueError):
         w1d(0.5, mu, mu)
     with pytest.raises(ValueError):
@@ -300,5 +300,5 @@ def test_w_rate_1d_uniform_law():
     def sampler(n, rng):
         return rng.uniform(0.0, 1.0, size=(n, 1))
 
-    fit = w_rate(sampler, 1, [2**j for j in range(6, 11)], 10, 7, d=1)
+    fit = w_rate(sampler, 1, [2**j for j in range(6, 11)], 10, 7)
     assert fit.slope == pytest.approx(-0.5, abs=0.1)
