@@ -214,6 +214,15 @@ def _build_parser():
 # Lab experiment drivers (modest default scales; flags can raise them).
 
 
+def _trials(args, default):
+    """`--trials`, or the experiment's default when it is not given."""
+    if args.trials is None:
+        return default
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    return args.trials
+
+
 def _lab_counterexample(args):
     k = args.k
     kernel = _parse_kernel(args.kernel, 1)
@@ -249,7 +258,7 @@ def _lab_counterexample(args):
 
 
 def _lab_rates(args):
-    trials = args.trials or 10
+    trials = _trials(args, 10)
     rep = Report("rates", ["n", "mean_value"])
     if args.which == "mmd":
         pi = GaussianMixture([1.0], np.zeros((1, args.d)), [1.0])
@@ -278,7 +287,7 @@ def _lab_rates(args):
 
 
 def _lab_fourier_bound(args):
-    trials = args.trials or 20
+    trials = _trials(args, 20)
     kernel = _parse_kernel(args.kernel or "matern", 1)
     rep = Report("fourier-bound", ["index", "w2", "rhs"])
     ok = True
@@ -342,7 +351,7 @@ def _lab_smoothing(args):
 
 
 def _lab_dominance(args):
-    trials = args.trials or 200
+    trials = _trials(args, 200)
     rng = stream_rng(args.seed, 0)
     pairs = []
     for _ in range(trials):
@@ -357,7 +366,7 @@ def _lab_dominance(args):
 
 
 def _lab_sliced(args):
-    trials = args.trials or 50
+    trials = _trials(args, 50)
     rng = stream_rng(args.seed, 0)
     d = max(args.d, 2)
     theta = sphere_directions(32, d, seed=args.seed)
@@ -384,7 +393,7 @@ def _lab_sliced(args):
 
 
 def _lab_embeddability(args):
-    trials = args.trials or 60
+    trials = _trials(args, 60)
     kernel = _parse_kernel(args.kernel or "matern", 1)
 
     def sampler(rng):
@@ -395,7 +404,7 @@ def _lab_embeddability(args):
 
 
 def _lab_learnability(args):
-    trials = args.trials or 40
+    trials = _trials(args, 40)
     rng = stream_rng(args.seed, 0)
     rep = Report("learnability", ["index", "task", "probe", "bound"])
     ok = True

@@ -122,9 +122,13 @@ def draw_features(kernel, m, seed):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2^64)")
+    key = np.array([seed, 0], dtype=np.uint64)
     rows = []
     for j in range(m):
-        bg = np.random.Philox(key=[int(seed) % 2**64, 0], counter=[0, j, 0, 0])
+        bg = np.random.Philox(key=key, counter=[0, j, 0, 0])
         rng = np.random.Generator(bg)
         rows.append(kernel.spectral_sample(1, rng)[0])
     return FeatureMap(np.array(rows), kernel, seed)

@@ -8,6 +8,7 @@ A brute-force permutation oracle covers tiny uniform instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -118,8 +119,7 @@ def w1d(p, mu, nu):
     midpoint grids of n and 2n nodes share no node, and its CDF-table start
     makes each solve a few density and CDF sweeps.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w1d needs 1-D measures")
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
@@ -147,35 +147,70 @@ def w1d(p, mu, nu):
         c_prev, val_prev = c, val
 
 
+def _check_p(p):
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError("p must be a finite number >= 1")
+
+
+def _check_lists(mu, nu):
+    if not (isinstance(mu, list) and isinstance(nu, list) and len(mu) == len(nu)):
+        raise ValueError("mu and nu must be measures or lists of equal length")
+
+
+def _is_uniform(mu, nu):
+    n = mu.n
+    return (
+        n == nu.n
+        and np.allclose(mu.weights, 1.0 / n, atol=1e-14)
+        and np.allclose(nu.weights, 1.0 / n, atol=1e-14)
+    )
+
+
 def w_exact(p, mu, nu):
     """Exact W_p between discrete measures with an optimal plan.
 
     Uniform equal-size inputs reduce to an assignment problem (Birkhoff);
     the general case is solved as an LP on the transport polytope, which
     refuses instances with more than 10^6 plan entries.
+
+    `mu` and `nu` may also be equal-length lists of measures; the result is
+    then the list of `(value, plan)` pairs in input order.  Consecutive LP
+    pairs are solved together as one block-diagonal LP of at most 10^6 plan
+    entries, which saves the per-call set-up of many small solves.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if mu.d != nu.d:
-        raise ValueError("dimension mismatch")
-    n, m = mu.n, nu.n
-    uniform = (
-        n == m
-        and np.allclose(mu.weights, 1.0 / n, atol=1e-14)
-        and np.allclose(nu.weights, 1.0 / n, atol=1e-14)
-    )
-    if not uniform and n * m > _SIZE_GUARD:
-        raise ValueError(f"instance too large: {n}x{m} exceeds the LP size guard")
-    C = _dist_matrix(mu.points, nu.points) ** p
-    if uniform:
-        rows, cols = linear_sum_assignment(C)
-        g = np.zeros((n, m))
-        g[rows, cols] = 1.0 / n
-        cost = float(C[rows, cols].sum() / n)
-    else:
-        g, cost = _solve_transport_lp(C, mu.weights, nu.weights)
-    plan = TransportPlan(g, cost, p, mu, nu, cost_matrix=C)
-    return cost ** (1.0 / p), plan
+    if not isinstance(mu, list) and not isinstance(nu, list):
+        return w_exact(p, [mu], [nu])[0]
+    _check_lists(mu, nu)
+    _check_p(p)
+    out = [None] * len(mu)
+    groups, entries = [], 0  # LP pairs as (index, cost matrix), grouped under the guard
+    for k, (x, y) in enumerate(zip(mu, nu)):
+        if x.d != y.d:
+            raise ValueError("dimension mismatch")
+        uniform = _is_uniform(x, y)
+        if not uniform and x.n * y.n > _SIZE_GUARD:
+            raise ValueError(f"instance too large: {x.n}x{y.n} exceeds the LP size guard")
+        C = _dist_matrix(x.points, y.points) ** p
+        if uniform:
+            rows, cols = linear_sum_assignment(C)
+            g = np.zeros(C.shape)
+            g[rows, cols] = 1.0 / x.n
+            out[k] = (g, float(C[rows, cols].sum() / x.n), C)
+        else:
+            if not groups or entries + C.size > _SIZE_GUARD:
+                groups.append([])
+                entries = 0
+            groups[-1].append((k, C))
+            entries += C.size
+    for group in groups:
+        solved = _solve_transport_lp([(C, mu[k].weights, nu[k].weights) for k, C in group])
+        for (k, C), (g, cost) in zip(group, solved):
+            out[k] = (g, cost, C)
+    results = []
+    for x, y, (g, cost, C) in zip(mu, nu, out):
+        plan = TransportPlan(g, cost, p, x, y, cost_matrix=C)
+        results.append((cost ** (1.0 / p), plan))
+    return results
 
 
 def wasserstein(p, mu, nu):
@@ -183,36 +218,66 @@ def wasserstein(p, mu, nu):
 
     1-D pairs take the quantile coupling (`w1d`), other discrete pairs
     `w_exact` (assignment when uniform and equal-size, else the LP).
+    `mu` and `nu` may also be equal-length lists; the values come back as a
+    list in input order, and the discrete pairs of dimension >= 2 go to one
+    list call of `w_exact`.
     """
-    if mu.d == 1:
-        return w1d(p, mu, nu)
-    if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        return w_exact(p, mu, nu)[0]
-    raise ValueError("no Wasserstein route for this measure pair")
+    if not isinstance(mu, list) and not isinstance(nu, list):
+        return wasserstein(p, [mu], [nu])[0]
+    _check_lists(mu, nu)
+    out = [None] * len(mu)
+    exact = []
+    for k, (x, y) in enumerate(zip(mu, nu)):
+        if x.d == 1:
+            out[k] = w1d(p, x, y)
+        elif isinstance(x, DiscreteMeasure) and isinstance(y, DiscreteMeasure):
+            exact.append(k)
+        else:
+            raise ValueError("no Wasserstein route for this measure pair")
+    if exact:
+        solved = w_exact(p, [mu[k] for k in exact], [nu[k] for k in exact])
+        for k, (val, _) in zip(exact, solved):
+            out[k] = val
+    return out
 
 
-def _transport_constraints(n, m):
-    """Equality matrix on the row-major n x m plan.
+def _transport_constraints(shapes):
+    """Block-diagonal equality matrix on row-major plans of the given (n, m) shapes.
 
-    Row sums for every source atom; column sums for all but the last target
-    atom (the dropped constraint is implied by total mass).
+    Each block has row sums for every source atom and column sums for all
+    but the last target atom (the dropped constraint is implied by total
+    mass).
     """
-    idx = np.arange(n * m)
-    in_col = idx[idx % m < m - 1]
-    rows = np.concatenate([idx // m, n + in_col % m])
-    cols = np.concatenate([idx, in_col])
-    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
+    rows, cols = [], []
+    r0 = c0 = 0
+    for n, m in shapes:
+        idx = np.arange(n * m)
+        in_col = idx[idx % m < m - 1]
+        rows += [r0 + idx // m, r0 + n + in_col % m]
+        cols += [c0 + idx, c0 + in_col]
+        r0 += n + m - 1
+        c0 += n * m
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(r0, c0))
 
 
-def _solve_transport_lp(C, a, b):
-    n, m = C.shape
-    A = _transport_constraints(n, m)
-    rhs = np.concatenate([a, b[:-1]])
+def _solve_transport_lp(blocks):
+    """Optimal plans and costs for a list of (C, a, b) blocks, from one LP.
+
+    The blocks share no variable, so the block-diagonal LP's optimum is the
+    optimum of every block.  HiGHS's optimality tolerance is absolute, so
+    each block's costs are first scaled by a power of two to a largest entry
+    in [1/2, 1): the scaling is exact, and a block of tiny costs beside one of
+    large costs still gets an optimal vertex.  Costs are summed unscaled.
+    """
+    shapes = [C.shape for C, _, _ in blocks]
+    c = np.concatenate([np.ldexp(C, -np.frexp(C.max())[1]).ravel() for C, _, _ in blocks])
+    rhs = np.concatenate([np.concatenate([a, b[:-1]]) for _, a, b in blocks])
     # HiGHS's default 1e-7 feasibility tolerance leaves entries down to about -1e-7
     # whose clipping below breaks the marginals by more than validate's 1e-9.
     res = linprog(
-        C.ravel(),
-        A_eq=A,
+        c,
+        A_eq=_transport_constraints(shapes),
         b_eq=rhs,
         bounds=(0, None),
         method="highs",
@@ -220,28 +285,41 @@ def _solve_transport_lp(C, a, b):
     )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    g = res.x.reshape(n, m)
-    np.maximum(g, 0.0, out=g)
-    return g, float(np.sum(g * C))
+    x = np.maximum(res.x, 0.0)
+    out, start = [], 0
+    for C, _, _ in blocks:
+        g = x[start : start + C.size].reshape(C.shape)
+        start += C.size
+        out.append((g, float(np.sum(g * C))))
+    return out
+
+
+@functools.cache
+def _permutations(n):
+    """All permutations of range(n), one per row, in itertools order."""
+    P = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    P.setflags(write=False)
+    return P
 
 
 def w_brute(p, mu, nu):
-    """Permutation oracle: uniform equal-size measures with n <= 8 atoms."""
+    """Permutation oracle: uniform equal-size measures with n <= 8 atoms.
+
+    Every permutation's cost is summed term by term in atom order, as a loop
+    over the permutations would, so the minimum does not depend on the
+    vectorisation.
+    """
     if mu.n != nu.n or mu.n > 8:
         raise ValueError("w_brute needs equal atom counts with n <= 8")
     n = mu.n
-    if not (
-        np.allclose(mu.weights, 1.0 / n, atol=1e-14)
-        and np.allclose(nu.weights, 1.0 / n, atol=1e-14)
-    ):
+    if not _is_uniform(mu, nu):
         raise ValueError("w_brute needs uniform weights")
     C = _dist_matrix(mu.points, nu.points) ** p
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        c = sum(C[i, perm[i]] for i in range(n))
-        if c < best:
-            best = c
-    return (best / n) ** (1.0 / p)
+    P = _permutations(n)
+    total = np.zeros(P.shape[0])
+    for i in range(n):
+        total += C[i, P[:, i]]
+    return (total.min() / n) ** (1.0 / p)
 
 
 def sliced_w1(mu, nu, theta_set):

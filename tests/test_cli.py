@@ -410,3 +410,32 @@ _G1 = {"family": "gaussian", "sigma": 1.0, "d": 1}
 def test_kernel_parameters_must_be_finite(data, capsys, kernel, field):
     p, _ = data
     assert field in _fails_with_one_line(["mmd", str(p), str(p), "--kernel", json.dumps(kernel)], capsys)
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_wass_rejects_non_finite_p(tmp_path, capsys, p, d):
+    rng = stream_rng(0x9F)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(a, rng.normal(size=(6, d)))
+    save_dataset(b, rng.normal(size=(5, d)))
+    err = _fails_with_one_line(["wass", str(a), str(b), "--p", p], capsys)
+    assert "p must be a finite number >= 1" in err
+
+
+@pytest.mark.parametrize("experiment", ["rates", "fourier-bound", "dominance", "sliced", "embeddability", "learnability"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_lab_trials_must_be_positive(tmp_path, capsys, experiment, trials):
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", experiment, "--trials", trials, "-o", str(out)], capsys)
+    assert "--trials must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sketch_rejects_out_of_range_seed(data, tmp_path, capsys, seed):
+    p, _ = data
+    out = tmp_path / "s.json"
+    err = _fails_with_one_line(["sketch", str(p), "-o", str(out), "--m", "4", "--seed", seed], capsys)
+    assert "seed must be an integer in [0, 2^64)" in err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from wmmd.measures import (
 )
 from wmmd.kernels import KernelSpec
 from wmmd.discrepancy import mmd_discrete
-from wmmd.transport import w1d
+from wmmd.transport import w1d, w_exact
 from wmmd.reporting import DegenerateZero, scaling_exponent
 from wmmd import lab
 
@@ -226,6 +226,44 @@ def test_dominance_random_pairs():
     rep = lab.mmd_dominance_check(k, pairs)
     assert rep.passed
     assert rep.summary["worst_margin"] <= 1e-9
+
+
+def test_dominance_rows_match_single_pairs():
+    """The batched W_p of every row equals a per-pair `w_exact`."""
+    rng = stream_rng(61)
+    k = KernelSpec.gaussian(1.0, 2)
+    pairs = []
+    for n1, n2 in [(2, 5), (5, 2), (3, 3), (4, 4), (1, 3)]:
+        scale = 10.0 ** rng.uniform(-3, 3)
+        pairs.append(
+            (
+                DiscreteMeasure(scale * rng.normal(size=(n1, 2)), rng.uniform(0.1, 1, n1)),
+                DiscreteMeasure(scale * rng.normal(size=(n2, 2)), rng.uniform(0.1, 1, n2)),
+            )
+        )
+    rep = lab.mmd_dominance_check(k, pairs)
+    for (i, m, w, _, _), (mu, nu) in zip(rep.rows, pairs):
+        assert w == pytest.approx(w_exact(2, mu, nu)[0], rel=1e-12)
+        assert m == mmd_discrete(k, mu, nu)
+
+
+def test_embeddability_probe_rows_follow_the_sampler():
+    """All pairs are drawn before any distance, in the same order as one at a time."""
+    kernel = KernelSpec.gaussian(1.0, 2)
+
+    def sampler(rng):
+        n1, n2 = rng.integers(2, 5, size=2)
+        return (
+            DiscreteMeasure(rng.normal(size=(n1, 2)), rng.uniform(0.1, 1, n1)),
+            DiscreteMeasure(rng.normal(size=(n2, 2)), rng.uniform(0.1, 1, n2)),
+        )
+
+    rep = lab.embeddability_probe(sampler, kernel, 2, 1.0, 12, stream_rng(4))
+    rng = stream_rng(4)
+    for row in rep.rows:
+        mu, nu = sampler(rng)
+        assert row[2] == pytest.approx(w_exact(2, mu, nu)[0], rel=1e-12)
+        assert row[3] == mmd_discrete(kernel, mu, nu)
 
 
 def test_dominance_rejects_modified_kernel():

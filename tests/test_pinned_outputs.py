@@ -48,9 +48,12 @@ RECORDED = {
         "0x1.13c444a8b8ba1p+0", "0x1.1fff8e368ccdbp+0", "0x1.19eab2cc11ef0p+0",
         "0x1.cc65743f4b116p+0",
     ],
+    # The last slope is re-recorded since the LP costs are scaled by a power of
+    # two: HiGHS picks another optimal basis for one of its ten W_2 values,
+    # which moves that value by one ulp.
     "w_rate": [
         "-0x1.5732ef6d343abp-1", "-0x1.52be592287440p-2", "-0x1.3a7b97a4db9acp-2",
-        "-0x1.03cba6bd1fb8cp-1",
+        "-0x1.03cba6bd1fb8ap-1",
     ],
     "lemma24": ["0x1.7eb9c356f03fap-1", "0x1.609961568b0a8p-1", "0x1.0703fa0ebcd45p-6"],
     "cli": [

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,17 @@ def test_sketch_samples_rejects_non_finite_rows(bad):
     X[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         sketch_samples(F, X)
+
+
+def test_draw_features_takes_every_64_bit_seed():
+    """Seeds of 2^63 and above key the generator exactly and without warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = draw_features(K2, 4, 2**64 - 1)
+        a = draw_features(K2, 4, 2**63)
+        b = draw_features(K2, 4, 2**63 + 1)
+    assert np.all(np.isfinite(top.omega))
+    assert not np.array_equal(a.omega, b.omega)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            draw_features(K2, 4, seed)

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
+
+from wmmd import transport
 
 from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
 from wmmd.kernels import sphere_directions
@@ -14,6 +18,7 @@ from wmmd.transport import (
     sliced_w1,
     translation_split,
     w_rate,
+    wasserstein,
     _dist_matrix,
     _quantile_cost_discrete,
     _transport_constraints,
@@ -222,7 +227,7 @@ class TestExact:
                 rows.append(n + j)
                 cols.append(i * m + j)
         ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
-        A = _transport_constraints(n, m)
+        A = _transport_constraints([(n, m)])
         assert A.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, attr), getattr(ref, attr))
@@ -242,7 +247,7 @@ class TestExact:
         assert plan.coupling.min() >= 0.0
         ref = linprog(
             (_dist_matrix(X, Y) ** 2).ravel(),
-            A_eq=_transport_constraints(120, 120),
+            A_eq=_transport_constraints([(120, 120)]),
             b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
             bounds=(0, None),
             method="highs",
@@ -259,6 +264,153 @@ class TestExact:
         assert lines[0] == "i,j,mass"
         mass = sum(float(l.split(",")[2]) for l in lines[1:])
         assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def _weighted_pair(rng, n, m, d, scale=1.0):
+    return (
+        DiscreteMeasure(scale * rng.normal(size=(n, d)), rng.uniform(0.1, 1, n)),
+        DiscreteMeasure(scale * rng.normal(size=(m, d)), rng.uniform(0.1, 1, m)),
+    )
+
+
+def _check_marginals(plan, mu, nu):
+    g = plan.coupling
+    assert g.shape == (mu.n, nu.n) and g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - mu.weights)) <= 1e-9
+    assert np.max(np.abs(g.sum(axis=0) - nu.weights)) <= 1e-9
+
+
+def test_w_exact_is_scale_invariant():
+    """W_p(s mu, s nu) = s W_p(mu, nu); before the LP costs were scaled, HiGHS's
+    absolute optimality tolerance accepted a suboptimal vertex (ratio 1.75331
+    instead of 1.40537) once s^2 fell to 1e-8."""
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
+    a, b = rng.uniform(0.1, 1, 5), rng.uniform(0.1, 1, 4)
+    ref, _ = w_exact(2, DiscreteMeasure(X, a), DiscreteMeasure(Y, b))
+    for k in range(-6, 7):
+        s = 10.0**k
+        val, _ = w_exact(2, DiscreteMeasure(s * X, a), DiscreteMeasure(s * Y, b))
+        assert val / s == pytest.approx(ref, rel=1e-12), s
+
+
+def test_w_exact_lists_match_single_pairs():
+    rng = stream_rng(0x1157)
+    shapes = [(1, 1), (2, 5), (5, 2), (3, 3), (40, 30), (30, 40), (7, 7), (1, 6), (12, 9)]
+    mus, nus = [], []
+    for i in range(30):
+        n, m = shapes[i % len(shapes)]
+        d, scale = 2 + i % 2, 10.0 ** rng.uniform(-4, 4)
+        if i % 5 == 0:  # uniform equal-size: the assignment route
+            mu = DiscreteMeasure(scale * rng.normal(size=(n, d)), np.ones(n))
+            nu = DiscreteMeasure(scale * rng.normal(size=(n, d)), np.ones(n))
+        else:
+            mu, nu = _weighted_pair(rng, n, m, d, scale)
+        mus.append(mu)
+        nus.append(nu)
+    many = w_exact(2, mus, nus)
+    assert len(many) == len(mus)
+    for mu, nu, (val, plan) in zip(mus, nus, many):
+        single, _ = w_exact(2, mu, nu)
+        assert val == pytest.approx(single, rel=1e-12)
+        assert isinstance(plan, TransportPlan) and plan.source is mu and plan.target is nu
+        _check_marginals(plan, mu, nu)
+    assert w_exact(2, [], []) == []
+    with pytest.raises(ValueError, match="equal length"):
+        w_exact(2, mus, nus[:-1])
+    with pytest.raises(ValueError, match="equal length"):
+        w_exact(2, mus[:1], nus[0])
+
+
+def test_lp_groups_respect_size_guard(monkeypatch):
+    rng = stream_rng(0x6A)
+    pairs = [_weighted_pair(rng, n, m, 2) for n, m in [(3, 4), (5, 4), (2, 3), (6, 5), (3, 3)]]
+    pairs.insert(3, (_uniform(rng.normal(size=(4, 2))), _uniform(rng.normal(size=(4, 2)))))
+    mus, nus = [mu for mu, _ in pairs], [nu for _, nu in pairs]
+    unlimited = [val for val, _ in w_exact(1, mus, nus)]
+    sizes = []
+    real_linprog = transport.linprog
+
+    def counting_linprog(c, *args, **kwargs):
+        sizes.append(c.size)
+        return real_linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
+    monkeypatch.setattr(transport, "_SIZE_GUARD", 40)
+    limited = [val for val, _ in w_exact(1, mus, nus)]
+    # 12 + 20 + 6 fill the first LP; the uniform 4 x 4 pair takes assignment;
+    # 30 + 9 fill the second.
+    assert sizes == [38, 39]
+    assert limited == pytest.approx(unlimited, rel=1e-12)
+    big = _weighted_pair(rng, 7, 6, 2)
+    with pytest.raises(ValueError, match="7x6 exceeds the LP size guard"):
+        w_exact(1, mus + [big[0]], nus + [big[1]])
+    with pytest.raises(ValueError, match="7x6 exceeds the LP size guard"):
+        w_exact(1, *big)
+
+
+def test_wasserstein_list_routes_per_pair(monkeypatch):
+    rng = stream_rng(0x3B)
+    pairs = []
+    for i in range(12):
+        d = (1, 2, 3)[i % 3]
+        pairs.append(_weighted_pair(rng, 2 + i % 4, 3 + i % 3, d))
+    pairs.append(_weighted_pair(rng, 4, 4, 1))
+    mus, nus = [mu for mu, _ in pairs], [nu for _, nu in pairs]
+    singles = [wasserstein(2, mu, nu) for mu, nu in pairs]
+    calls = []
+    real_w_exact = transport.w_exact
+
+    def recording_w_exact(p, mu, nu):
+        calls.append((mu, nu))
+        return real_w_exact(p, mu, nu)
+
+    monkeypatch.setattr(transport, "w_exact", recording_w_exact)
+    many = wasserstein(2, mus, nus)
+    assert many == pytest.approx(singles, rel=1e-12)
+    for mu, val, single in zip(mus, many, singles):
+        if mu.d == 1:
+            assert val == single
+    assert calls == [([mu for mu in mus if mu.d > 1], [nu for nu in nus if nu.d > 1])]
+    with pytest.raises(ValueError, match="equal length"):
+        wasserstein(2, mus, nus[:-1])
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5])
+def test_p_must_be_finite(p):
+    mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
+    line = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        w_exact(p, mu, mu)
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        w1d(p, line, line)
+
+
+def test_constraint_blocks_are_block_diagonal():
+    shapes = [(1, 1), (2, 3), (5, 2), (4, 4)]
+    A = _transport_constraints(shapes)
+    ref = block_diag([_transport_constraints([s]) for s in shapes], format="csr")
+    assert A.shape == ref.shape
+    assert np.array_equal(A.toarray(), ref.toarray())
+
+
+def _brute_loop(p, mu, nu):
+    C = _dist_matrix(mu.points, nu.points) ** p
+    best = np.inf
+    for perm in itertools.permutations(range(mu.n)):
+        c = sum(C[i, perm[i]] for i in range(mu.n))
+        if c < best:
+            best = c
+    return (best / mu.n) ** (1.0 / p)
+
+
+def test_brute_matches_permutation_loop():
+    rng = stream_rng(0xB7)
+    for n in range(1, 9):
+        for p in (1.0, 2.0, 1.5):
+            mu = _uniform(rng.normal(size=(n, 2)))
+            nu = _uniform(rng.normal(size=(n, 2)))
+            assert w_brute(p, mu, nu) == _brute_loop(p, mu, nu)
 
 
 def test_brute_rejects_nonuniform():
