@@ -60,8 +60,9 @@ def _as_components(measure):
     raise TypeError("unsupported measure type")
 
 
-# Rows per block of the Gaussian sums: a 256 x 8192 float64 block is 16 MiB.
-_BLOCK = 256
+# Rows per block of the Gaussian sums.  Each block takes a few elementwise
+# passes, so it should stay in L2: a 64 x 8192 float64 block is 4 MiB.
+_BLOCK = 64
 
 
 def _gauss_block(m1, s1, m2, s2, sig2, d):

@@ -28,6 +28,11 @@ class NonSmoothAtZero(ValueError):
 def _sq_dists(X, Y):
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
+    if X.shape[1] == Y.shape[1] == 1:
+        # One rounded difference per pair: cheaper than the Gram form's k = 1
+        # GEMM and three passes, and free of its cancellation far from 0.
+        sq = np.subtract.outer(X[:, 0], Y[:, 0])
+        return np.multiply(sq, sq, out=sq)
     sq = (
         np.sum(X**2, axis=1)[:, None]
         + np.sum(Y**2, axis=1)[None, :]

@@ -31,23 +31,29 @@ __all__ = [
 ]
 
 _SIZE_GUARD = 10**6
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 class TransportPlan:
-    """A feasible coupling together with its transport cost."""
+    """A feasible coupling together with its transport cost.
 
-    __slots__ = ("coupling", "cost", "p", "source", "target")
+    `cost` is the sum of coupling_ij (|x_i - y_j| / scale)^p; `scale` is 1
+    unless the distances' p-th powers leave the normal float range.
+    """
 
-    def __init__(self, coupling, cost, p, source, target, cost_matrix=None):
+    __slots__ = ("coupling", "cost", "p", "source", "target", "scale")
+
+    def __init__(self, coupling, cost, p, source, target, cost_matrix=None, scale=1.0):
         self.coupling = coupling
         self.cost = float(cost)
         self.p = float(p)
         self.source = source
         self.target = target
+        self.scale = float(scale)
         self.validate(cost_matrix=cost_matrix)
 
     def validate(self, tol=1e-9, cost_matrix=None):
-        """Check marginals, sign and stored cost; `cost_matrix` is |x_i - y_j|^p if known."""
+        """Check marginals, sign and stored cost; `cost_matrix` is (|x_i - y_j| / scale)^p if known."""
         g = self.coupling
         if np.any(g < -tol):
             raise ValueError("coupling has negative mass")
@@ -56,7 +62,7 @@ class TransportPlan:
         if np.max(np.abs(g.sum(axis=0) - self.target.weights)) > tol:
             raise ValueError("column marginals do not match target weights")
         if cost_matrix is None:
-            cost_matrix = _dist_matrix(self.source.points, self.target.points) ** self.p
+            cost_matrix = (_dist_matrix(self.source.points, self.target.points) / self.scale) ** self.p
         recomputed = float(np.vdot(g, cost_matrix))
         if abs(recomputed - self.cost) > tol * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
@@ -74,22 +80,53 @@ def _dist_matrix(X, Y):
     return np.sqrt(_sq_dists(X, Y))
 
 
+def _pth_power(D, p, M):
+    """((D / s)^p, s): s is 1 unless M^p leaves the normal float range, else M.
+
+    Raising distances to a large p overflows (or underflows to 0) before the
+    root is taken; dividing by M, the largest distance that carries mass,
+    keeps the largest term at 1, and W_p is s times the p-th root of the
+    rescaled cost.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        Mp = np.power(M, p)
+    if M > 0 and not _TINY <= Mp <= _HUGE:
+        return (D / M) ** p, float(M)
+    return D**p, 1.0
+
+
 def _quantile_cost_discrete(p, x, a, y, b):
-    """Exact integral of |F^-1 - G^-1|^p over merged weight breakpoints."""
-    ix = np.argsort(x, kind="stable")
-    iy = np.argsort(y, kind="stable")
+    """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
+
+    The integral is exact over the merged cumulative-weight breakpoints.
+    Atoms at equal positions cost the same in any order, so each side is
+    sorted unstably.  One stable argsort of the two sorted cumulative runs
+    merges them (timsort finds the runs, so the merge is linear); the first
+    entry of each run of equal values gives the breakpoints, and the counts
+    of each side's entries before it give both atom indices.
+    """
+    ix = np.argsort(x)
+    iy = np.argsort(y)
     # Clip before pinning the last entry: a cumsum that overshoots 1 early
-    # would otherwise leave the array unsorted for searchsorted.
+    # would otherwise leave the run unsorted.
     ca = np.minimum(np.cumsum(a[ix]), 1.0)
     cb = np.minimum(np.cumsum(b[iy]), 1.0)
     ca[-1] = cb[-1] = 1.0
-    q = np.union1d(ca, cb)
+    c = np.concatenate([ca, cb])
+    order = np.argsort(c, kind="stable")
+    merged = c[order]
+    first = np.empty(merged.size, dtype=bool)
+    first[0] = merged[0] > 0  # a leading zero-weight atom spans no interval
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
     # On (q[k-1], q[k]] both quantile functions sit on the first atom whose
-    # cumulative weight reaches q[k].
-    i = np.searchsorted(ca, q, side="left")
-    j = np.searchsorted(cb, q, side="left")
-    gap = np.abs(x[ix[i]] - y[iy[j]]) ** p
-    return float(np.diff(q, prepend=0.0) @ gap)
+    # cumulative weight reaches q[k]: the count of entries below q[k].
+    from_a = order < ca.size
+    i = (np.cumsum(from_a) - from_a)[first]
+    j = np.flatnonzero(first) - i
+    q = merged[first]
+    gap = np.abs(x[ix[i]] - y[iy[j]])
+    gap, s = _pth_power(gap, p, gap.max())
+    return float(np.diff(q, prepend=0.0) @ gap), s
 
 
 def _quantile_fn(measure):
@@ -123,10 +160,10 @@ def w1d(p, mu, nu):
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w1d needs 1-D measures")
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        c = _quantile_cost_discrete(
+        c, s = _quantile_cost_discrete(
             p, mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights
         )
-        return c ** (1.0 / p)
+        return s * c ** (1.0 / p)
     qf, qg = _quantile_fn(mu), _quantile_fn(nu)
 
     def cost(n):
@@ -171,7 +208,9 @@ def w_exact(p, mu, nu):
 
     Uniform equal-size inputs reduce to an assignment problem (Birkhoff);
     the general case is solved as an LP on the transport polytope, which
-    refuses instances with more than 10^6 plan entries.
+    refuses instances with more than 10^6 plan entries.  When the distances'
+    p-th powers would leave the float range they are rescaled first (see
+    `_pth_power`), and the plan's `scale` holds the factor.
 
     `mu` and `nu` may also be equal-length lists of measures; the result is
     then the list of `(value, plan)` pairs in input order.  Consecutive LP
@@ -190,26 +229,28 @@ def w_exact(p, mu, nu):
         uniform = _is_uniform(x, y)
         if not uniform and x.n * y.n > _SIZE_GUARD:
             raise ValueError(f"instance too large: {x.n}x{y.n} exceeds the LP size guard")
-        C = _dist_matrix(x.points, y.points) ** p
+        D = _dist_matrix(x.points, y.points)
+        M = D.max(axis=1, initial=0.0, where=y.weights > 0)[x.weights > 0].max()
+        C, s = _pth_power(D, p, M)
         if uniform:
             rows, cols = linear_sum_assignment(C)
             g = np.zeros(C.shape)
             g[rows, cols] = 1.0 / x.n
-            out[k] = (g, float(C[rows, cols].sum() / x.n), C)
+            out[k] = (g, float(C[rows, cols].sum() / x.n), C, s)
         else:
             if not groups or entries + C.size > _SIZE_GUARD:
                 groups.append([])
                 entries = 0
-            groups[-1].append((k, C))
+            groups[-1].append((k, C, s))
             entries += C.size
     for group in groups:
-        solved = _solve_transport_lp([(C, mu[k].weights, nu[k].weights) for k, C in group])
-        for (k, C), (g, cost) in zip(group, solved):
-            out[k] = (g, cost, C)
+        solved = _solve_transport_lp([(C, mu[k].weights, nu[k].weights) for k, C, _ in group])
+        for (k, C, s), (g, cost) in zip(group, solved):
+            out[k] = (g, cost, C, s)
     results = []
-    for x, y, (g, cost, C) in zip(mu, nu, out):
-        plan = TransportPlan(g, cost, p, x, y, cost_matrix=C)
-        results.append((cost ** (1.0 / p), plan))
+    for x, y, (g, cost, C, s) in zip(mu, nu, out):
+        plan = TransportPlan(g, cost, p, x, y, cost_matrix=C, scale=s)
+        results.append((s * cost ** (1.0 / p), plan))
     return results
 
 
@@ -314,12 +355,13 @@ def w_brute(p, mu, nu):
     n = mu.n
     if not _is_uniform(mu, nu):
         raise ValueError("w_brute needs uniform weights")
-    C = _dist_matrix(mu.points, nu.points) ** p
+    D = _dist_matrix(mu.points, nu.points)
+    C, s = _pth_power(D, p, D.max())
     P = _permutations(n)
     total = np.zeros(P.shape[0])
     for i in range(n):
         total += C[i, P[:, i]]
-    return (total.min() / n) ** (1.0 / p)
+    return s * (total.min() / n) ** (1.0 / p)
 
 
 def sliced_w1(mu, nu, theta_set):

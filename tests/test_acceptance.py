@@ -306,6 +306,21 @@ def test_criterion_09_convergence_rates():
     )
 
 
+@pytest.mark.slow
+def test_criterion_09_companion_w1_rate_1d():
+    """The corrected d=1 statement: E[W1(pi, pi_n)] ~ n^(-1/2) on the line.
+
+    Fournier & Guillin 2015; Bobkov & Ledoux 2019.  Same grid, trials and
+    seed as criterion 9, whose literal -1/d target stays pinned and failing.
+    """
+
+    def u1(n, rng):
+        return rng.uniform(0.0, 1.0, size=(n, 1))
+
+    fit = w_rate(u1, 1, [2**j for j in range(7, 14)], 50, SEED)
+    assert abs(fit.slope + 0.5) <= 0.05, fit.slope
+
+
 def test_criterion_10_wasserstein_learnability():
     rng = stream_rng(SEED, 10)
     worst_id = 0.0

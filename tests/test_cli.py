@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -439,3 +440,18 @@ def test_sketch_rejects_out_of_range_seed(data, tmp_path, capsys, seed):
     err = _fails_with_one_line(["sketch", str(p), "-o", str(out), "--m", "4", "--seed", seed], capsys)
     assert "seed must be an integer in [0, 2^64)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("spread", [100.0, 1e-4])
+def test_wass_large_p_prints_a_finite_value(tmp_path, capsys, d, spread):
+    rng = stream_rng(0xA0)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(a, spread * rng.normal(size=(12, d)))
+    save_dataset(b, spread * rng.normal(size=(9, d)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["wass", str(a), str(b), "--p", "200"]) == 0
+    out = capsys.readouterr()
+    assert caught == [] and out.err == ""
+    assert 0.0 < float(out.out) < np.inf

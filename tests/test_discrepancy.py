@@ -76,7 +76,8 @@ def _gauss_double_sum(w1, m1, s1, w2, m2, s2, sigma_k, d):
     return float(np.sum(w1[:, None] * w2[None, :] * terms))
 
 
-@pytest.mark.parametrize("n", [1, 100, _BLOCK, 2 * _BLOCK + 1])
+# 1 and 100 rows, whole blocks only, and a last block of one row.
+@pytest.mark.parametrize("n", [1, 100, 4 * _BLOCK, 8 * _BLOCK + 1])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("widths", ["zero", "mixed"])
 def test_blocked_gauss_sums_match_double_sum(n, d, widths):
@@ -212,3 +213,13 @@ def test_mmd_rate_input_validation():
         mmd_rate(pi, k, [8, 16, 32], 5, 0)  # too few grid points
     with pytest.raises(ValueError):
         mmd_rate(pi, k, [8, 16, 32, 64, 128], 0, 0)
+
+
+def test_1d_mmd_is_shift_invariant_far_from_zero():
+    """1-D squared distances as differences: no x^2 + y^2 - 2xy cancellation at 1e8."""
+    rng = stream_rng(0x5A, 2)
+    X, Y = rng.normal(size=(40, 1)), rng.normal(size=(55, 1)) + 1.0
+    k = KernelSpec.gaussian(1.0, 1)
+    for route in (mmd_discrete, mmd_gaussian_kernel):
+        ref = route(k, _uniform(X), _uniform(Y))
+        assert route(k, _uniform(X + 1e8), _uniform(Y + 1e8)) == pytest.approx(ref, rel=1e-8)

@@ -9,6 +9,7 @@ from wmmd.kernels import (
     kernel_to_json,
     kernel_from_json,
     sphere_directions,
+    _sq_dists,
 )
 
 
@@ -180,3 +181,11 @@ def test_constructor_validation():
         KernelSpec.matern(-1.0, 1.0, 1)
     with pytest.raises(TypeError):
         KernelSpec.conv_root(0.5, 1)
+
+
+def test_1d_sq_dists_are_exact_differences():
+    X = stream_rng(12).normal(size=(300, 1)) * 1e4 + 1e8
+    sq = _sq_dists(X, X)
+    assert np.all(np.diag(sq) == 0.0)
+    assert np.array_equal(sq, sq.T)
+    assert np.array_equal(sq, (X - X.T) ** 2)

@@ -86,6 +86,20 @@ def _merge_loop_cost(p, x, a, y, b):
     return cost
 
 
+def _union_searchsorted_cost(p, x, a, y, b):
+    """Reference: the coupling by stable argsorts, `union1d` and two `searchsorted`."""
+    ix = np.argsort(x, kind="stable")
+    iy = np.argsort(y, kind="stable")
+    ca = np.minimum(np.cumsum(a[ix]), 1.0)
+    cb = np.minimum(np.cumsum(b[iy]), 1.0)
+    ca[-1] = cb[-1] = 1.0
+    q = np.union1d(ca, cb)
+    i = np.searchsorted(ca, q, side="left")
+    j = np.searchsorted(cb, q, side="left")
+    gap = np.abs(x[ix[i]] - y[iy[j]]) ** p
+    return float(np.diff(q, prepend=0.0) @ gap)
+
+
 # Few distinct positions so that ties are common, plus arbitrary ones.
 _positions = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
 _masses = st.sampled_from([0.0]) | st.floats(1e-3, 1.0)
@@ -102,23 +116,43 @@ def _split(atoms):
 
 # Weights 7, 6, 9, 5, 1, 0 (out of 28) sum to 1 + 2^-52 before the last atom.
 _OVERSHOOT = [(0.3 * k, float(m)) for k, m in enumerate([7, 6, 9, 5, 1, 0])]
+# Tied positions whose weights come in shuffled order, on both sides.
+_TIED_A = [(0.5, 0.3), (-1.0, 0.2), (0.5, 0.1), (-1.0, 0.25), (0.5, 0.15), (2.0, 0.0)]
+_TIED_B = [(0.0, 0.4), (2.0, 0.1), (0.0, 0.2), (0.5, 0.05), (2.0, 0.3), (0.0, 0.0)]
 
 
 @given(_atoms, _atoms, st.sampled_from([1, 2, 3]))
 @example([(0.0, 1.0)], [(1.5, 1.0)], 2)
 @example(_OVERSHOOT, [(1.0, 1.0), (1.0, 0.0), (-2.0, 0.5)], 1)
 @example(_OVERSHOOT, list(reversed(_OVERSHOOT)), 3)
+@example(_TIED_A, _TIED_B, 2)
 @settings(max_examples=300, deadline=None)
 def test_quantile_coupling_matches_merge_loop(atoms_a, atoms_b, p):
     x, a = _split(atoms_a)
     y, b = _split(atoms_b)
     ref = _merge_loop_cost(p, x, a, y, b)
+    cost, scale = _quantile_cost_discrete(p, x, a, y, b)
     # Summation order changes the result by a few ulps of the (nonnegative)
     # total; clipping an overshooting cumsum at 1 moves one breakpoint by a
     # few ulps of 1, which can add that much times the largest gap^p.
     spread = max(x.max() - y.min(), y.max() - x.min(), 0.0)
     tol = 1e-12 * ref + 8 * np.finfo(float).eps * spread**p
-    assert abs(_quantile_cost_discrete(p, x, a, y, b) - ref) <= tol
+    assert abs(scale**p * cost - ref) <= tol
+
+
+def test_quantile_coupling_matches_searchsorted_form_exactly():
+    """Tie-free positions give the same breakpoints, atoms and sum, bit for bit."""
+    rng = stream_rng(404)
+    cases = [(8192, 64 * 8192, 1), (512, 64 * 512, 2)]
+    cases += [(int(n), int(m), p) for n, m in rng.integers(1, 60, (40, 2)) for p in (1, 2, 3)]
+    for n, m, p in cases:
+        x, y = rng.uniform(size=n), rng.normal(size=m)
+        if n < 100:
+            a, b = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+            a, b = a / a.sum(), b / b.sum()
+        else:  # the uniform weights of `w_rate`
+            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        assert _quantile_cost_discrete(p, x, a, y, b) == (_union_searchsorted_cost(p, x, a, y, b), 1.0)
 
 
 def test_overshoot_example_passes_one_early():
@@ -139,6 +173,49 @@ def test_w1d_matches_lp_with_ties_and_zero_weights():
         for p in (1, 2, 3):
             ref, _ = w_exact(p, mu, nu)
             assert w1d(p, mu, nu) ** p == pytest.approx(ref**p, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("spread", [100.0, 1e-4])
+def test_large_p_is_rescaled_on_every_route(spread):
+    """|x - y|^200 leaves the float range at these spreads; W_200 scales with the data."""
+    rng = stream_rng(505)
+    p = 200
+    raw = [
+        (DiscreteMeasure(rng.normal(size=(30, 1)), rng.uniform(0.1, 1, 30)),
+         DiscreteMeasure(rng.normal(size=(20, 1)) + 0.5, rng.uniform(0.1, 1, 20))),
+        # HiGHS's tolerances are absolute: a far, tight target keeps the
+        # optimal (cost / largest cost) = (W / max distance)^200 well above them.
+        (DiscreteMeasure(0.1 * rng.normal(size=(12, 2)), rng.uniform(0.1, 1, 12)),
+         DiscreteMeasure(0.1 * rng.normal(size=(9, 2)) + 20.0, rng.uniform(0.1, 1, 9))),
+        (_uniform(rng.normal(size=(7, 2))), _uniform(rng.normal(size=(7, 2)) + 0.5)),
+    ]
+    scaled = [
+        (DiscreteMeasure(spread * mu.points, mu.weights), DiscreteMeasure(spread * nu.points, nu.weights))
+        for mu, nu in raw
+    ]
+    (mu1, nu1), (mu2, nu2), (mu3, nu3) = raw
+    (smu1, snu1), (smu2, snu2), (smu3, snu3) = scaled
+    ref = [w1d(p, mu1, nu1), w_exact(p, mu2, nu2), w_exact(p, mu3, nu3)]
+    got = [w1d(p, smu1, snu1), w_exact(p, smu2, snu2), w_exact(p, smu3, snu3)]
+    assert all(plan.scale == 1.0 for _, plan in ref[1:])
+    for (r, _), (g, plan) in zip(ref[1:], got[1:]):
+        assert plan.scale != 1.0
+        plan.validate()
+        assert g == pytest.approx(spread * r, rel=1e-10)
+    assert got[0] == pytest.approx(spread * ref[0], rel=1e-12)
+    assert w_brute(p, smu3, snu3) == pytest.approx(spread * w_brute(p, mu3, nu3), rel=1e-12)
+    assert all(0.0 < v < np.inf for v in [got[0], got[1][0], got[2][0]])
+
+
+def test_zero_weight_atoms_do_not_set_the_scale():
+    """A far atom without mass neither rescales nor turns the 1-D value into nan."""
+    rng = stream_rng(506)
+    x, y = rng.normal(size=(8, 1)), rng.normal(size=(6, 1))
+    a = rng.uniform(0.1, 1, 8)
+    nu = _uniform(y)
+    with_far = DiscreteMeasure(np.vstack([[-1e200], x]), np.concatenate([[0.0], a]))
+    for p in (1, 2, 200):
+        assert w1d(p, with_far, nu) == pytest.approx(w1d(p, DiscreteMeasure(x, a), nu), rel=1e-14)
 
 
 def test_w1d_gmm_translation():
