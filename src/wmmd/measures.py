@@ -37,12 +37,22 @@ def stream_rng(seed, *stream):
     if len(stream) > 3:
         raise ValueError("at most 3 stream levels")
     # Each stream id occupies its own 64-bit counter word, leaving the low
-    # word free for the generator to advance through 2^64 blocks.
-    words = [0, 0, 0]
+    # word free for the generator to advance through 2^64 blocks.  The words
+    # are uint64 arrays: a Python list holding a value >= 2^63 would become
+    # float64 and alias neighbouring seeds.
+    counter = np.zeros(4, dtype=np.uint64)
     for i, s in enumerate(stream):
-        words[i] = int(s) % 2**64
-    bg = np.random.Philox(key=[int(seed) % 2**64, 0], counter=[0] + words)
-    return np.random.Generator(bg)
+        counter[i + 1] = int(s) % 2**64
+    key = np.array([int(seed) % 2**64, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _seed64(seed):
+    """int(seed), which must lie in [0, 2^64); ValueError otherwise."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2^64)")
+    return seed
 
 
 class DiscreteMeasure:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, stream_rng
+from .measures import DiscreteMeasure, _seed64, stream_rng
 from .sketch import _cos_sin, sketch_measure
 from .reporting import Report
 
@@ -236,53 +236,73 @@ def _phi_single(F, theta):
     return F.phi(theta)[0]
 
 
-def _atom_objective_grad(F, r, theta):
-    """f = Re<r, Phi(theta)> and its gradient in theta, in real arithmetic.
+def _atom_objective_grad(F, r, thetas, work):
+    """f = Re<r, Phi(theta)> and its gradient for each row theta of thetas.
 
     With r = a + ib and Phi_j = (cos t_j - i sin t_j)/sqrt(m), t = omega theta:
     f = sum_j (a_j cos t_j - b_j sin t_j)/sqrt(m), and its gradient is
-    -omega^T (a sin t + b cos t)/sqrt(m).
+    -omega^T (a sin t + b cos t)/sqrt(m); the arithmetic is real.  `work` is a
+    (3, S, m) array with S >= len(thetas) that holds the phase matrix and its
+    cos/sin scratch, so repeated calls allocate no (k x m) array.  Returns f
+    of shape (k,) and the gradients as a (k, d) array.
     """
-    c, s = _cos_sin(F.omega @ theta)
+    T, c, den = work[:, : thetas.shape[0]]
+    np.matmul(thetas, F.omega.T, out=T)
+    c, s = _cos_sin(T, c, den)
     a, b = r.real, r.imag
     scale = 1.0 / math.sqrt(F.m)
-    f = float(a @ c - b @ s) * scale
+    f = (c @ a - s @ b) * scale
     s *= a  # s <- a sin t + b cos t, in place
     c *= b
     s += c
     return f, (s @ F.omega) * -scale
 
 
-def _clamp_ball(theta, center, radius):
-    v = theta - center
-    nv = np.linalg.norm(v)
-    if nv > radius:
-        return center + v * (radius / nv)
-    return theta
+def _clamp_ball(thetas, center, radius):
+    """Each row of thetas moved radially onto the ball if it lies outside."""
+    v = thetas - center
+    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+    out = np.array(thetas, float)
+    far = nv > radius
+    out[far] = center + v[far] * (radius / nv[far])[:, None]
+    return out
 
 
-def _ascend_atom(F, r, theta0, center, radius, iters):
-    """Maximize |Re<r, Phi(theta)>| by sign-fixed projected gradient ascent."""
-    theta = _clamp_ball(np.array(theta0, float), center, radius)
-    f, g = _atom_objective_grad(F, r, theta)
-    sgn = 1.0 if f >= 0 else -1.0
-    step = radius / 4.0
+def _ascend_atom(F, r, thetas0, center, radius, iters):
+    """Maximize |Re<r, Phi(theta)>| from each start by sign-fixed projected ascent.
+
+    thetas0 is an (S, d) array of starts.  Each start keeps its own sign, step
+    size (x1.5 on a gain, /2 otherwise), stop at a step below 1e-12 * radius
+    and cap of `iters` steps; the starts still moving take one step together,
+    as one (active x m) phase matrix.  Returns the (S, d) atoms and their
+    (S,) values.
+    """
+    theta = _clamp_ball(thetas0, center, radius)
+    work = np.empty((3, theta.shape[0], F.m))
+    f, g = _atom_objective_grad(F, r, theta, work)
+    sgn = np.where(f >= 0, 1.0, -1.0)
     val = sgn * f
+    step = np.full(theta.shape[0], radius / 4.0)
+    out_theta, out_val = theta.copy(), val.copy()
+    live = np.arange(theta.shape[0])  # original index of each active start
     for _ in range(iters):
-        cand = _clamp_ball(theta + step * sgn * g, center, radius)
-        fc, gc = _atom_objective_grad(F, r, cand)
-        if sgn * fc > val:
-            theta, val, g = cand, sgn * fc, gc
-            step *= 1.5
-        else:
-            step /= 2.0
-            if step < 1e-12 * radius:
+        cand = _clamp_ball(theta + (step * sgn)[:, None] * g, center, radius)
+        fc, gc = _atom_objective_grad(F, r, cand, work)
+        vc = sgn * fc
+        up = vc > val
+        theta[up], val[up], g[up] = cand[up], vc[up], gc[up]
+        step = np.where(up, step * 1.5, step / 2.0)
+        done = ~up & (step < 1e-12 * radius)
+        if done.any():
+            out_theta[live[done]], out_val[live[done]] = theta[done], val[done]
+            keep = ~done
+            theta, val, g, step, sgn, live = (
+                theta[keep], val[keep], g[keep], step[keep], sgn[keep], live[keep]
+            )
+            if live.size == 0:
                 break
-    return theta, val
-
-
-def _residual(F, s_vals, atoms, weights):
-    return weights @ F.phi(atoms) - s_vals
+    out_theta[live], out_val[live] = theta, val
+    return out_theta, out_val
 
 
 def _nnls_weights(F, s_vals, atoms):
@@ -302,13 +322,16 @@ def decode_diracs(s, K, domain, opts=None):
     """Greedy decoding of a sketch into a K-atom probability measure.
 
     domain: (center, radius) ball the atoms must lie in.
-    opts: dict with optional keys seed and n_starts (default 16).
+    opts: dict with optional keys seed, an integer in [0, 2^64) (default 0),
+    and n_starts (default 16).
 
-    Atom-by-atom greedy selection against the residual, nonnegative least
-    squares for the weights, and joint projected-gradient refinement of atoms
-    and (normalized) weights after every greedy stage.  The returned measure
-    is the best stage overall, so the residual is non-increasing in K: stage
-    k of a K-atom run reproduces the full k-atom run exactly.
+    Each greedy stage runs `n_starts` seeded projected-gradient ascents
+    against the residual as one batch (see `_ascend_atom`) and adds the atom
+    of the best start, the first one on ties.  Nonnegative least squares
+    gives the weights, and joint projected-gradient refinement of atoms and
+    (normalized) weights follows every stage.  The returned measure is the
+    best stage overall, so the residual is non-increasing in K: stage k of a
+    K-atom run reproduces the full k-atom run exactly.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -317,37 +340,37 @@ def decode_diracs(s, K, domain, opts=None):
     if radius <= 0:
         raise ValueError("degenerate domain")
     opts = dict(opts or {})
-    seed = int(opts.get("seed", 0))
+    seed = _seed64(opts.get("seed", 0))
     n_starts = int(opts.get("n_starts", 16))
     F = s.feature_map
     s_vals = s.values
+    d = center.shape[0]
 
     def objective(thetas, v):
         w = v / v.sum()
-        r = _residual(F, s_vals, thetas, w)
-        return float(np.sum(np.abs(r) ** 2)), r, w
+        A = F.phi(thetas)  # (k, m)
+        r = w @ A - s_vals
+        return float(np.sum(np.abs(r) ** 2)), r, w, A
 
     def refine(thetas, v):
         """Joint projected-gradient descent with simplex-normalized weights."""
-        obj, r, w = objective(thetas, v)
+        obj, r, w, A = objective(thetas, v)
         step = radius / 8.0
         for _ in range(_REFINE_ITERS):
-            A = F.phi(thetas)  # (k, m)
+            rA = np.conj(r)[None, :] * A
             # d obj / d theta_k = 2 w_k sum_j Im(conj(r_j) A_kj) omega_j
-            gth = 2.0 * w[:, None] * ((np.conj(r)[None, :] * A).imag @ F.omega)
-            re_rA = (np.conj(r)[None, :] * A).real.sum(axis=1)
+            gth = 2.0 * w[:, None] * (rA.imag @ F.omega)
+            re_rA = rA.real.sum(axis=1)
             re_rAw = float(w @ re_rA)
             gv = (2.0 / v.sum()) * (re_rA - re_rAw)
-            cand_t = np.array(
-                [_clamp_ball(th - step * g, center, radius) for th, g in zip(thetas, gth)]
-            )
+            cand_t = _clamp_ball(thetas - step * gth, center, radius)
             cand_v = np.maximum(v - step * gv, 0.0)
             if cand_v.sum() <= 0:
                 cand_v = v
-            cobj, cr, cw = objective(cand_t, cand_v)
+            cobj, cr, cw, cA = objective(cand_t, cand_v)
             if cobj < obj:
                 rel = (obj - cobj) / max(obj, 1e-300)
-                thetas, v, obj, r, w = cand_t, cand_v, cobj, cr, cw
+                thetas, v, obj, r, w, A = cand_t, cand_v, cobj, cr, cw, cA
                 step *= 1.3
                 if rel < 1e-10:
                     break
@@ -364,16 +387,12 @@ def decode_diracs(s, K, domain, opts=None):
             _nnls_weights(F, s_vals, atoms) if atoms else np.array([])
         )
         r = s_vals - (w_cur @ F.phi(atoms) if atoms else 0.0)
-        best_theta, best_val = None, -np.inf
-        for j in range(n_starts):
-            rng = stream_rng(seed, stage, j)
-            theta0 = center + rng.uniform(-1, 1, size=center.shape[0]) * radius / np.sqrt(
-                center.shape[0]
-            )
-            theta, val = _ascend_atom(F, r, theta0, center, radius, _ATOM_ITERS)
-            if val > best_val:
-                best_theta, best_val = theta, val
-        atoms.append(best_theta)
+        starts = np.array([
+            center + stream_rng(seed, stage, j).uniform(-1, 1, size=d) * radius / np.sqrt(d)
+            for j in range(n_starts)
+        ])
+        thetas, vals = _ascend_atom(F, r, starts, center, radius, _ATOM_ITERS)
+        atoms.append(thetas[np.argmax(vals)])  # argmax: the first best start
         v = np.maximum(_nnls_weights(F, s_vals, atoms), 1e-12)
         thetas, v, obj, w = refine(np.array(atoms), v)
         if best is None or obj < best[0]:

@@ -154,7 +154,9 @@ def w1d(p, mu, nu):
     O(1/n) error, stopping when two extrapolants agree to 1e-6 relative.
     Mixture quantiles come from `gmm_quantiles` afresh at every doubling:
     midpoint grids of n and 2n nodes share no node, and its CDF-table start
-    makes each solve a few density and CDF sweeps.
+    makes each solve a few density and CDF sweeps.  When the largest quantile
+    gap M has M^p outside the float range, both levels of a step are divided
+    by M before the power and the root is multiplied by it (see `_pth_power`).
     """
     _check_p(p)
     if mu.d != 1 or nu.d != 1:
@@ -166,22 +168,32 @@ def w1d(p, mu, nu):
         return s * c ** (1.0 / p)
     qf, qg = _quantile_fn(mu), _quantile_fn(nu)
 
-    def cost(n):
+    def level(n, M=0.0):
+        """(mean of (gap / s)^p, s, M) on the midpoint grid of n quantiles.
+
+        M is the largest gap seen so far and s the scale `_pth_power` gives
+        for it: 1 unless M^p leaves the float range.
+        """
         qs = (np.arange(n) + 0.5) / n
-        return np.mean(np.abs(qf(qs) - qg(qs)) ** p)
+        gap = np.abs(qf(qs) - qg(qs))
+        M = max(M, gap.max())
+        P, s = _pth_power(gap, p, M)
+        return np.mean(P), s, M
 
     n = 4096
-    c_prev = cost(n)
-    val_prev = None
+    c, s, M = level(n)
+    val = None
     while True:
         n *= 2
-        c = cost(n)
-        val = max(2.0 * c - c_prev, 0.0) ** (1.0 / p)
+        c_prev, s_prev, val_prev = c, s, val
+        c, s, M = level(n, M)
+        if s != s_prev:  # both levels of the Richardson step share one scale
+            c_prev, _, _ = level(n // 2, M)
+        val = s * max(2.0 * c - c_prev, 0.0) ** (1.0 / p)
         if val_prev is not None and abs(val - val_prev) <= 1e-6 * max(val_prev, 1e-300):
             return val
         if n >= 2**20:
             return val
-        c_prev, val_prev = c, val
 
 
 def _check_p(p):

@@ -442,6 +442,19 @@ def test_sketch_rejects_out_of_range_seed(data, tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_decode_rejects_out_of_range_seed(data, tmp_path, capsys, seed):
+    p, _ = data
+    sk, out = tmp_path / "s.json", tmp_path / "c.csv"
+    assert dispatch(["sketch", str(p), "-o", str(sk), "--m", "16", "--seed", "3"]) == 0
+    err = _fails_with_one_line(["decode", str(sk), "-o", str(out), "--k", "1", "--seed", seed], capsys)
+    assert "seed must be an integer in [0, 2^64)" in err
+    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["decode", str(sk), "-o", str(out), "--k", "1", "--seed", str(2**64 - 1)]) == 0
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("spread", [100.0, 1e-4])
 def test_wass_large_p_prints_a_finite_value(tmp_path, capsys, d, spread):

@@ -215,6 +215,18 @@ class TestStreams:
         b = stream_rng(7, 1).standard_normal(100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
+    def test_seeds_and_ids_of_2_63_and_above_key_distinct_streams(self):
+        seeds = [0, 2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            by_seed = [stream_rng(s).integers(2**63, size=4).tolist() for s in seeds]
+            by_id = [stream_rng(3, s).integers(2**63, size=4).tolist() for s in seeds]
+            by_last_id = [stream_rng(3, 1, 2, s).integers(2**63, size=4).tolist() for s in seeds]
+        for draws in (by_seed, by_id, by_last_id):
+            assert len({tuple(x) for x in draws}) == len(seeds)
+        # -1 is 2^64 - 1 modulo 2^64, not 0
+        assert stream_rng(-1).integers(2**63, size=4).tolist() == by_seed[-1]
+
     def test_too_many_levels(self):
         with pytest.raises(ValueError):
             stream_rng(0, 1, 2, 3, 4)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
+from wmmd.measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, stream_rng
 from wmmd.kernels import KernelSpec, kernel_to_dict
 from wmmd.sketch import (
     _BLOCK_ENTRIES,
@@ -27,6 +27,32 @@ def test_draw_features_deterministic():
     a = draw_features(K2, 64, 5)
     b = draw_features(K2, 64, 5)
     assert np.array_equal(a.omega, b.omega)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KernelSpec.gaussian(1.5, 2),
+        KernelSpec.conv_root(RegularizerSpec(0.7), 3),
+        KernelSpec.laplacian(2.0, 2),
+        KernelSpec.matern(1.5, 1.0, 3),
+    ],
+    ids=["gaussian", "conv_root", "laplacian", "matern"],
+)
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_draw_features_matches_a_fresh_generator_per_frequency(kernel, seed):
+    """The one restarted generator draws what one Philox per frequency drew."""
+
+    def fresh_per_frequency(kernel, m, seed):
+        key = np.array([seed, 0], dtype=np.uint64)
+        rows = []
+        for j in range(m):
+            rng = np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0]))
+            rows.append(kernel.spectral_sample(1, rng)[0])
+        return np.array(rows)
+
+    got = draw_features(kernel, 97, seed).omega
+    assert np.array_equal(got, fresh_per_frequency(kernel, 97, seed))
 
 
 def test_draw_features_prefix_stable():

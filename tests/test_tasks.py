@@ -3,7 +3,7 @@ import pytest
 
 from wmmd.measures import DiscreteMeasure, stream_rng
 from wmmd.kernels import KernelSpec
-from wmmd.sketch import draw_features, sketch_measure, sketch_samples
+from wmmd.sketch import _cos_sin, draw_features, sketch_measure, sketch_samples
 from wmmd.transport import w_exact
 from wmmd.tasks import (
     TaskSpec,
@@ -15,6 +15,7 @@ from wmmd.tasks import (
     decode_diracs,
     lloyd,
     excess_risk_report,
+    _ascend_atom,
     _atom_objective_grad,
 )
 
@@ -188,19 +189,83 @@ def test_atom_objective_grad_matches_complex_formula_and_differences():
 
     F = draw_features(KernelSpec.gaussian(3.0, 2), 1024, 12)
     rng = stream_rng(31)
+    h = 1e-6
+    work = np.empty((3, 6, F.m))  # one spare row: calls may use a prefix
     for _ in range(20):
         r = (rng.standard_normal(F.m) + 1j * rng.standard_normal(F.m)) / np.sqrt(F.m)
         theta = rng.uniform(-60.0, 60.0, 2)
-        f, g = _atom_objective_grad(F, r, theta)
+        # one row form call: theta, then its central-difference neighbours
+        rows = np.vstack([theta, theta + h * np.eye(2), theta - h * np.eye(2)])
+        f, g = _atom_objective_grad(F, r, rows, work)
+        assert f.shape == (5,) and g.shape == (5, 2)
         f_ref, g_ref = complex_objective_grad(F, r, theta)
-        assert abs(f - f_ref) <= 1e-14 * np.sum(np.abs(r))
-        assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.sum(np.abs(r) * np.abs(F.omega).sum(axis=1))
-        h = 1e-6
-        fd = [
-            (_atom_objective_grad(F, r, theta + h * e)[0] - _atom_objective_grad(F, r, theta - h * e)[0]) / (2 * h)
-            for e in np.eye(2)
-        ]
-        assert np.allclose(g, fd, rtol=1e-6, atol=1e-7 * np.linalg.norm(g_ref) + 1e-9)
+        assert abs(f[0] - f_ref) <= 1e-14 * np.sum(np.abs(r))
+        assert np.max(np.abs(g[0] - g_ref)) <= 1e-14 * np.sum(np.abs(r) * np.abs(F.omega).sum(axis=1))
+        fd = (f[1:3] - f[3:5]) / (2 * h)
+        assert np.allclose(g[0], fd, rtol=1e-6, atol=1e-7 * np.linalg.norm(g_ref) + 1e-9)
+
+
+def _per_start_ascent(F, r, theta0, center, radius, iters):
+    """The decoder's ascent as one start at a time, kept as the batch's reference."""
+
+    def objective_grad(theta):
+        c, s = _cos_sin(F.omega @ theta)
+        a, b = r.real, r.imag
+        scale = 1.0 / np.sqrt(F.m)
+        return float(a @ c - b @ s) * scale, ((a * s + b * c) @ F.omega) * -scale
+
+    def clamp(theta):
+        v = theta - center
+        nv = np.linalg.norm(v)
+        return center + v * (radius / nv) if nv > radius else theta
+
+    theta = clamp(np.array(theta0, float))
+    f, g = objective_grad(theta)
+    sgn = 1.0 if f >= 0 else -1.0
+    step = radius / 4.0
+    val = sgn * f
+    for _ in range(iters):
+        cand = clamp(theta + step * sgn * g)
+        fc, gc = objective_grad(cand)
+        if sgn * fc > val:
+            theta, val, g = cand, sgn * fc, gc
+            step *= 1.5
+        else:
+            step /= 2.0
+            if step < 1e-12 * radius:
+                break
+    return theta, val
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_ascent_matches_per_start_loop(d):
+    """Every start of the batch ends where it ends alone, and the best one wins."""
+    m, n_starts, iters = 256, 16, 200
+    F = draw_features(KernelSpec.gaussian(2.0, d), m, 50 + d)
+    center, radius = np.zeros(d), 12.0
+    rng = stream_rng(51, d)
+    for case in range(20):
+        # residuals of partly decoded mixtures: a sketch minus its first k atoms
+        pts = rng.uniform(-8.0, 8.0, size=(3, d))
+        wts = rng.uniform(0.2, 1.0, 3)
+        k = case % 3
+        r = sketch_measure(F, DiscreteMeasure(pts, wts)).values - (wts[:k] / wts.sum()) @ F.phi(pts[:k])
+        starts = center + rng.uniform(-1, 1, size=(n_starts, d)) * radius / np.sqrt(d)
+        # every third case starts some atoms outside the ball, so the clamp acts
+        if case % 3 == 2:
+            starts[::2] *= 2.0
+        thetas, vals = _ascend_atom(F, r, starts, center, radius, iters)
+        ref = [_per_start_ascent(F, r, th0, center, radius, iters) for th0 in starts]
+        ref_thetas = np.array([t for t, _ in ref])
+        ref_vals = np.array([v for _, v in ref])
+        assert np.all(np.abs(vals - ref_vals) <= 1e-12 * np.abs(ref_vals))
+        assert np.max(np.linalg.norm(thetas - ref_thetas, axis=1)) <= 1e-6 * radius
+        assert np.all(np.linalg.norm(thetas - center, axis=1) <= radius * (1 + 1e-12))
+        # Several starts often climb to one maximum, and their values then tie
+        # to round-off; the winner must be one of those, with the same atom.
+        best, best_ref = int(np.argmax(vals)), int(np.argmax(ref_vals))
+        assert ref_vals[best] >= ref_vals[best_ref] * (1 - 1e-12)
+        assert np.linalg.norm(thetas[best] - ref_thetas[best_ref]) <= 1e-6 * radius
 
 
 def test_lloyd_separated_clusters():

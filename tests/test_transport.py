@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,15 @@ def test_w1d_gmm_translation():
     a = GaussianMixture([1.0], [[0.3]], [1.0])
     b = GaussianMixture([1.0], [[-0.9]], [1.0])
     assert w1d(2, a, b) == pytest.approx(1.2, rel=1e-6)
+
+
+def test_w1d_gmm_large_p_is_rescaled():
+    """|F^-1 - G^-1|^200 = 50^200 overflows; both Richardson levels share one scale."""
+    a = GaussianMixture([1.0], [[0.0]], [100.0])
+    b = GaussianMixture([1.0], [[50.0]], [100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w1d(200, a, b) == pytest.approx(50.0, rel=1e-9)
 
 
 def test_w1d_gmm_scale():
