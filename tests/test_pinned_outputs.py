@@ -3,7 +3,8 @@
 The values below were recorded before the squared-distance formula was
 shared through `kernels._sq_dists` and before `wasserstein`/`mmd` chose the
 routes, on numpy 2.4.6, scipy 1.17.1 and OpenBLAS (x86-64).  Floats are
-compared as hex strings, CLI output as text and sketch files by SHA-256.
+compared as hex strings, CLI output as text, and sketch files and `wmmd lab`
+reports (the CSV and its summary sidecar) by SHA-256.
 
 One value is re-recorded since 1-D squared distances are formed as
 differences (x - y)^2 rather than by the Gram form x^2 + y^2 - 2xy: the
@@ -20,7 +21,9 @@ import pytest
 
 from wmmd import lab
 from wmmd.cli import dispatch
+from wmmd.kernels import KernelSpec
 from wmmd.measures import DiscreteMeasure, RegularizerSpec, save_dataset, stream_rng
+from wmmd.reporting import emit_report
 from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk
 from wmmd.transport import w_exact, w_rate
 
@@ -72,6 +75,62 @@ RECORDED = {
         "119e46d4ee9159f6f11b353975449fea25a6880521b45d9357fd4a4aba1c4961",
         "a98dffc888a4a8ea027c5aa7538d467ac2fd8fd5196fa808d0729550362f1543",
     ],
+    # (CSV, summary sidecar) SHA-256 of `wmmd lab <key> -o r.csv`; the last
+    # entry is `lab.embeddability_probe` along a vanishing-moments path.
+    "lab_sha256": {
+        "counterexample": (
+            "61e9b3362617687c00a67386692e022bcdc36918c6dcfb484f2c97f2f2ac3885",
+            "846fde732caa9bb8bbdc0bfcf1f0bb42bea1a185a1442de5a283c86abfa5e311",
+        ),
+        "counterexample --k 2": (
+            "46cb382fe6ea946898d87e29be843e171c29947d79ba7966c00fc38c2ff34f48",
+            "2919d4361de81f5a4f6145035b2333da545da1352de06f091f8dadeee839361d",
+        ),
+        "counterexample --kernel laplacian": (
+            "8928c79e26136402508e89c4fe3324f0f279d98ae2537d896870541a27e73c58",
+            "c3172894ea808af6443f51418099e96390262ee016201a69e0464def27a98370",
+        ),
+        "rates --trials 2": (
+            "7ceaaaed72fbf8bed7d2c867e93ffa7f3774922a35a4a594b609330f947dfa08",
+            "c1a13ba1f9a05febdb1e86a2475902c04e0cd3ce9f63a3a46efb7ddc30a81d15",
+        ),
+        "rates --which w --d 1 --trials 2": (
+            "3b0a9810fdd0f41446d88c9f06ce3ad13536952013813e8a9a18eaf8fcbb1b22",
+            "8c7aa3f0f8870b9c9e1b0d9373a56d71406a8fc14968b78affc85afb0f639f1b",
+        ),
+        "rates --which w --d 2 --trials 2": (
+            "d6855481db46eddfb3cbcf9eb06d5cd846e9002175d5313ffa9546288e42e41d",
+            "236aaee533656ed1872c43030413e5831642a0e8dad52816e3cf01c74efdc191",
+        ),
+        "fourier-bound --trials 2": (
+            "938848a231cc5692dab29d0e4da5c19935c4e4e3a34f463bbc1d28d0e550e90c",
+            "34275bff23dd4afcb7db7c1b503d23c0324520b0363bdb3a182870e4b0c3485a",
+        ),
+        "smoothing": (
+            "e9793a40b6c4bd4943689f5759180f6a82a91d0b593ea0ca913ab6f372816e8d",
+            "124064b3157e116f42d96690aa03ca83c82828a55e3a6e99f8136cf675de925e",
+        ),
+        "dominance --trials 10": (
+            "675d4827884ff0364bd52b6d82b3d5edcbb40d6e8be1d47c3b140f8f37f353ab",
+            "ac4d2a35fdc26ad0667e829e5a241e65ea12dad99347ab9d04d4f5c5c19cc43e",
+        ),
+        "sliced --trials 5": (
+            "6ff1ffd324f3052a6f20ada82e8b0eb320ea53f2b0d810a4370512a6c4fa0cbf",
+            "4b41f0d0606b2e48ac6193b59411a7ea0cfba1d77dfcb691053dc122db5a2488",
+        ),
+        "embeddability --trials 10": (
+            "5612509394f01b1e8920981f4227f4123c33d8010abc4a820fd977451b398aac",
+            "37b9451b96bfe35e86e7f0369ed257f5e89175f58a06b374cf0ff2428646f1e4",
+        ),
+        "learnability --trials 4": (
+            "4fd5d8af33d976370c42a8442c8569ddfdc1669da66967e8d09a258a63ee697f",
+            "5d44a3ad4515026dbb4b0977d6c592d1ec74c876b6b5a95b595b19f43b643287",
+        ),
+        "embeddability path": (
+            "786e2488a359d2412089f2cde5f4017e2e50e5911c8e4610c8b5eecaae5569c3",
+            "fe292b84e1f740c44995748711818dc9c0d5348f848c0e15c70ab36665d580f9",
+        ),
+    },
 }
 
 
@@ -171,3 +230,22 @@ def test_sketch_file_bytes(datasets, tmp_path):
     files.append(tmp_path / "m.json")
     assert dispatch(["merge", *map(str, files[:2]), "-o", str(files[-1])]) == 0
     assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == RECORDED["sketch_sha256"]
+
+
+def _report_sha256(path):
+    return tuple(hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (path, f"{path}.summary.json"))
+
+
+@pytest.mark.parametrize("command", [c for c in RECORDED["lab_sha256"] if c != "embeddability path"])
+def test_lab_report_bytes(tmp_path, capsys, command):
+    out = tmp_path / "r.csv"
+    assert dispatch(["lab", *command.split(), "-o", str(out)]) in (0, 2)
+    assert _report_sha256(out) == RECORDED["lab_sha256"][command]
+
+
+def test_embeddability_path_report_bytes(tmp_path):
+    cons = lab.BinomialDiracs(k=4, x0=(0.0,), radius=100.0, direction=(1.0,))
+    path = [(eps, *lab.dirac_pair(cons, eps)) for eps in (2.0**-j for j in range(1, 7))]
+    rep = lab.embeddability_probe(None, KernelSpec.gaussian(1.0, 1), 1, 1.0, 10, None, path=path)
+    emit_report(rep, tmp_path / "path.csv")
+    assert _report_sha256(tmp_path / "path.csv") == RECORDED["lab_sha256"]["embeddability path"]
