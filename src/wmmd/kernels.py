@@ -18,7 +18,7 @@ from scipy.special import gamma as _gamma, kv as _kv
 
 from .measures import RegularizerSpec
 
-__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_to_json", "kernel_from_json"]
+__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_to_json", "kernel_from_json", "kernel_from_text"]
 
 
 class NonSmoothAtZero(ValueError):
@@ -118,16 +118,10 @@ class KernelSpec:
     # -- evaluation ---------------------------------------------------------
 
     def kappa0_0(self):
-        """kappa0(0) = kappa(x, x) for TI families."""
-        if self.family == "gaussian":
-            return self.scale
-        if self.family in ("laplacian", "matern"):
-            return 1.0
+        """kappa0(0) = kappa(x, x) for TI families: the radial profile at 0."""
         if self.family == "sliced":
             return self.base.kappa0_0()
-        if self.family == "convroot":
-            return float((4.0 * np.pi * self.sigma**2) ** (-self.d / 2))
-        raise ValueError(f"kappa0 undefined for family {self.family}")
+        return float(self._kappa0_r(np.zeros(1))[0])
 
     def kappa0(self, z):
         """kappa0 at one or many offsets z (last axis is the coordinate)."""
@@ -293,38 +287,18 @@ class KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  Floats are written with 17 significant digits so that
-# load(dump(k)) is bit-exact.
-
-
-def _fmt(x):
-    return float(repr(float(x)))
+# JSON serialization.  `json` writes each float as its shortest round-trip
+# repr, so load(dump(k)) is bit-exact.
 
 
 def kernel_to_dict(k):
-    if k.family == "gaussian":
-        return {"family": "gaussian", "sigma": k.sigma, "scale": k.scale, "d": k.d}
-    if k.family == "laplacian":
-        return {"family": "laplacian", "sigma": k.sigma, "d": k.d}
-    if k.family == "matern":
-        return {"family": "matern", "nu": k.nu, "sigma": k.sigma, "d": k.d}
-    if k.family == "convroot":
-        return {"family": "convroot", "sigma": k.sigma, "d": k.d}
-    if k.family == "sliced":
-        return {
-            "family": "sliced",
-            "base": kernel_to_dict(k.base),
-            "theta_set": [[float(v) for v in row] for row in k.theta_set],
-            "d": k.d,
-        }
-    if k.family == "modified":
-        return {
-            "family": "modified",
-            "base": kernel_to_dict(k.base),
-            "mean_weight": k.mean_weight,
-            "d": k.d,
-        }
-    raise ValueError(f"cannot serialize family {k.family}")
+    """Dict form of k: the family, then its parameters in constructor order, then d."""
+    out = {"family": k.family, **k.params, "d": k.d}
+    if "base" in out:
+        out["base"] = kernel_to_dict(k.base)
+    if "theta_set" in out:
+        out["theta_set"] = k.theta_set.tolist()
+    return out
 
 
 def kernel_from_dict(obj):
@@ -363,6 +337,22 @@ def kernel_to_json(k):
 
 def kernel_from_json(text):
     return kernel_from_dict(json.loads(text))
+
+
+def kernel_from_text(text, d):
+    """Kernel from JSON, or from a bare family name with default parameters in dimension d.
+
+    The names `gaussian` and `laplacian` mean sigma = 1, and `matern` means
+    nu = 0.5, sigma = 1.
+    """
+    text = text.strip()
+    if text.startswith("{"):
+        return kernel_from_json(text)
+    if text in ("gaussian", "laplacian"):
+        return getattr(KernelSpec, text)(1.0, d)
+    if text == "matern":
+        return KernelSpec.matern(0.5, 1.0, d)
+    raise ValueError(f"cannot parse kernel {text!r}")
 
 
 def sphere_directions(T, d, seed=0):

@@ -3,7 +3,8 @@
 Each experiment returns a Report whose pass/fail is derivable from its rows
 alone.  Constants that the underlying bounds leave existential are treated as
 empirical sup-ratios with a stability criterion; exponents are checked by
-log-log slope fits.
+log-log slope fits.  `EXPERIMENTS` holds the `wmmd lab` experiments, each a
+function of a seed and the settings it reads.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, smooth, sample, stream_rng
-from .kernels import KernelSpec
-# mmd_discrete is unused here; bench/tracer.py patches lab's copy of the name.
-from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_spectral_1d
-from .transport import w1d, w_exact, wasserstein, _dist_matrix
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, smooth, sample, stream_rng
+from .kernels import KernelSpec, kernel_from_text, sphere_directions
+from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_rate, mmd_sliced, mmd_spectral_1d
+from .transport import w1d, w_exact, w_rate, wasserstein, _dist_matrix
+from .tasks import TaskSpec, task_constant, task_metric_probe
 from .reporting import Report, scaling_exponent
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "smoothing_bound",
     "mmd_dominance_check",
     "gmm_sobolev_constant",
+    "EXPERIMENTS",
 ]
 
 
@@ -130,47 +132,27 @@ def embeddability_probe(model_sampler, kernel, p, delta, trials, rng, path=None)
     """
     if trials < 10:
         raise ValueError("need at least 10 trials")
+    sampled = path is None
+    path = [(1.0, *model_sampler(rng)) for _ in range(trials)] if sampled else list(path)
     rep = Report("embeddability", ["index", "scale", "w", "mmd", "ratio"])
-    sups = []
-    if path is None:
-        pairs = [model_sampler(rng) for _ in range(trials)]
-        ws = wasserstein(p, [mu for mu, _ in pairs], [nu for _, nu in pairs])
-        for t, ((mu, nu), w) in enumerate(zip(pairs, ws)):
-            m = mmd(kernel, mu, nu)
-            ratio = w / m**delta if m > 0 else float("inf")
-            rep.add_row(t, 1.0, w, m, ratio)
-            sups.append(ratio)
-        half = max(np.max(sups[: max(trials // 2, 1)]), 1e-300)
-        sup = float(np.max(sups))
-        stable = sup / half < 1.5
-        rep.summary = {
-            "experiment": "embeddability",
-            "delta": delta,
-            "sup": sup,
-            "stable": bool(stable),
-            "diverging": False,
-            "pass": bool(stable),
-        }
-        return rep
     ratios = []
-    path = list(path)
     ws = wasserstein(p, [mu for _, mu, _ in path], [nu for _, _, nu in path])
     for i, ((scale, mu, nu), w) in enumerate(zip(path, ws)):
         m = mmd(kernel, mu, nu)
         ratio = w / m**delta if m > 0 else float("inf")
         rep.add_row(i, scale, w, m, ratio)
         ratios.append(ratio)
-    growth = ratios[-1] / ratios[0]
-    diverging = growth > 10.0
-    rep.summary = {
-        "experiment": "embeddability",
-        "delta": delta,
-        "sup": float(np.max(ratios)),
-        "stable": bool(not diverging),
-        "diverging": bool(diverging),
-        "growth": float(growth),
-        "pass": True,  # the probe itself always reports; callers interpret
-    }
+    sup = float(np.max(ratios))
+    if sampled:
+        half = max(np.max(ratios[: max(trials // 2, 1)]), 1e-300)
+        stable = bool(sup / half < 1.5)
+        verdict = {"stable": stable, "diverging": False, "pass": stable}
+    else:
+        growth = float(ratios[-1] / ratios[0])
+        diverging = growth > 10.0
+        # along a path the probe only reports; callers interpret the growth
+        verdict = {"stable": not diverging, "diverging": diverging, "growth": growth, "pass": True}
+    rep.summary = {"experiment": "embeddability", "delta": delta, "sup": sup, **verdict}
     return rep
 
 
@@ -339,3 +321,188 @@ def lemma24_check(alpha, mu, nu, n=2048, boot=20, seed=0):
         "margin": margin,
         "pass": bool(margin >= -3.0 * stderr),
     }
+
+
+# ---------------------------------------------------------------------------
+# The `wmmd lab` experiments, at modest default scales.
+
+
+def _same_mean_gmm_pair(rng, sigma_min=0.5, K=2):
+    def one():
+        w = rng.uniform(0.2, 1.0, K)
+        w /= w.sum()
+        c = rng.uniform(-2.0, 2.0, K)
+        c -= w @ c  # center so the mean is exactly zero
+        s = rng.uniform(sigma_min, 2.0, K)
+        return GaussianMixture(w, c[:, None], s)
+
+    return one(), one()
+
+
+def _random_pair(rng, d):
+    """Two discrete measures of 2-5 N(0, I_d) atoms with U(0.1, 1) weights."""
+    n1, n2 = rng.integers(2, 6, size=2)
+    return (
+        DiscreteMeasure(rng.normal(size=(n1, d)), rng.uniform(0.1, 1, n1)),
+        DiscreteMeasure(rng.normal(size=(n2, d)), rng.uniform(0.1, 1, n2)),
+    )
+
+
+def counterexample(seed, k, kernel):
+    """MMD and W_1 along the binomial Dirac path; W/MMD grows as eps shrinks."""
+    kernel = kernel_from_text(kernel, 1)
+    cons = BinomialDiracs(k=k, x0=(0.0,), radius=100.0, direction=(1.0,))
+    rep = Report("counterexample", ["eps", "mmd", "w1", "ratio_delta1"])
+    for eps in [2.0**-j for j in range(1, 7)]:
+        mu, nu = dirac_pair(cons, eps)
+        m = mmd_discrete(kernel, mu, nu)
+        w = w1d(1, mu, nu)
+        rep.add_row(eps, m, w, w / m)
+    fit_m = scaling_exponent([(eps, m) for eps, m, _, _ in rep.rows])
+    fit_w = scaling_exponent([(eps, w) for eps, _, w, _ in rep.rows])
+    growth = rep.rows[-1][3] / rep.rows[0][3]  # eps decreasing along the grid
+    ok = abs(fit_m.slope - k / 2.0) <= 0.05 and abs(fit_w.slope - 1.0) <= 1e-6 and growth >= 10.0
+    rep.summary = {
+        "experiment": "counterexample",
+        "seed": seed,
+        "k": k,
+        "slope_mmd": fit_m.slope,
+        "slope_w": fit_w.slope,
+        "divergence_ratio": growth,
+        "pass": bool(ok),
+    }
+    return rep
+
+
+def rates(seed, trials, which, d):
+    """Sampling-rate slope of the Gaussian MMD (target -1/2) or of W_1 (target -1/d)."""
+    rep = Report("rates", ["n", "mean_value"])
+    if which == "mmd":
+        pi = GaussianMixture([1.0], np.zeros((1, d)), [1.0])
+        fit = mmd_rate(pi, KernelSpec.gaussian(1.0, d), [2**j for j in range(6, 12)], trials, seed)
+        target, tol = -0.5, 0.05
+    else:
+        grid = [2**j for j in range(6, 12)] if d == 1 else [2**j for j in range(5, 11)]
+        fit = w_rate(lambda n, rng: rng.uniform(0.0, 1.0, size=(n, d)), 1, grid, trials, seed)
+        target, tol = -1.0 / d, 0.07
+    for lx, ly in fit.grid:
+        rep.add_row(float(np.exp(lx)), float(np.exp(ly)))
+    rep.summary = {
+        "experiment": "rates",
+        "seed": seed,
+        "which": which,
+        "d": d,
+        "slope": fit.slope,
+        "target": target,
+        "pass": bool(abs(fit.slope - target) <= tol),
+    }
+    return rep
+
+
+def fourier_bound(seed, trials, kernel):
+    """`fourier_bound_1d` on same-mean two-component mixture pairs."""
+    kernel = kernel_from_text(kernel, 1)
+    rep = Report("fourier-bound", ["index", "w2", "rhs"])
+    ok = True
+    for t in range(trials):
+        mu, nu = _same_mean_gmm_pair(stream_rng(seed, t))
+        try:
+            w2, rhs = fourier_bound_1d(kernel, mu, nu)
+        except AssertionError:
+            ok = False
+            w2, rhs = float("nan"), float("nan")
+        rep.add_row(t, w2, rhs)
+    rep.summary = {"experiment": "fourier-bound", "seed": seed, "trials": trials, "pass": bool(ok)}
+    return rep
+
+
+def smoothing(seed):
+    """`smoothing_bound` at three Gaussian widths; its error term must be linear in sigma."""
+    rng = stream_rng(seed, 0)
+    mu = DiscreteMeasure(rng.uniform(-1, 1, size=(8, 3)) / np.sqrt(3), np.full(8, 1 / 8))
+    nu = DiscreteMeasure(rng.uniform(-1, 1, size=(8, 3)) / np.sqrt(3), np.full(8, 1 / 8))
+    rep = Report("smoothing", ["sigma", "w_p", "rhs", "rhs_error"])
+    oks, errs, sigmas = [], [], [0.1, 0.2, 0.4]
+    for sg in sigmas:
+        sub = smoothing_bound(RegularizerSpec(sg), 1, mu, nu, s=4, M=4.0)
+        vals = {row[0]: row[1] for row in sub.rows}
+        rep.add_row(sg, vals["w_p"], vals["rhs"], vals["rhs_error"])
+        oks.append(sub.summary["pass"])
+        errs.append(vals["rhs_error"])
+    lin = all(
+        abs(errs[i] / errs[0] - sigmas[i] / sigmas[0]) <= 0.05 * sigmas[i] / sigmas[0]
+        for i in range(len(sigmas))
+    )
+    rep.summary = {
+        "experiment": "smoothing",
+        "seed": seed,
+        "error_linear_in_sigma": bool(lin),
+        "pass": bool(all(oks) and lin),
+    }
+    return rep
+
+
+def dominance(seed, trials, kernel, p):
+    """`mmd_dominance_check` on random pairs of 2-D discrete measures."""
+    rng = stream_rng(seed, 0)
+    pairs = [_random_pair(rng, 2) for _ in range(trials)]
+    return mmd_dominance_check(kernel_from_text(kernel, 2), pairs, p=p)
+
+
+def sliced(seed, trials, d):
+    """The sliced kernel's MMD against the average of its 1-D MMDs (d >= 2)."""
+    rng = stream_rng(seed, 0)
+    d = max(d, 2)
+    theta = sphere_directions(32, d, seed=seed)
+    base = KernelSpec.gaussian(1.0, 1)
+    ker_sliced = KernelSpec.sliced(base, theta)
+    rep = Report("sliced", ["index", "direct", "sliced", "gap"])
+    worst = 0.0
+    for t in range(trials):
+        mu, nu = _random_pair(rng, d)
+        direct = mmd_discrete(ker_sliced, mu, nu)
+        via_slices = mmd_sliced(base, theta, mu, nu)
+        gap = abs(direct - via_slices)
+        worst = max(worst, gap)
+        rep.add_row(t, direct, via_slices, gap)
+    rep.summary = {"experiment": "sliced", "seed": seed, "worst_gap": worst, "pass": bool(worst <= 1e-10)}
+    return rep
+
+
+def embeddability(seed, trials, kernel):
+    """`embeddability_probe` of W_2 / MMD^(1/2) on same-mean mixture pairs."""
+    kernel = kernel_from_text(kernel, 1)
+    return embeddability_probe(_same_mean_gmm_pair, kernel, 2, 0.5, trials, stream_rng(seed, 0))
+
+
+def learnability(seed, trials):
+    """The linear-regression task metric against its Lipschitz constant times W_2."""
+    rng = stream_rng(seed, 0)
+    rep = Report("learnability", ["index", "task", "probe", "bound"])
+    ok = True
+    task = TaskSpec("linreg", R=2.0)
+    for t in range(trials):
+        n1, n2 = rng.integers(2, 6, size=2)
+        Z1, Z2 = rng.normal(size=(n1, 3)), rng.normal(size=(n2, 3))
+        mu = DiscreteMeasure(Z1, rng.uniform(0.1, 1, n1))
+        nu = DiscreteMeasure(Z2, rng.uniform(0.1, 1, n2))
+        probe = task_metric_probe(task, mu, nu, 24, rng)
+        bound = task_constant(task) * w_exact(2, mu, nu)[0]
+        if probe > bound + 1e-9:
+            ok = False
+        rep.add_row(t, "linreg", probe, bound)
+    rep.summary = {"experiment": "learnability", "seed": seed, "pass": bool(ok)}
+    return rep
+
+
+# name -> (function of (seed, **settings), the settings it reads with their defaults)
+EXPERIMENTS = {
+    "counterexample": (counterexample, {"k": 4, "kernel": "gaussian"}),
+    "rates": (rates, {"trials": 10, "which": "mmd", "d": 1}),
+    "fourier-bound": (fourier_bound, {"trials": 20, "kernel": "matern"}),
+    "smoothing": (smoothing, {}),
+    "dominance": (dominance, {"trials": 200, "kernel": "gaussian", "p": 2.0}),
+    "sliced": (sliced, {"trials": 50, "d": 2}),
+    "embeddability": (embeddability, {"trials": 60, "kernel": "matern"}),
+    "learnability": (learnability, {"trials": 40}),
+}

@@ -174,6 +174,21 @@ def test_criterion_04_counterexample_scaling():
     assert _line(4, ok, "; ".join(details))
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_criterion_04_companion_mmd_slope_is_k(k):
+    """The corrected statement: with the Gaussian kernel the MMD slope is k.
+
+    The k vanishing moments cancel every term of the squared-MMD expansion
+    below order 2k (see criterion 4), so MMD ~ eps^k while W_1 ~ eps and
+    W_1 / MMD grows along the path.  Runs `wmmd lab counterexample`'s
+    experiment; criterion 4's literal k/2 target stays pinned and failing.
+    """
+    summary = lab.counterexample(SEED, k, "gaussian").summary
+    assert abs(summary["slope_mmd"] - k) <= 0.05 * k, summary
+    assert abs(summary["slope_w"] - 1.0) <= 1e-6, summary
+    assert summary["divergence_ratio"] >= 10.0, summary
+
+
 def test_criterion_05_disjoint_segment_scaling():
     pi0 = _uniform([[0.0]])
     pi1 = _uniform([[1.0]])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wmmd import lab
 from wmmd.measures import save_dataset, stream_rng
 from wmmd.cli import blas_threads, dispatch, set_blas_threads
 from wmmd.sketch import load_sketch
@@ -424,12 +425,36 @@ def test_wass_rejects_non_finite_p(tmp_path, capsys, p, d):
     assert "p must be a finite number >= 1" in err
 
 
-@pytest.mark.parametrize("experiment", ["rates", "fourier-bound", "dominance", "sliced", "embeddability", "learnability"])
+@pytest.mark.parametrize(
+    "experiment", [name for name, (_, settings) in lab.EXPERIMENTS.items() if "trials" in settings]
+)
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_lab_trials_must_be_positive(tmp_path, capsys, experiment, trials):
     out = tmp_path / "r.csv"
     err = _fails_with_one_line(["lab", experiment, "--trials", trials, "-o", str(out)], capsys)
     assert "--trials must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, flags, unread",
+    [
+        ("smoothing", ["--kernel", "quartic", "--trials", "0"], "--kernel, --trials"),
+        ("smoothing", ["--k", "2"], "--k"),
+        ("counterexample", ["--trials", "3"], "--trials"),
+        ("counterexample", ["--d", "2"], "--d"),
+        ("rates", ["--kernel", "gaussian"], "--kernel"),
+        ("fourier-bound", ["--p", "1"], "--p"),
+        ("dominance", ["--which", "w"], "--which"),
+        ("sliced", ["--kernel", "gaussian", "--d", "3"], "--kernel"),
+        ("embeddability", ["--d", "1"], "--d"),
+        ("learnability", ["--p", "2"], "--p"),
+    ],
+)
+def test_lab_rejects_settings_it_does_not_read(tmp_path, capsys, experiment, flags, unread):
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", experiment, *flags, "-o", str(out)], capsys)
+    assert err == f"E: lab {experiment} does not read {unread}\n"
     assert not out.exists()
 
 

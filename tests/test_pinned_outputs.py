@@ -76,19 +76,22 @@ RECORDED = {
         "a98dffc888a4a8ea027c5aa7538d467ac2fd8fd5196fa808d0729550362f1543",
     ],
     # (CSV, summary sidecar) SHA-256 of `wmmd lab <key> -o r.csv`; the last
-    # entry is `lab.embeddability_probe` along a vanishing-moments path.
+    # entry is `lab.embeddability_probe` along a vanishing-moments path.  The
+    # three counterexample sidecars are re-recorded since `divergence_ratio`
+    # is W/MMD at the smallest eps over W/MMD at the largest (it was the
+    # inverse); their CSVs and every other summary field are unchanged.
     "lab_sha256": {
         "counterexample": (
             "61e9b3362617687c00a67386692e022bcdc36918c6dcfb484f2c97f2f2ac3885",
-            "846fde732caa9bb8bbdc0bfcf1f0bb42bea1a185a1442de5a283c86abfa5e311",
+            "ca2be14ba6c69ecad74e4d056de283b8c6828c0870eb2f91ab80244bb58e5634",
         ),
         "counterexample --k 2": (
             "46cb382fe6ea946898d87e29be843e171c29947d79ba7966c00fc38c2ff34f48",
-            "2919d4361de81f5a4f6145035b2333da545da1352de06f091f8dadeee839361d",
+            "448d9843ff1b587c6c04e8c5cb394065b0e17d769d798f6ababfb28d1fca79b9",
         ),
         "counterexample --kernel laplacian": (
             "8928c79e26136402508e89c4fe3324f0f279d98ae2537d896870541a27e73c58",
-            "c3172894ea808af6443f51418099e96390262ee016201a69e0464def27a98370",
+            "2fcca5781d3799180d72e4fcf7eb39b35f634b5ba54acb3e81cddd42f23239e2",
         ),
         "rates --trials 2": (
             "7ceaaaed72fbf8bed7d2c867e93ffa7f3774922a35a4a594b609330f947dfa08",
