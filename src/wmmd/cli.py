@@ -178,9 +178,8 @@ def _build_parser():
     return ap
 
 
-def _lab_settings(args):
+def _lab_settings(args, defaults):
     """The experiment's settings: its defaults, overridden by the flags given."""
-    defaults = lab.EXPERIMENTS[args.experiment][1]
     names = {name for _, settings in lab.EXPERIMENTS.values() for name in settings}
     given = {name: getattr(args, name) for name in sorted(names) if getattr(args, name) is not None}
     unread = [f"--{name}" for name in given if name not in defaults]
@@ -259,7 +258,8 @@ def _run(args):
         emit_report(rep, args.output)
         return 0 if rep.passed else 2
     if cmd == "lab":
-        rep = lab.EXPERIMENTS[args.experiment][0](args.seed, **_lab_settings(args))
+        run, defaults = lab.EXPERIMENTS[args.experiment]
+        rep = run(args.seed, **_lab_settings(args, defaults))
         out = args.output or f"wmmd-lab-{args.experiment}.csv"
         emit_report(rep, out)
         print(json.dumps(rep.summary, sort_keys=True, default=float))
