@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, project, sample, stream_rng
 from .kernels import _sq_dists
@@ -131,16 +131,6 @@ def mmd_gaussian_kernel(k, mu, nu):
     raise ValueError("kernel must be Gaussian or convolution-root Gaussian")
 
 
-def _char_fn(measure):
-    if isinstance(measure, DiscreteMeasure):
-        x = measure.points[:, 0]
-        w = measure.weights
-        return lambda om: np.exp(-1j * np.asarray(om)[..., None] * x) @ w
-    if isinstance(measure, GaussianMixture):
-        return lambda om: measure.char_fn(np.atleast_1d(np.asarray(om, float))[:, None])
-    raise TypeError("measure has no closed-form characteristic function")
-
-
 def _signed_components_1d(mu, nu):
     """Signed (weight, mean, sigma) components of mu - nu; sigma=0 for atoms."""
     w1, m1, s1 = _as_components(mu)
@@ -149,6 +139,29 @@ def _signed_components_1d(mu, nu):
     m = np.concatenate([m1[:, 0], m2[:, 0]])
     s = np.concatenate([s1, s2])
     return w, m, s
+
+
+def _window_quad(f, lo, hi, windows, rtol):
+    """int_lo^inf f by `quad` over the doubling windows [lo, hi], [hi, 2 hi], ...
+
+    Stops once a window after the first adds at most rtol of |total|, so an
+    all-zero integral stops at the second window.  Raises RuntimeError on a
+    non-finite window (an integrand that overflows or reads 0/0 there, whose
+    numpy warnings are silenced) and when `windows` windows do not converge.
+    """
+    total = 0.0
+    for i in range(windows):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shell, _, _, *problem = quad(f, lo, hi, limit=200, full_output=1)
+        if not np.isfinite(shell):
+            raise RuntimeError(f"integral is not finite on [{lo:g}, {hi:g}]")
+        if problem:
+            warnings.warn(problem[0], IntegrationWarning, stacklevel=2)
+        total += shell
+        if i > 0 and abs(shell) <= rtol * abs(total):
+            return total
+        lo, hi = hi, 2.0 * hi
+    raise RuntimeError(f"integral did not converge in {windows} windows, up to {lo:g}")
 
 
 def _spectral_term(k, var, delta):
@@ -162,14 +175,7 @@ def _spectral_term(k, var, delta):
     hat = lambda om: k.fourier_kappa0(np.array([om]))[0]
     if var > 1e-12:
         f = lambda om: hat(om) * np.exp(-0.5 * var * om**2) * np.cos(delta * om)
-        total, lo, hi = 0.0, 0.0, 8.0
-        for _ in range(16):
-            shell, _ = quad(f, lo, hi, limit=200)
-            total += shell
-            if abs(shell) < 1e-12 * max(abs(total), 1e-300) and lo > 0:
-                break
-            lo, hi = hi, 2.0 * hi
-        return total
+        return _window_quad(f, 0.0, 8.0, 16, 1e-12)
     if abs(delta) > 1e-12:
         # Tail after Omega is bounded by 2 kappa0_hat(Omega)/|delta| by parts.
         omega_max = 100.0

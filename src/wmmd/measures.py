@@ -2,8 +2,8 @@
 
 Discrete measures are immutable weighted point clouds; Gaussian mixtures are
 restricted to isotropic components, which is all the closed forms downstream
-need.  Both expose means, moments, projections onto directions, Gaussian
-smoothing and deterministic sampling.
+need.  Both expose means, moments (of mixtures in 1-D only), projections
+onto directions, Gaussian smoothing and deterministic sampling.
 """
 
 from __future__ import annotations
@@ -175,28 +175,17 @@ class GaussianMixture:
         return e @ (self.weights / (_SQRT_2PI * self.sigmas))
 
     def moment_s(self, s):
-        """E ||x||_2^s by Monte-Carlo with a fixed internal stream.
-
-        Target relative error ~1e-4 for moderate s; exact formulas exist only
-        for special cases so we integrate numerically.
-        """
+        """E |x|^s, d=1 only: 201-node Gauss-Hermite per component."""
+        if self.d != 1:
+            raise ValueError("moment_s defined for d=1 only")
         if s < 1:
             raise ValueError("s must be >= 1")
-        if self.d == 1:
-            # Gauss-Hermite per component is exact enough in 1-D.
-            nodes, wts = np.polynomial.hermite_e.hermegauss(201)
-            vals = 0.0
-            for ak, ck, sk in zip(self.weights, self.means[:, 0], self.sigmas):
-                x = ck + sk * nodes
-                vals += ak * np.sum(wts * np.abs(x) ** s) / np.sqrt(2 * np.pi)
-            return float(vals)
-        rng = stream_rng(0x6D6F6D, int(round(s * 64)))
-        n = 4_000_000
-        total = 0.0
-        for ak, ck, sk in zip(self.weights, self.means, self.sigmas):
-            x = ck + sk * rng.standard_normal((n, self.d))
-            total += ak * np.mean(np.linalg.norm(x, axis=1) ** s)
-        return float(total)
+        nodes, wts = np.polynomial.hermite_e.hermegauss(201)
+        vals = 0.0
+        for ak, ck, sk in zip(self.weights, self.means[:, 0], self.sigmas):
+            x = ck + sk * nodes
+            vals += ak * np.sum(wts * np.abs(x) ** s) / np.sqrt(2 * np.pi)
+        return float(vals)
 
     def __repr__(self):
         return f"GaussianMixture(K={self.K}, d={self.d})"

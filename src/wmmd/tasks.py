@@ -1,10 +1,11 @@
 """Learning tasks, risks, the greedy Dirac-mixture decoder, and k-means.
 
-Supported tasks: K-means (p=2) and K-medians (p=1) compression, linear and
-multi-output regression with norm-bounded hypotheses, and binary
-classification with a bounded-Lipschitz tanh classifier under the hinge loss.
-Regression/classification measures live on the joint sample space: the last
-coordinate(s) of each atom hold the response.
+Supported tasks, one `_VARIANTS` entry each: K-means (p=2) and K-medians
+(p=1) compression, linear regression with a norm-bounded vector (p=2), and
+binary classification with a bounded-Lipschitz tanh classifier under the
+hinge loss (p=1).  Regression and classification share one norm-ball path
+for their draws, perturbations and checks.  Their measures live on the
+joint sample space: the last coordinate of each atom holds the response.
 """
 
 from __future__ import annotations
@@ -32,26 +33,27 @@ __all__ = [
 ]
 
 
+# variant -> (loss exponent p, the parameter that bounds its hypotheses).  K
+# counts centroids; R and L are the radii of the norm ball that holds the
+# regression vector theta and the classifier's weights w.
+_VARIANTS = {"kmeans": (2, "K"), "kmedians": (1, "K"), "linreg": (2, "R"), "binclass": (1, "L")}
+
+
 class TaskSpec:
     """Task descriptor; `p` is the loss exponent used by W_p comparisons."""
 
     def __init__(self, variant, **params):
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown task variant {variant!r}")
         self.variant = variant
         self.params = dict(params)
-        if variant in ("kmeans", "kmedians"):
-            if params["K"] < 1:
-                raise ValueError("K must be >= 1")
-            self.p = 2 if variant == "kmeans" else 1
-        elif variant in ("linreg", "multireg"):
-            if params["R"] <= 0:
-                raise ValueError("R must be positive")
-            self.p = 2
-        elif variant == "binclass":
-            if params["L"] <= 0:
-                raise ValueError("L must be positive")
-            self.p = 1
-        else:
-            raise ValueError(f"unknown task variant {variant!r}")
+        self.p, name = _VARIANTS[variant]
+        self.bound = params[name]
+        self.centroids = name == "K"
+        if self.centroids and self.bound < 1:
+            raise ValueError("K must be >= 1")
+        if not self.centroids and self.bound <= 0:
+            raise ValueError(f"{name} must be positive")
 
     def __getattr__(self, name):
         try:
@@ -61,64 +63,48 @@ class TaskSpec:
 
 
 class Hypothesis:
-    """Task-dependent payload with a constraint check."""
+    """Centroids (K, d), linreg's theta or binclass's (w, b), with a constraint check."""
 
     def __init__(self, variant, payload):
         self.variant = variant
         self.payload = payload
 
     def check(self, task, tol=1e-9):
-        if task.variant in ("kmeans", "kmedians"):
-            C = np.atleast_2d(self.payload)
-            if C.shape[0] < 1:
+        if task.centroids:
+            if np.atleast_2d(self.payload).shape[0] < 1:
                 raise ValueError("empty centroid list")
-        elif task.variant == "linreg":
-            theta = np.asarray(self.payload, float)
-            if np.linalg.norm(theta) > task.R + tol:
-                raise ValueError("theta violates the norm bound")
-        elif task.variant == "multireg":
-            M = np.atleast_2d(self.payload)
-            if np.linalg.norm(M, 2) > task.R + tol:
-                raise ValueError("matrix violates the operator-norm bound")
-        elif task.variant == "binclass":
-            w, b = self.payload
-            if np.linalg.norm(w) > task.L + tol:
-                raise ValueError("classifier violates the Lipschitz bound")
+        elif np.linalg.norm(_split(task, self.payload)[0]) > task.bound + tol:
+            raise ValueError(f"hypothesis violates the norm bound {task.bound}")
         return self
+
+
+def _split(task, payload):
+    """(w, b) of a norm-ball payload; linreg's theta is w, with b None."""
+    if task.variant == "binclass":
+        w, b = payload
+        return np.asarray(w, float), b
+    return np.asarray(payload, float), None
 
 
 def task_constant(task):
     """Wasserstein-learnability constant C with probe <= C * W_p."""
-    if task.variant in ("kmeans", "kmedians"):
+    if task.centroids:
         return 1.0
-    if task.variant in ("linreg", "multireg"):
-        return float(np.sqrt(task.R**2 + 1.0))
-    if task.variant == "binclass":
-        return max(task.L, 1.0)  # hinge loss is 1-Lipschitz
-    raise ValueError(task.variant)
+    if task.variant == "linreg":
+        return float(np.sqrt(task.bound**2 + 1.0))
+    return max(task.bound, 1.0)  # hinge loss is 1-Lipschitz
 
 
 def _losses(task, measure, h):
     X = measure.points
-    if task.variant in ("kmeans", "kmedians"):
+    if task.centroids:
         sq = _sq_dists(X, np.asarray(h.payload, float))
-        dmin = np.sqrt(np.min(sq, axis=1))
-        return dmin**2 if task.variant == "kmeans" else dmin
-    if task.variant == "linreg":
-        theta = np.asarray(h.payload, float)
-        z, y = X[:, :-1], X[:, -1]
-        return (y - z @ theta) ** 2
-    if task.variant == "multireg":
-        M = np.atleast_2d(h.payload)
-        k_out = M.shape[0]
-        z, y = X[:, :-k_out], X[:, -k_out:]
-        return np.sum((y - z @ M.T) ** 2, axis=1)
-    if task.variant == "binclass":
-        w, b = h.payload
-        z, y = X[:, :-1], X[:, -1]
-        scores = np.tanh(z @ np.asarray(w, float) + b)
-        return np.maximum(0.0, 1.0 - y * scores)
-    raise ValueError(task.variant)
+        return np.sqrt(np.min(sq, axis=1)) ** task.p
+    w, b = _split(task, h.payload)
+    z, y = X[:, :-1], X[:, -1]
+    if b is None:
+        return (y - z @ w) ** 2
+    return np.maximum(0.0, 1.0 - y * np.tanh(z @ w + b))
 
 
 def risk(task, measure, h):
@@ -141,50 +127,29 @@ def kmeans_project(h, measure):
 
 
 def _random_hypothesis(task, box_lo, box_hi, rng):
+    """Centroids uniform in the box; else w of uniform norm in the ball, b uniform in [-2, 2]."""
     d = box_lo.shape[0]
-    if task.variant in ("kmeans", "kmedians"):
-        C = rng.uniform(box_lo, box_hi, size=(task.K, d))
-        return Hypothesis(task.variant, C)
-    if task.variant == "linreg":
-        v = rng.standard_normal(d - 1)
-        v *= rng.uniform(0, task.R) / max(np.linalg.norm(v), 1e-300)
-        return Hypothesis("linreg", v)
-    if task.variant == "multireg":
-        M = rng.standard_normal((task.K_out, d - task.K_out))
-        op = np.linalg.norm(M, 2)
-        M *= rng.uniform(0, task.R) / max(op, 1e-300)
-        return Hypothesis("multireg", M)
+    if task.centroids:
+        return Hypothesis(task.variant, rng.uniform(box_lo, box_hi, size=(task.K, d)))
+    w = rng.standard_normal(d - 1)
+    w *= rng.uniform(0, task.bound) / max(np.linalg.norm(w), 1e-300)
     if task.variant == "binclass":
-        w = rng.standard_normal(d - 1)
-        w *= rng.uniform(0, task.L) / max(np.linalg.norm(w), 1e-300)
-        b = rng.uniform(-2.0, 2.0)
-        return Hypothesis("binclass", (w, b))
-    raise ValueError(task.variant)
+        return Hypothesis("binclass", (w, rng.uniform(-2.0, 2.0)))
+    return Hypothesis("linreg", w)
 
 
 def _perturb(task, h, scale, rng):
-    if task.variant in ("kmeans", "kmedians"):
+    """h plus N(0, scale^2) noise, with w pulled back radially into the ball."""
+    if task.centroids:
         return Hypothesis(task.variant, h.payload + scale * rng.standard_normal(h.payload.shape))
-    if task.variant == "linreg":
-        v = h.payload + scale * rng.standard_normal(h.payload.shape)
-        nv = np.linalg.norm(v)
-        if nv > task.R:
-            v *= task.R / nv
-        return Hypothesis("linreg", v)
-    if task.variant == "multireg":
-        M = h.payload + scale * rng.standard_normal(h.payload.shape)
-        op = np.linalg.norm(M, 2)
-        if op > task.R:
-            M *= task.R / op
-        return Hypothesis("multireg", M)
-    if task.variant == "binclass":
-        w, b = h.payload
-        w = w + scale * rng.standard_normal(w.shape)
-        nw = np.linalg.norm(w)
-        if nw > task.L:
-            w *= task.L / nw
-        return Hypothesis("binclass", (w, b + scale * rng.standard_normal()))
-    raise ValueError(task.variant)
+    w, b = _split(task, h.payload)
+    w = w + scale * rng.standard_normal(w.shape)
+    nw = np.linalg.norm(w)
+    if nw > task.bound:
+        w *= task.bound / nw
+    if b is None:
+        return Hypothesis("linreg", w)
+    return Hypothesis("binclass", (w, b + scale * rng.standard_normal()))
 
 
 def task_metric_probe(task, mu, nu, n_hypotheses, rng):

@@ -1,4 +1,4 @@
-"""Exact Wasserstein distances between discrete (and 1-D mixture) measures.
+"""Exact Wasserstein distances between discrete measures (and 1-D mixture pairs).
 
 The exact solver is deliberately unregularized: 1-D inputs go through the
 closed-form quantile coupling, uniform equal-size inputs through an exact
@@ -129,32 +129,16 @@ def _quantile_cost_discrete(p, x, a, y, b):
     return float(np.diff(q, prepend=0.0) @ gap), s
 
 
-def _quantile_fn(measure):
-    if isinstance(measure, DiscreteMeasure):
-        ix = np.argsort(measure.points[:, 0], kind="stable")
-        xs = measure.points[ix, 0]
-        cw = np.cumsum(measure.weights[ix])
-
-        def qf(qs):
-            pos = np.searchsorted(cw, qs, side="left")
-            return xs[np.minimum(pos, xs.size - 1)]
-
-        return qf
-    if isinstance(measure, GaussianMixture):
-        return lambda qs: gmm_quantiles(measure, qs)
-    raise TypeError("unsupported 1-D measure type")
-
-
 def w1d(p, mu, nu):
     """W_p on the real line via the quantile coupling.
 
-    Discrete/discrete pairs are exact; anything involving a Gaussian mixture
-    uses midpoint quantile quadrature on a uniform q-grid (>= 4096 nodes)
-    with grid doubling and Richardson extrapolation of the tail-dominated
-    O(1/n) error, stopping when two extrapolants agree to 1e-6 relative.
-    Mixture quantiles come from `gmm_quantiles` afresh at every doubling:
-    midpoint grids of n and 2n nodes share no node, and its CDF-table start
-    makes each solve a few density and CDF sweeps.  When the largest quantile
+    Takes two discrete measures or two Gaussian mixtures.  Discrete pairs are
+    exact; mixture pairs use midpoint quantile quadrature on a uniform q-grid
+    (>= 4096 nodes) with grid doubling and Richardson extrapolation of the
+    tail-dominated O(1/n) error, stopping when two extrapolants agree to 1e-6
+    relative.  Mixture quantiles come from `gmm_quantiles` afresh at every
+    doubling: midpoint grids of n and 2n nodes share no node, and its
+    CDF-table start makes each solve a few density and CDF sweeps.  When the largest quantile
     gap M has M^p outside the float range, both levels of a step are divided
     by M before the power and the root is multiplied by it (see `_pth_power`).
     """
@@ -166,7 +150,8 @@ def w1d(p, mu, nu):
             p, mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights
         )
         return s * c ** (1.0 / p)
-    qf, qg = _quantile_fn(mu), _quantile_fn(nu)
+    if not (isinstance(mu, GaussianMixture) and isinstance(nu, GaussianMixture)):
+        raise ValueError("w1d takes two discrete measures or two Gaussian mixtures")
 
     def level(n, M=0.0):
         """(mean of (gap / s)^p, s, M) on the midpoint grid of n quantiles.
@@ -175,7 +160,7 @@ def w1d(p, mu, nu):
         for it: 1 unless M^p leaves the float range.
         """
         qs = (np.arange(n) + 0.5) / n
-        gap = np.abs(qf(qs) - qg(qs))
+        gap = np.abs(gmm_quantiles(mu, qs) - gmm_quantiles(nu, qs))
         M = max(M, gap.max())
         P, s = _pth_power(gap, p, M)
         return np.mean(P), s, M

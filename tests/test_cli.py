@@ -493,3 +493,20 @@ def test_wass_large_p_prints_a_finite_value(tmp_path, capsys, d, spread):
     out = capsys.readouterr()
     assert caught == [] and out.err == ""
     assert 0.0 < float(out.out) < np.inf
+
+
+def test_lab_counterexample_cancelled_mmd_is_one_line(tmp_path, capsys):
+    """At k = 8 the Gaussian double sum of the Dirac pair cancels to 0 at eps = 1/16."""
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", "counterexample", "--k", "8", "-o", str(out)], capsys)
+    assert "reads 0.0 at eps = 0.0625" in err
+    assert not out.exists()
+
+
+def test_lab_fourier_bound_non_finite_integral_is_one_line(tmp_path, capsys):
+    """Under a unit Gaussian kernel the integrand's two Gaussian tails underflow to 0/0."""
+    out = tmp_path / "r.csv"
+    argv = ["lab", "fourier-bound", "--trials", "2", "--kernel", "gaussian", "-o", str(out)]
+    assert "not finite" in _fails_with_one_line(argv, capsys)
+    assert not out.exists()
+

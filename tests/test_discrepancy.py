@@ -8,6 +8,7 @@ from wmmd.measures import (
     stream_rng,
 )
 from wmmd.kernels import KernelSpec, sphere_directions
+from wmmd import discrepancy
 from wmmd.discrepancy import (
     mmd_discrete,
     mmd_gmm_gaussian,
@@ -223,3 +224,29 @@ def test_1d_mmd_is_shift_invariant_far_from_zero():
     for route in (mmd_discrete, mmd_gaussian_kernel):
         ref = route(k, _uniform(X), _uniform(Y))
         assert route(k, _uniform(X + 1e8), _uniform(Y + 1e8)) == pytest.approx(ref, rel=1e-8)
+
+
+def test_window_quad_doubles_until_a_window_adds_at_most_rtol():
+    val = discrepancy._window_quad(lambda om: np.exp(-om), 0.0, 8.0, 16, 1e-12)
+    assert val == pytest.approx(1.0, rel=1e-12)
+
+
+def test_window_quad_zero_integral_stops_at_second_window(monkeypatch):
+    windows = []
+    real = discrepancy.quad
+
+    def counted(f, lo, hi, **kw):
+        windows.append((lo, hi))
+        return real(f, lo, hi, **kw)
+
+    monkeypatch.setattr(discrepancy, "quad", counted)
+    assert discrepancy._window_quad(lambda om: 0.0, 1e-6, 8.0, 24, 1e-9) == 0.0
+    assert windows == [(1e-6, 8.0), (8.0, 16.0)]
+
+
+def test_window_quad_raises_at_cap_and_on_non_finite_window():
+    with pytest.raises(RuntimeError, match="did not converge in 3 windows"):
+        discrepancy._window_quad(lambda om: 1.0, 0.0, 1.0, 3, 1e-9)
+    # 0/0 in numpy: the RuntimeWarning is silenced and the window raises instead
+    with pytest.raises(RuntimeError, match=r"not finite on \[0, 1\]"):
+        discrepancy._window_quad(lambda om: np.float64(0.0) / np.float64(0.0), 0.0, 1.0, 3, 1e-9)

@@ -163,6 +163,9 @@ def test_fourier_bound_rejects_mismatched_means():
     b = GaussianMixture([1.0], [[1.0]], [1.0])
     with pytest.raises(ValueError):
         lab.fourier_bound_1d(k, a, b)
+    atoms = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="two Gaussian mixtures"):
+        lab.fourier_bound_1d(k, atoms, atoms)
 
 
 def test_unit_ball_volume_literal():

@@ -126,6 +126,11 @@ class TestGaussianMixture:
         g = GaussianMixture([1.0], [[1.0]], [2.0])
         assert g.moment_s(2) == pytest.approx(5.0, rel=1e-8)
 
+    def test_moment_needs_1d(self):
+        g = GaussianMixture([1.0], [[0.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="d=1 only"):
+            g.moment_s(2)
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             GaussianMixture([1.0], [[0.0]], [0.0])

@@ -4,7 +4,8 @@ The values below were recorded before the squared-distance formula was
 shared through `kernels._sq_dists` and before `wasserstein`/`mmd` chose the
 routes, on numpy 2.4.6, scipy 1.17.1 and OpenBLAS (x86-64).  Floats are
 compared as hex strings, CLI output as text, and sketch files and `wmmd lab`
-reports (the CSV and its summary sidecar) by SHA-256.
+reports (the CSV and its summary sidecar) by SHA-256.  The `task_*` values
+were recorded before the task variants became one table in `tasks`.
 
 One value is re-recorded since 1-D squared distances are formed as
 differences (x - y)^2 rather than by the Gram form x^2 + y^2 - 2xy: the
@@ -15,6 +16,7 @@ differences (x - y)^2 rather than by the Gram form x^2 + y^2 - 2xy: the
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from wmmd.cli import dispatch
 from wmmd.kernels import KernelSpec
 from wmmd.measures import DiscreteMeasure, RegularizerSpec, save_dataset, stream_rng
 from wmmd.reporting import emit_report
-from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk
+from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk, task_metric_probe
 from wmmd.transport import w_exact, w_rate
 
 RECORDED = {
@@ -40,6 +42,9 @@ RECORDED = {
         "-0x1.67fc686eba17ap+0", "0x1.1683473e40ef5p+3", "-0x1.b5322a68c7188p+2",
     ],
     "risk_d3": ["0x1.81c9ceeb78f2fp+1", "0x1.9999ddce71009p+0"],
+    "task_kmedians": ["0x1.d52da5b0c1cefp+0", "0x1.db8b1b696da59p-1", "0x1.c1ad0655dc2dcp+0"],
+    "task_linreg": ["0x1.6c935056e7d10p+0", "0x1.68bc957c71c4fp+2", "0x1.08775a4f1f315p+1"],
+    "task_binclass": ["0x1.f9f00a06ed45ep-1", "0x1.b06fcb55162d6p+0", "0x1.022fea1bbc874p+0"],
     "project_d3": ["0x1.5fea27983c13cp-2", "0x1.5a740da740dacp-2", "0x1.45a1cac083119p-2"],
     "w_exact": [
         "0x1.d027df111d697p+0", "0x1.bad3dcf27d184p+0", "0x1.4d14a5160055fp+0",
@@ -154,6 +159,26 @@ def test_lloyd_risk_and_projection():
         assert _hex(kmeans_project(g, emp).weights) == RECORDED[f"project_d{d}"]
 
 
+def test_task_risks_and_probes():
+    """Risks of a fixed hypothesis on mu and nu, then `task_metric_probe`, for each non-k-means task."""
+    rng = stream_rng(0x5A, 3)
+    tasks = {
+        "kmedians": ({"K": 3}, rng.normal(size=(3, 3))),
+        "linreg": ({"R": 2.0}, np.array([0.6, -1.2])),
+        "binclass": ({"L": 1.5}, (np.array([0.8, -0.4]), 0.3)),
+    }
+    for variant, (params, payload) in tasks.items():
+        task = TaskSpec(variant, **params)
+        Z1, Z2 = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+        if variant == "binclass":
+            Z1[:, -1], Z2[:, -1] = np.sign(Z1[:, -1]), np.sign(Z2[:, -1])
+        mu = DiscreteMeasure(Z1, rng.uniform(0.1, 1, 7))
+        nu = DiscreteMeasure(Z2, rng.uniform(0.1, 1, 5))
+        h = Hypothesis(variant, payload)
+        vals = [risk(task, mu, h), risk(task, nu, h), task_metric_probe(task, mu, nu, 24, rng)]
+        assert _hex(vals) == RECORDED[f"task_{variant}"]
+
+
 def test_w_exact_values():
     """Uniform equal-size pairs (assignment) and weighted pairs (LP), d = 2, 3, p = 1, 2."""
     rng = stream_rng(0x5A, 1)
@@ -236,7 +261,7 @@ def test_sketch_file_bytes(datasets, tmp_path):
 
 
 def _report_sha256(path):
-    return tuple(hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (path, f"{path}.summary.json"))
+    return tuple(hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in (path, f"{path}.summary.json"))
 
 
 @pytest.mark.parametrize("command", [c for c in RECORDED["lab_sha256"] if c != "embeddability path"])

@@ -34,6 +34,8 @@ def test_task_spec_exponents():
         TaskSpec("kmeans", K=0)
     with pytest.raises(ValueError):
         TaskSpec("pca", K=1)
+    with pytest.raises(ValueError, match="unknown task variant 'multireg'"):
+        TaskSpec("multireg", R=1.0, K_out=2)
 
 
 def test_kmeans_risk_hand_example():

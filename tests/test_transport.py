@@ -234,6 +234,17 @@ def test_w1d_gmm_large_p_is_rescaled():
         assert w1d(200, a, b) == pytest.approx(50.0, rel=1e-9)
 
 
+def test_discrete_mixture_pair_has_no_1d_route():
+    """w1d takes two discrete measures or two mixtures; so does `wasserstein` in 1-D."""
+    a = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    g = GaussianMixture([1.0], [[0.0]], [1.0])
+    for mu, nu in ((a, g), (g, a)):
+        with pytest.raises(ValueError, match="two discrete measures or two Gaussian mixtures"):
+            w1d(2, mu, nu)
+        with pytest.raises(ValueError, match="two discrete measures or two Gaussian mixtures"):
+            wasserstein(2, mu, nu)
+
+
 def test_w1d_gmm_scale():
     # same-mean Gaussians: W_2 = |sigma - sigma'|
     a = GaussianMixture([1.0], [[0.0]], [1.0])
