@@ -10,9 +10,9 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, project, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, project, sample, stream_rng
 from .kernels import _sq_dists
 from .reporting import scaling_exponent
 
@@ -141,41 +141,18 @@ def _signed_components_1d(mu, nu):
     return w, m, s
 
 
-def _window_quad(f, lo, hi, windows, rtol):
-    """int_lo^inf f by `quad` over the doubling windows [lo, hi], [hi, 2 hi], ...
-
-    Stops once a window after the first adds at most rtol of |total|, so an
-    all-zero integral stops at the second window.  Raises RuntimeError on a
-    non-finite window (an integrand that overflows or reads 0/0 there, whose
-    numpy warnings are silenced) and when `windows` windows do not converge.
-    """
-    total = 0.0
-    for i in range(windows):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shell, _, _, *problem = quad(f, lo, hi, limit=200, full_output=1)
-        if not np.isfinite(shell):
-            raise RuntimeError(f"integral is not finite on [{lo:g}, {hi:g}]")
-        if problem:
-            warnings.warn(problem[0], IntegrationWarning, stacklevel=2)
-        total += shell
-        if i > 0 and abs(shell) <= rtol * abs(total):
-            return total
-        lo, hi = hi, 2.0 * hi
-    raise RuntimeError(f"integral did not converge in {windows} windows, up to {lo:g}")
-
-
 def _spectral_term(k, var, delta):
     """int_0^inf kappa0_hat(w) exp(-var w^2 / 2) cos(delta w) dw.
 
-    Gaussian-damped terms use plain adaptive quadrature with window doubling;
-    undamped oscillatory terms (pure Dirac pairs) use the cosine-weighted
-    Clenshaw-Curtis rule, and undamped non-oscillatory terms the algebraic
-    substitution w = t/(1-t) that regularizes the power-law tail.
+    Gaussian-damped terms use tanh-sinh quadrature on the half-line
+    (`_tanh_sinh`); undamped oscillatory terms (pure Dirac pairs) use the
+    cosine-weighted Clenshaw-Curtis rule, and undamped non-oscillatory terms
+    the algebraic substitution w = t/(1-t) that regularizes the power-law tail.
     """
-    hat = lambda om: k.fourier_kappa0(np.array([om]))[0]
     if var > 1e-12:
-        f = lambda om: hat(om) * np.exp(-0.5 * var * om**2) * np.cos(delta * om)
-        return _window_quad(f, 0.0, 8.0, 16, 1e-12)
+        f = lambda om: k.fourier_kappa0(om) * np.exp(-0.5 * var * om**2) * np.cos(delta * om)
+        return _tanh_sinh(f, [0.0, np.inf])
+    hat = lambda om: k.fourier_kappa0(np.array([om]))[0]
     if abs(delta) > 1e-12:
         # Tail after Omega is bounded by 2 kappa0_hat(Omega)/|delta| by parts.
         omega_max = 100.0
@@ -193,8 +170,7 @@ def mmd_spectral_1d(k, mu, nu):
 
     ||mu - nu||^2 = (2 pi)^(-1) * int kappa0_hat(w) |mu_hat(w) - nu_hat(w)|^2 dw.
     The squared characteristic-function difference is expanded over component
-    pairs, each contributing a damped-cosine integral evaluated by adaptive
-    quadrature.
+    pairs, each contributing a damped-cosine integral (see `_spectral_term`).
     """
     if k.d != 1:
         raise ValueError("spectral route implemented for d=1")

@@ -37,6 +37,7 @@ __all__ = [
 # counts centroids; R and L are the radii of the norm ball that holds the
 # regression vector theta and the classifier's weights w.
 _VARIANTS = {"kmeans": (2, "K"), "kmedians": (1, "K"), "linreg": (2, "R"), "binclass": (1, "L")}
+_BOUND_TOL = 1e-9  # slack of Hypothesis.check's norm bound
 
 
 class TaskSpec:
@@ -69,11 +70,11 @@ class Hypothesis:
         self.variant = variant
         self.payload = payload
 
-    def check(self, task, tol=1e-9):
+    def check(self, task):
         if task.centroids:
             if np.atleast_2d(self.payload).shape[0] < 1:
                 raise ValueError("empty centroid list")
-        elif np.linalg.norm(_split(task, self.payload)[0]) > task.bound + tol:
+        elif np.linalg.norm(_split(task, self.payload)[0]) > task.bound + _BOUND_TOL:
             raise ValueError(f"hypothesis violates the norm bound {task.bound}")
         return self
 

@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, GaussianMixture, gmm_quantiles, project, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, _tanh_sinh, gmm_quantiles, project, sample, stream_rng
 from .reporting import scaling_exponent
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 
 _SIZE_GUARD = 10**6
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_PLAN_TOL = 1e-9  # TransportPlan.validate's slack on sign, marginals and cost
 
 
 class TransportPlan:
@@ -52,19 +53,19 @@ class TransportPlan:
         self.scale = float(scale)
         self.validate(cost_matrix=cost_matrix)
 
-    def validate(self, tol=1e-9, cost_matrix=None):
+    def validate(self, cost_matrix=None):
         """Check marginals, sign and stored cost; `cost_matrix` is (|x_i - y_j| / scale)^p if known."""
         g = self.coupling
-        if np.any(g < -tol):
+        if np.any(g < -_PLAN_TOL):
             raise ValueError("coupling has negative mass")
-        if np.max(np.abs(g.sum(axis=1) - self.source.weights)) > tol:
+        if np.max(np.abs(g.sum(axis=1) - self.source.weights)) > _PLAN_TOL:
             raise ValueError("row marginals do not match source weights")
-        if np.max(np.abs(g.sum(axis=0) - self.target.weights)) > tol:
+        if np.max(np.abs(g.sum(axis=0) - self.target.weights)) > _PLAN_TOL:
             raise ValueError("column marginals do not match target weights")
         if cost_matrix is None:
             cost_matrix = (_dist_matrix(self.source.points, self.target.points) / self.scale) ** self.p
         recomputed = float(np.vdot(g, cost_matrix))
-        if abs(recomputed - self.cost) > tol * max(1.0, abs(self.cost)):
+        if abs(recomputed - self.cost) > _PLAN_TOL * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
 
     def to_csv(self, path):
@@ -133,52 +134,43 @@ def w1d(p, mu, nu):
     """W_p on the real line via the quantile coupling.
 
     Takes two discrete measures or two Gaussian mixtures.  Discrete pairs are
-    exact; mixture pairs use midpoint quantile quadrature on a uniform q-grid
-    (>= 4096 nodes) with grid doubling and Richardson extrapolation of the
-    tail-dominated O(1/n) error, stopping when two extrapolants agree to 1e-6
-    relative.  Mixture quantiles come from `gmm_quantiles` afresh at every
-    doubling: midpoint grids of n and 2n nodes share no node, and its
-    CDF-table start makes each solve a few density and CDF sweeps.  When the largest quantile
-    gap M has M^p outside the float range, both levels of a step are divided
-    by M before the power and the root is multiplied by it (see `_pth_power`).
+    exact.  Mixture pairs integrate |F^-1 - G^-1|^p by `_tanh_sinh` over
+    q in (0, 1/2], the upper half as the mirrored mixtures' lower half, so
+    that both tails are resolved at levels near 0.  The integral is cut where
+    F - G changes sign (a kink; bisected) and at each density's valleys (a
+    steep quantile function), found on a grid of +-12 sigma around every
+    component.  The gaps are scaled (see `_pth_power`) by one M fixed first:
+    the largest gap at q = 1/2 and 1e-300, below the rule's smallest node.
     """
     _check_p(p)
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w1d needs 1-D measures")
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        c, s = _quantile_cost_discrete(
-            p, mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights
-        )
+        c, s = _quantile_cost_discrete(p, mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
         return s * c ** (1.0 / p)
     if not (isinstance(mu, GaussianMixture) and isinstance(nu, GaussianMixture)):
         raise ValueError("w1d takes two discrete measures or two Gaussian mixtures")
 
-    def level(n, M=0.0):
-        """(mean of (gap / s)^p, s, M) on the midpoint grid of n quantiles.
-
-        M is the largest gap seen so far and s the scale `_pth_power` gives
-        for it: 1 unless M^p leaves the float range.
-        """
-        qs = (np.arange(n) + 0.5) / n
-        gap = np.abs(gmm_quantiles(mu, qs) - gmm_quantiles(nu, qs))
-        M = max(M, gap.max())
-        P, s = _pth_power(gap, p, M)
-        return np.mean(P), s, M
-
-    n = 4096
-    c, s, M = level(n)
-    val = None
-    while True:
-        n *= 2
-        c_prev, s_prev, val_prev = c, s, val
-        c, s, M = level(n, M)
-        if s != s_prev:  # both levels of the Richardson step share one scale
-            c_prev, _, _ = level(n // 2, M)
-        val = s * max(2.0 * c - c_prev, 0.0) ** (1.0 / p)
-        if val_prev is not None and abs(val - val_prev) <= 1e-6 * max(val_prev, 1e-300):
-            return val
-        if n >= 2**20:
-            return val
+    mirror = lambda g: GaussianMixture(g.weights, -g.means, g.sigmas)
+    halves = ((mu, nu), (mirror(mu), mirror(nu)))  # F^-1(1 - q) = -(mirrored F)^-1(q)
+    gaps = lambda q: [np.abs(gmm_quantiles(f, q) - gmm_quantiles(g, q)) for f, g in halves]
+    cdf_gap = lambda x: mu.cdf(x) - nu.cdf(x)
+    z = np.linspace(-12.0, 12.0, 129)
+    x = np.unique(np.concatenate([g.means + g.sigmas[:, None] * z for g in (mu, nu)]))
+    sign = np.sign(cdf_gap(x))
+    xs, sign = x[sign != 0], sign[sign != 0]  # a zero on the grid is bracketed by its neighbours
+    i = np.flatnonzero(sign[:-1] != sign[1:])
+    a, b = xs[i], xs[i + 1]
+    for _ in range(64):  # bisect every sign change at once
+        mid = 0.5 * (a + b)
+        a, b = np.where(np.sign(cdf_gap(mid)) == sign[i], [mid, b], [a, mid])
+    valleys = lambda d: (d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])
+    marks = [(mu, a)] + [(g, x[1:-1][valleys(g.pdf(x))]) for g in (mu, nu)]
+    levels = np.concatenate([np.r_[g.cdf(y), mirror(g).cdf(-y)] for g, y in marks])
+    M = max(d.max() for d in gaps(np.array([1e-300, 0.5])))
+    f = lambda q: sum(_pth_power(d, p, M)[0] for d in gaps(q))
+    cuts = np.unique(np.r_[0.0, 0.5, levels[levels < 0.5]])
+    return _pth_power(M, p, M)[1] * _tanh_sinh(f, cuts) ** (1.0 / p)
 
 
 def _check_p(p):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wmmd.measures import (
     DiscreteMeasure,
@@ -130,12 +131,14 @@ def test_criterion_03_mmd_dominated_by_curvature_times_w():
         kernel = KernelSpec.gaussian(sg, 2)
         C = 1.0 / sg
         assert kernel.hessian_constant() == pytest.approx(C, rel=1e-12)
+        mus, nus = [], []
         for _ in range(1000):
             n1, n2 = rng.integers(2, 6, size=2)
-            mu = _rand_discrete(rng, int(n1), 2)
-            nu = _rand_discrete(rng, int(n2), 2)
+            mus.append(_rand_discrete(rng, int(n1), 2))
+            nus.append(_rand_discrete(rng, int(n2), 2))
+        # one list call: the small LPs are solved together (see `w_exact`)
+        for mu, nu, (w, _) in zip(mus, nus, w_exact(2, mus, nus)):
             m = mmd_discrete(kernel, mu, nu)
-            w, _ = w_exact(2, mu, nu)
             margin = m - C * w
             worst = max(worst, margin)
             if margin > 1e-9:
@@ -238,6 +241,46 @@ def test_criterion_06_same_mean_fourier_bound():
             violations += 1
     ok = violations == 0
     assert _line(6, ok, f"{checked} same-mean pairs, violations {violations}")
+
+
+def test_criterion_06_companion_rhs_bounds_cdf_l2():
+    """The corrected statement: criterion 6's right-hand side bounds ||F - G||_L2.
+
+    Plancherel gives ||F - G||^2 = (2 pi)^-1 int |mu_hat - nu_hat|^2 / w^2 dw, and
+    Cauchy-Schwarz splits that integrand into |mu_hat - nu_hat| kappa0_hat^(1/2)
+    times |mu_hat - nu_hat| / (w^2 kappa0_hat^(1/2)), whose squared integrals
+    give 2 pi MMD^2 and the Fourier quotient.  Runs on criterion 6's own 100
+    pairs (the same draws in the same order); the Fourier quotient and
+    ||F - G|| are integrated here by `quad`, independently of `lab`.
+    """
+    kernel = KernelSpec.matern(0.5, 1.0, 1)
+    rng = stream_rng(SEED, 6)
+    worst = 0.0
+    for _ in range(100):
+
+        def one():
+            K = int(rng.integers(1, 4))
+            w = rng.uniform(0.2, 1.0, K)
+            c = rng.uniform(-2.0, 2.0, K)
+            w /= w.sum()
+            c -= w @ c
+            s = rng.uniform(0.5, 2.0, K)
+            return GaussianMixture(w, c[:, None], s)
+
+        mu, nu = one(), one()
+
+        def quotient(om):
+            diff = mu.char_fn([[om]])[0] - nu.char_fn([[om]])[0]
+            return abs(diff) ** 2 / (om**4 * kernel.fourier_kappa0(om))
+
+        # the even integrand tends to a constant at 0 and is below 1e-45 beyond w = 20 (sigma >= 0.5)
+        total = 2.0 * sum(quad(quotient, lo, hi, limit=200)[0] for lo, hi in ((1e-6, 1.0), (1.0, 20.0)))
+        rhs = (2.0 * np.pi) ** -0.25 * total**0.25 * np.sqrt(mmd_spectral_1d(kernel, mu, nu))
+        # |F - G| < 1e-90 beyond |x| = 45 (|c| <= 4, sigma <= 2)
+        l2 = np.sqrt(quad(lambda x: float(mu.cdf(x) - nu.cdf(x)) ** 2, -45.0, 45.0, limit=200)[0])
+        assert l2 <= rhs * (1.0 + 1e-6), (l2, rhs)
+        worst = max(worst, l2 / rhs)
+    print(f"criterion 6 companion: worst ||F - G||_L2 / rhs {worst:.3f} over 100 pairs")
 
 
 def test_criterion_07_modified_and_sliced_identities():

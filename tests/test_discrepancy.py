@@ -5,10 +5,10 @@ from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
     RegularizerSpec,
+    _tanh_sinh,
     stream_rng,
 )
 from wmmd.kernels import KernelSpec, sphere_directions
-from wmmd import discrepancy
 from wmmd.discrepancy import (
     mmd_discrete,
     mmd_gmm_gaussian,
@@ -226,27 +226,23 @@ def test_1d_mmd_is_shift_invariant_far_from_zero():
         assert route(k, _uniform(X + 1e8), _uniform(Y + 1e8)) == pytest.approx(ref, rel=1e-8)
 
 
-def test_window_quad_doubles_until_a_window_adds_at_most_rtol():
-    val = discrepancy._window_quad(lambda om: np.exp(-om), 0.0, 8.0, 16, 1e-12)
-    assert val == pytest.approx(1.0, rel=1e-12)
+def test_tanh_sinh_converges_on_split_interval_and_half_line():
+    cusp = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))  # on the cut 1/3
+    exact = (2.0 / 3.0) * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    assert _tanh_sinh(cusp, [0.0, 1.0 / 3.0, 1.0]) == pytest.approx(exact, rel=1e-12)
+    assert _tanh_sinh(lambda om: np.exp(-om), [0.0, np.inf]) == pytest.approx(1.0, rel=1e-12)
+    # an algebraic tail from a lower cut above 0
+    assert _tanh_sinh(lambda om: 1.0 / (1.0 + om**2), [1.0, np.inf]) == pytest.approx(np.pi / 4, rel=1e-12)
 
 
-def test_window_quad_zero_integral_stops_at_second_window(monkeypatch):
-    windows = []
-    real = discrepancy.quad
-
-    def counted(f, lo, hi, **kw):
-        windows.append((lo, hi))
-        return real(f, lo, hi, **kw)
-
-    monkeypatch.setattr(discrepancy, "quad", counted)
-    assert discrepancy._window_quad(lambda om: 0.0, 1e-6, 8.0, 24, 1e-9) == 0.0
-    assert windows == [(1e-6, 8.0), (8.0, 16.0)]
+def test_tanh_sinh_zero_integrand_is_zero():
+    assert _tanh_sinh(np.zeros_like, [1e-6, np.inf]) == 0.0
+    assert _tanh_sinh(np.zeros_like, [0.0, 0.5, 1.0]) == 0.0
 
 
-def test_window_quad_raises_at_cap_and_on_non_finite_window():
-    with pytest.raises(RuntimeError, match="did not converge in 3 windows"):
-        discrepancy._window_quad(lambda om: 1.0, 0.0, 1.0, 3, 1e-9)
-    # 0/0 in numpy: the RuntimeWarning is silenced and the window raises instead
-    with pytest.raises(RuntimeError, match=r"not finite on \[0, 1\]"):
-        discrepancy._window_quad(lambda om: np.float64(0.0) / np.float64(0.0), 0.0, 1.0, 3, 1e-9)
+def test_tanh_sinh_raises_at_cap_and_on_non_finite_sum():
+    with pytest.raises(RuntimeError, match="did not converge in 10 levels"):
+        _tanh_sinh(np.ones_like, [0.0, np.inf])  # a divergent integral
+    # 0/0 in numpy: the RuntimeWarning is silenced and the rule raises instead
+    with pytest.raises(RuntimeError, match="not finite"):
+        _tanh_sinh(lambda x: np.zeros_like(x) / np.zeros_like(x), [0.0, 1.0])

@@ -188,11 +188,6 @@ def test_regularizer_moment_closed_form():
     assert a.moment_p(2, 3) == pytest.approx(3 * 0.49, rel=1e-12)
 
 
-def test_regularizer_rejects_other_families():
-    with pytest.raises(ValueError):
-        RegularizerSpec(1.0, family="Uniform")
-
-
 def test_smooth_builds_mixture():
     m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     g = smooth(m, RegularizerSpec(0.3))

@@ -1,9 +1,11 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import block_diag, csr_matrix
 
@@ -226,7 +228,7 @@ def test_w1d_gmm_translation():
 
 
 def test_w1d_gmm_large_p_is_rescaled():
-    """|F^-1 - G^-1|^200 = 50^200 overflows; both Richardson levels share one scale."""
+    """|F^-1 - G^-1|^200 = 50^200 overflows; every node is divided by one scale fixed before the integral."""
     a = GaussianMixture([1.0], [[0.0]], [100.0])
     b = GaussianMixture([1.0], [[50.0]], [100.0])
     with warnings.catch_warnings():
@@ -250,6 +252,39 @@ def test_w1d_gmm_scale():
     a = GaussianMixture([1.0], [[0.0]], [1.0])
     b = GaussianMixture([1.0], [[0.0]], [1.5])
     assert w1d(2, a, b) == pytest.approx(0.5, rel=2e-6)
+
+
+def test_w1d_gaussians_match_closed_form():
+    """W_2 between N(m, s^2) and N(m', s'^2) is hypot(m - m', s - s')."""
+    rng = stream_rng(0x5A, 7)
+    for _ in range(10):
+        m1, m2 = rng.uniform(-3.0, 3.0, 2)
+        s1, s2 = rng.uniform(0.2, 3.0, 2)
+        got = w1d(2, GaussianMixture([1.0], [[m1]], [s1]), GaussianMixture([1.0], [[m2]], [s2]))
+        assert got == pytest.approx(np.hypot(m1 - m2, s1 - s2), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [50, 200, 400])
+def test_w1d_gmm_large_p_scale_gap_matches_closed_form(p):
+    """W_p(N(0, 1), N(0, 2^2)) is (E|Z|^p)^(1/p); the tails near q = 0 and q = 1 carry it."""
+    a = GaussianMixture([1.0], [[0.0]], [1.0])
+    b = GaussianMixture([1.0], [[0.0]], [2.0])
+    log_moment = (p / 2) * np.log(2.0) + math.lgamma((p + 1) / 2) - 0.5 * np.log(np.pi)
+    assert w1d(p, a, b) == pytest.approx(np.exp(log_moment / p), rel=1e-10)
+
+
+def test_w1d_p1_mixtures_match_cdf_l1():
+    """W_1 between two-component mixtures against the integral of |F - G| over x by `quad`."""
+    rng = stream_rng(0x5A, 8)
+    for _ in range(5):
+        a, b = (
+            GaussianMixture(rng.uniform(0.2, 1.0, 2), rng.uniform(-2.0, 2.0, (2, 1)), rng.uniform(0.3, 2.0, 2))
+            for _ in range(2)
+        )
+        # |F - G| < 1e-80 beyond 19 sigma of every component, so [-40, 40] holds the whole integral
+        f = lambda x: abs(float(a.cdf(x) - b.cdf(x)))
+        ref, _ = quad(f, -40.0, 40.0, limit=200, epsabs=1e-14, epsrel=1e-13)
+        assert w1d(1, a, b) == pytest.approx(ref, rel=1e-12)
 
 
 class TestExact:
