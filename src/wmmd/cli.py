@@ -47,9 +47,9 @@ class _Parser(argparse.ArgumentParser):
 def _openblas_fns(name):
     """OpenBLAS's `name` function from every OpenBLAS mapped into this process.
 
-    numpy and scipy may each load their own copy, and the environment
-    variables are read only when a copy loads, so a running process is capped
-    through these functions instead.
+    numpy and scipy may each load their own copy, and a copy reads the
+    environment variables only when it loads (scipy's at its first call), so
+    the copies already loaded are capped through these functions.
     """
     try:
         with open("/proc/self/maps") as f:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, project, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample, stream_rng
 from .kernels import _sq_dists
 from .reporting import scaling_exponent
+
+quad = _scipy("integrate", "quad")
 
 __all__ = [
     "mmd",

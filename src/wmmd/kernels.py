@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import numpy as np
-from scipy.special import gamma as _gamma, kv as _kv
 
-from .measures import RegularizerSpec
+from .measures import RegularizerSpec, _gamma, _scipy
+
+_kv = _scipy("special", "kv")
 
 __all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_to_json", "kernel_from_json", "kernel_from_text"]
 

@@ -8,8 +8,9 @@ onto directions, Gaussian smoothing and deterministic sampling.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
-from scipy.special import gamma as _gamma, ndtr
 
 __all__ = [
     "DiscreteMeasure",
@@ -26,6 +27,22 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+
+def _scipy(module, name):
+    """`scipy.<module>.<name>`, imported at the first call: most commands never load scipy's submodules."""
+    fn = None
+
+    def call(*args, **kwargs):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(importlib.import_module(f"scipy.{module}"), name)
+        return fn(*args, **kwargs)
+
+    return call
+
+
+_gamma, ndtr = _scipy("special", "gamma"), _scipy("special", "ndtr")
 
 
 def stream_rng(seed, *stream):
@@ -245,7 +262,8 @@ def gmm_quantiles(g, qs):
     F's rounding level 4 eps q, or when its step or bracket shrinks to 2 ulp of
     max(1, |x|).  A Newton step that leaves the bracket, is not finite, or
     fails to halve the step before last is replaced by the bracket midpoint.
-    Raises RuntimeError if a point is still running after `_NEWTON_CAP` steps.
+    Raises RuntimeError if a point is still running after `_NEWTON_CAP` steps,
+    and ValueError for a level above F's largest value (weights summing below 1).
     """
     if g.d != 1:
         raise ValueError("gmm_quantiles needs d=1")
@@ -259,7 +277,9 @@ def gmm_quantiles(g, qs):
     lo, hi = -span, span
     while g.cdf(np.array(lo)) > flat.min():
         lo *= 2.0
-    while g.cdf(np.array(hi)) < flat.max():
+    while (top := g.cdf(np.array(hi))) < flat.max():
+        if hi > np.max(g.means) + 40.0 * np.max(g.sigmas):  # every ndtr reads exactly 1
+            raise ValueError(f"q = {float(flat.max())!r} lies above the mixture's largest CDF value {float(top)!r}")
         hi *= 2.0
     t = np.linspace(lo, hi, _TABLE_POINTS)
     F = np.maximum.accumulate(g.cdf(t))

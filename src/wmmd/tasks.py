@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, _seed64, stream_rng
+from .measures import DiscreteMeasure, _scipy, _seed64, stream_rng
 from .sketch import _cos_sin, sketch_measure
 from .reporting import Report
+
+nnls = _scipy("optimize", "nnls")
 
 __all__ = [
     "TaskSpec",

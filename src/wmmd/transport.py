@@ -12,12 +12,13 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, GaussianMixture, _tanh_sinh, gmm_quantiles, project, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, project, sample, stream_rng
 from .reporting import scaling_exponent
+
+linear_sum_assignment, linprog = _scipy("optimize", "linear_sum_assignment"), _scipy("optimize", "linprog")
+csr_matrix = _scipy("sparse", "csr_matrix")
 
 __all__ = [
     "TransportPlan",
@@ -101,17 +102,19 @@ def _quantile_cost_discrete(p, x, a, y, b):
 
     The integral is exact over the merged cumulative-weight breakpoints.
     Atoms at equal positions cost the same in any order, so each side is
-    sorted unstably.  One stable argsort of the two sorted cumulative runs
-    merges them (timsort finds the runs, so the merge is linear); the first
-    entry of each run of equal values gives the breakpoints, and the counts
-    of each side's entries before it give both atom indices.
+    sorted unstably, and a side of equal weights by `np.sort` alone (its
+    weights read the same in any order).  One stable argsort of the two sorted
+    cumulative runs merges them (timsort finds the runs, so the merge is
+    linear); the first entry of each run of equal values gives the
+    breakpoints, and the counts of each side's entries before it give both
+    atom indices.
     """
-    ix = np.argsort(x)
-    iy = np.argsort(y)
+    ordered = lambda v, w: (np.sort(v), w) if w.min() == w.max() else (v[i := np.argsort(v)], w[i])
+    (x, a), (y, b) = ordered(x, a), ordered(y, b)
     # Clip before pinning the last entry: a cumsum that overshoots 1 early
     # would otherwise leave the run unsorted.
-    ca = np.minimum(np.cumsum(a[ix]), 1.0)
-    cb = np.minimum(np.cumsum(b[iy]), 1.0)
+    ca = np.minimum(np.cumsum(a), 1.0)
+    cb = np.minimum(np.cumsum(b), 1.0)
     ca[-1] = cb[-1] = 1.0
     c = np.concatenate([ca, cb])
     order = np.argsort(c, kind="stable")
@@ -125,7 +128,7 @@ def _quantile_cost_discrete(p, x, a, y, b):
     i = (np.cumsum(from_a) - from_a)[first]
     j = np.flatnonzero(first) - i
     q = merged[first]
-    gap = np.abs(x[ix[i]] - y[iy[j]])
+    gap = np.abs(x[i] - y[j])
     gap, s = _pth_power(gap, p, gap.max())
     return float(np.diff(q, prepend=0.0) @ gap), s
 

@@ -192,6 +192,61 @@ def test_threads_unset_leaves_blas_alone(monkeypatch, data, blas_pool):
     assert blas_threads() == blas_pool
 
 
+def _fresh_python(code, cwd):
+    """Last stdout line of `code` run by a new interpreter, with wmmd from this checkout and BLAS unset."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "WMMD_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_light_commands_load_no_scipy_submodule(tmp_path):
+    """Importing wmmd and running sketch, merge, a Gaussian mmd and a 1-D wass leave scipy's submodules unloaded."""
+    rng = stream_rng(0x5C)
+    save_dataset(tmp_path / "x.csv", rng.standard_normal((40, 2)))
+    save_dataset(tmp_path / "a.csv", rng.standard_normal((30, 1)))
+    save_dataset(tmp_path / "b.csv", rng.standard_normal((20, 1)))
+    commands = [
+        ["sketch", "x.csv", "-o", "s1.json", "--m", "64", "--seed", "1"],
+        ["sketch", "x.csv", "-o", "s2.json", "--m", "64", "--seed", "1"],
+        ["merge", "s1.json", "s2.json", "-o", "s.json"],
+        ["mmd", "x.csv", "x.csv", "--kernel", "gaussian"],
+        ["mmd", "a.csv", "b.csv", "--kernel", "gaussian"],
+        ["wass", "a.csv", "b.csv"],
+    ]
+    code = f"""
+import json, sys
+import wmmd, wmmd.cli, wmmd.lab
+lazy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.special")
+seen = {{"import": [m for m in lazy if m in sys.modules]}}
+for argv in {commands!r}:
+    seen[argv[0]] = [wmmd.cli.dispatch(argv)] + [m for m in lazy if m in sys.modules]
+print(json.dumps(seen))
+"""
+    seen = _fresh_python(code, tmp_path)
+    assert seen == {"import": [], "sketch": [0], "merge": [0], "mmd": [0], "wass": [0]}
+
+
+def test_threads_cap_the_blas_that_scipy_loads_during_the_command(tmp_path):
+    """A 2-D wass loads scipy.optimize, and with it an OpenBLAS, after --threads has run."""
+    rng = stream_rng(0x5D)
+    save_dataset(tmp_path / "a.csv", rng.standard_normal((6, 2)))
+    save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
+    code = """
+import json, sys
+from wmmd import cli
+loaded = "scipy.optimize" in sys.modules
+rc = cli.dispatch(["--threads", "1", "wass", "a.csv", "b.csv"])
+print(json.dumps([loaded, rc, "scipy.optimize" in sys.modules, cli.blas_threads()]))
+"""
+    loaded, rc, now, threads = _fresh_python(code, tmp_path)
+    assert (loaded, rc, now) == (False, 0, True)
+    assert threads == [1] * len(threads)
+
+
 def test_header_only_csv_stderr_is_clean(tmp_path):
     (tmp_path / "hdr.csv").write_text("x0\n")
     (tmp_path / "ok.csv").write_text("x0\n1\n2\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ def test_fourier_bound_rejects_mismatched_means():
     atoms = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     with pytest.raises(ValueError, match="two Gaussian mixtures"):
         lab.fourier_bound_1d(k, atoms, atoms)
+
+
+def test_fourier_bound_report_writes_violating_pairs():
+    """Both sides of every pair reach the report, the violating ones included."""
+    rep = lab.fourier_bound(0, 2, "matern")
+    assert not rep.summary["pass"]
+    for t, w2, rhs in rep.rows:
+        assert np.isfinite([w2, rhs]).all() and w2 > rhs > 0
+        pair = lab._same_mean_gmm_pair(lab.stream_rng(0, t))
+        with pytest.raises(AssertionError, match=re.escape(f"W2={w2} > rhs={rhs}")):
+            lab.fourier_bound_1d(lab.kernel_from_text("matern", 1), *pair)
 
 
 def test_unit_ball_volume_literal():

@@ -115,6 +115,17 @@ class TestGaussianMixture:
         assert gmm_quantiles(g, np.empty((0,))).shape == (0,)
         assert gmm_quantiles(g, np.full((2, 3), 0.5)).shape == (2, 3)
 
+    def test_level_above_the_largest_cdf_value_raises(self):
+        # Trial 25 of this draw has weights summing to 1 - 2^-52, so F never
+        # reaches 1 - 2^-53; the bracket used to widen without end.
+        rng = np.random.default_rng(123)
+        for _ in range(26):
+            g = GaussianMixture(rng.uniform(0.1, 1, 4), rng.normal(size=(4, 1)), rng.uniform(0.5, 2, 4))
+        assert g.weights.sum() == 1 - 2**-52
+        with pytest.raises(ValueError, match=r"q = 0\.9999999999999999 lies above .* 0\.9999999999999998"):
+            gmm_quantile(g, 1 - 2**-53)
+        assert g.cdf(gmm_quantile(g, 1 - 2**-52)) == pytest.approx(1 - 2**-52, abs=2**-52)
+
     def test_iteration_cap_raises(self, monkeypatch):
         g = GaussianMixture([0.3, 0.7], [[-1.0], [2.0]], [0.5, 1.5])
         monkeypatch.setattr(measures, "_NEWTON_CAP", 1)

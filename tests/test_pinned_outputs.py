@@ -19,9 +19,13 @@ values come from `w1d`'s mixture route and whose Matern MMDs come from the
 spectral route.  Its W_2 column moved by at most 1.2e-6 relative, the old
 grid route's error (the new route matches closed forms to about 1e-15), its
 MMD column by at most 1.1e-13, and its `pass`, `stable` and `diverging`
-fields are unchanged.  `fourier-bound --trials 2` reaches the same integrals
-but records every pair as nan (each violates the W_2 bound, as criterion 6
-expects), so its bytes did not move.
+fields are unchanged.
+
+One report is re-recorded since `wmmd lab fourier-bound` writes both sides of
+every pair: `fourier-bound --trials 2` wrote `nan` for `w2` and `rhs` on each
+pair that violates the W_2 bound (both do, as criterion 6 expects) and now
+writes the numbers (W_2 0.3114 and 0.2275 against rhs 0.1300 and 0.0787).
+Its summary sidecar, `pass` false included, is the same bytes.
 """
 
 import hashlib
@@ -121,7 +125,7 @@ RECORDED = {
             "236aaee533656ed1872c43030413e5831642a0e8dad52816e3cf01c74efdc191",
         ),
         "fourier-bound --trials 2": (
-            "938848a231cc5692dab29d0e4da5c19935c4e4e3a34f463bbc1d28d0e550e90c",
+            "adbf694243bc6c0cfe978ffc620e9e9072bd4db6d53f659378e3e69374d14310",
             "34275bff23dd4afcb7db7c1b503d23c0324520b0363bdb3a182870e4b0c3485a",
         ),
         "smoothing": (

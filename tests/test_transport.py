@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import block_diag, csr_matrix
@@ -156,6 +156,54 @@ def test_quantile_coupling_matches_searchsorted_form_exactly():
         else:  # the uniform weights of `w_rate`
             a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
         assert _quantile_cost_discrete(p, x, a, y, b) == (_union_searchsorted_cost(p, x, a, y, b), 1.0)
+
+
+def _argsort_cost(p, x, a, y, b):
+    """Reference: the coupling with both sides argsorted and their weights gathered."""
+    ix, iy = np.argsort(x), np.argsort(y)
+    ca = np.minimum(np.cumsum(a[ix]), 1.0)
+    cb = np.minimum(np.cumsum(b[iy]), 1.0)
+    ca[-1] = cb[-1] = 1.0
+    c = np.concatenate([ca, cb])
+    order = np.argsort(c, kind="stable")
+    merged = c[order]
+    first = np.empty(merged.size, dtype=bool)
+    first[0] = merged[0] > 0
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    from_a = order < ca.size
+    i = (np.cumsum(from_a) - from_a)[first]
+    j = np.flatnonzero(first) - i
+    gap = np.abs(x[ix[i]] - y[iy[j]])
+    gap, s = transport._pth_power(gap, p, gap.max())
+    return float(np.diff(merged[first], prepend=0.0) @ gap), s
+
+
+_signed = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _side(draw):
+    """Positions with ties and both signed zeros; weights all equal, or drawn with zeros among them."""
+    x = np.array(draw(st.lists(_signed, min_size=1, max_size=40)))
+    if draw(st.booleans()):
+        return x, np.full(x.size, 1.0 / x.size)
+    w = np.array(draw(st.lists(_masses, min_size=x.size, max_size=x.size)))
+    assume(w.sum() > 0)
+    return x, w / w.sum()
+
+
+_ZEROS = np.array([-0.0, 0.0, 0.0, -0.0])
+
+
+@given(_side(), _side(), st.sampled_from([1, 2, 3, 200]))
+@example((_ZEROS, np.full(4, 0.25)), (_ZEROS[::-1], np.array([0.5, 0.0, 0.25, 0.25])), 2)
+@example((_ZEROS, np.full(4, 0.25)), (np.array([0.0, -0.0, 1.0]), np.full(3, 1 / 3)), 1)
+@settings(max_examples=300, deadline=None)
+def test_equal_weight_sides_match_the_argsort_path_bit_for_bit(side_a, side_b, p):
+    """A side of equal weights is sorted by value alone and its weights are not gathered."""
+    (x, a), (y, b) = side_a, side_b
+    got = _quantile_cost_discrete(p, x, a, y, b)
+    assert [v.hex() for v in got] == [v.hex() for v in _argsort_cost(p, x, a, y, b)]
 
 
 def test_overshoot_example_passes_one_early():
