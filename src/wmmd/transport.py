@@ -101,15 +101,20 @@ def _quantile_cost_discrete(p, x, a, y, b):
     """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
 
     The integral is exact over the merged cumulative-weight breakpoints.
-    Atoms at equal positions cost the same in any order, so each side is
-    sorted unstably, and a side of equal weights by `np.sort` alone (its
-    weights read the same in any order).  One stable argsort of the two sorted
-    cumulative runs merges them (timsort finds the runs, so the merge is
-    linear); the first entry of each run of equal values gives the
-    breakpoints, and the counts of each side's entries before it give both
-    atom indices.
+    Each side is sorted unstably (atoms at equal positions cost the same in
+    any order), by `np.sort` alone when its weights are all equal.  One
+    stable argsort of the two sorted cumulative runs merges them (timsort
+    finds the runs, so the merge is linear); the first entry of each run of
+    equal values gives the breakpoints, and the counts of each side's
+    entries before it give both atom indices.
     """
-    ordered = lambda v, w: (np.sort(v), w) if w.min() == w.max() else (v[i := np.argsort(v)], w[i])
+
+    def ordered(v, w):
+        if w.min() == w.max():  # a permuted constant array is the same array
+            return np.sort(v), w
+        i = np.argsort(v)
+        return v[i], w[i]
+
     (x, a), (y, b) = ordered(x, a), ordered(y, b)
     # Clip before pinning the last entry: a cumsum that overshoots 1 early
     # would otherwise leave the run unsorted.
