@@ -123,7 +123,7 @@ def _build_parser():
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS worker threads (falls back to the WMMD_THREADS env var)",
+        help="cap BLAS worker threads",
     )
     sub = ap.add_subparsers(dest="command")
 
@@ -201,20 +201,13 @@ def dispatch(argv):
         return 1
     except SystemExit as e:  # -h prints help and exits 0
         return 1 if e.code not in (0, None) else 0
-    threads = args.threads
-    if threads is None and os.environ.get("WMMD_THREADS"):
-        try:
-            threads = int(os.environ["WMMD_THREADS"])
-        except ValueError:
-            print("E: WMMD_THREADS is not an integer", file=sys.stderr)
-            return 1
-    if threads is not None:
-        if threads < 1:
+    if args.threads is not None:
+        if args.threads < 1:
             print("E: --threads must be >= 1", file=sys.stderr)
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-        set_blas_threads(threads)
+            os.environ[var] = str(args.threads)
+        set_blas_threads(args.threads)
     try:
         return _run(args)
     except (UsageError, OSError, ValueError, TypeError, RuntimeError) as e:

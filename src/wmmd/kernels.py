@@ -265,23 +265,6 @@ class KernelSpec:
             raise NonSmoothAtZero("Laplacian kappa0 has a kink at 0")
         raise ValueError(f"hessian_constant undefined for family {self.family}")
 
-    def hessian_constant_fd(self, step=1e-4):
-        """Finite-difference check of hessian_constant (Richardson-refined)."""
-
-        def second_diag(h):
-            H = np.empty(self.d)
-            e = np.eye(self.d)
-            k0 = self.kappa0_0()
-            for i in range(self.d):
-                H[i] = (self.kappa0(h * e[i]) - 2 * k0 + self.kappa0(-h * e[i])) / h**2
-            return H
-
-        d1 = second_diag(step)
-        d2 = second_diag(step / 2.0)
-        diag = (4.0 * d2 - d1) / 3.0  # Richardson extrapolation, O(h^4)
-        lam = float(np.max(-diag))
-        return self.kappa0_0() * np.sqrt(lam)
-
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items() if k != "theta_set")
         return f"KernelSpec({self.family}, d={self.d}, {ps})"

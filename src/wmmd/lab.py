@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, smooth, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, stream_rng
 from .kernels import KernelSpec, kernel_from_text, sphere_directions
 from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_rate, mmd_sliced, mmd_spectral_1d
 from .transport import w1d, w_exact, w_rate, wasserstein, _dist_matrix
@@ -31,7 +31,6 @@ __all__ = [
     "fourier_bound_1d",
     "smoothing_bound",
     "mmd_dominance_check",
-    "gmm_sobolev_constant",
     "EXPERIMENTS",
 ]
 
@@ -121,37 +120,30 @@ def disjoint_segment(pi0, pi1, lam):
 # Experiments.
 
 
-def embeddability_probe(model_sampler, kernel, p, delta, trials, rng, path=None):
+def embeddability_probe(model_sampler, kernel, p, delta, trials, rng):
     """Empirical sup of W_p / MMD^delta over model-set pairs.
 
-    Without a path: draws `trials` pairs from model_sampler(rng) and reports
-    the sup plus a stability flag (sup over all trials within 1.5x of the sup
-    over the first half).  With a path (list of (scale, mu, nu) with scales
-    decreasing): additionally reports whether the ratio diverges along it.
+    Draws `trials` pairs from model_sampler(rng) and reports the sup plus a
+    stability flag (sup over all trials within 1.5x of the sup over the first
+    half).  The `scale` column (always 1.0) and `diverging` (always false)
+    keep the report's format.
     """
     if trials < 10:
         raise ValueError("need at least 10 trials")
-    sampled = path is None
-    path = [(1.0, *model_sampler(rng)) for _ in range(trials)] if sampled else list(path)
+    pairs = [model_sampler(rng) for _ in range(trials)]
     rep = Report("embeddability", ["index", "scale", "w", "mmd", "ratio"])
     ratios = []
-    ws = wasserstein(p, [mu for _, mu, _ in path], [nu for _, _, nu in path])
-    for i, ((scale, mu, nu), w) in enumerate(zip(path, ws)):
+    ws = wasserstein(p, [mu for mu, _ in pairs], [nu for _, nu in pairs])
+    for i, ((mu, nu), w) in enumerate(zip(pairs, ws)):
         m = mmd(kernel, mu, nu)
         ratio = w / m**delta if m > 0 else float("inf")
-        rep.add_row(i, scale, w, m, ratio)
+        rep.add_row(i, 1.0, w, m, ratio)
         ratios.append(ratio)
     sup = float(np.max(ratios))
-    if sampled:
-        half = max(np.max(ratios[: max(trials // 2, 1)]), 1e-300)
-        stable = bool(sup / half < 1.5)
-        verdict = {"stable": stable, "diverging": False, "pass": stable}
-    else:
-        growth = float(ratios[-1] / ratios[0])
-        diverging = growth > 10.0
-        # along a path the probe only reports; callers interpret the growth
-        verdict = {"stable": not diverging, "diverging": diverging, "growth": growth, "pass": True}
-    rep.summary = {"experiment": "embeddability", "delta": delta, "sup": sup, **verdict}
+    half = max(np.max(ratios[: max(trials // 2, 1)]), 1e-300)
+    stable = bool(sup / half < 1.5)
+    rep.summary = {"experiment": "embeddability", "delta": delta, "sup": sup, "stable": stable, "diverging": False,
+                   "pass": stable}
     return rep
 
 
@@ -280,42 +272,6 @@ def mmd_dominance_check(kernel, pairs, p=2):
         "pass": bool(worst <= 1e-9 and grid_ok),
     }
     return rep
-
-
-def gmm_sobolev_constant(sigma_min, s):
-    """max(1, sigma_min^(1-s)) * sum_{n=1}^{s} sqrt(n!) for integer s >= 1."""
-    if s < 1 or int(s) != s:
-        raise ValueError("s must be a positive integer")
-    return float(
-        max(1.0, sigma_min ** (1 - s)) * sum(math.sqrt(math.factorial(n)) for n in range(1, int(s) + 1))
-    )
-
-
-def lemma24_check(alpha, mu, nu, n=2048, boot=20, seed=0):
-    """Sampling check of W_1(mu, nu) <= W_1(mu_a, nu_a) + 2 sigma sqrt(d).
-
-    The smoothed distance is estimated by equal-size empirical samples and an
-    exact assignment, with a bootstrap standard error; passes when the margin
-    is not significantly negative.
-    """
-    d = mu.d
-    w_true = wasserstein(1, mu, nu)
-    vals = []
-    for b in range(boot):
-        rng = stream_rng(seed, b)
-        X = sample(smooth(mu, alpha), n, rng)
-        Y = sample(smooth(nu, alpha), n, rng)
-        vals.append(w_exact(1, X, Y)[0])
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals) / np.sqrt(len(vals)))
-    margin = est + 2.0 * alpha.sigma * np.sqrt(d) - w_true
-    return {
-        "w_true": w_true,
-        "w_smoothed_est": est,
-        "stderr": stderr,
-        "margin": margin,
-        "pass": bool(margin >= -3.0 * stderr),
-    }
 
 
 # ---------------------------------------------------------------------------

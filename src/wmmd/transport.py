@@ -69,14 +69,6 @@ class TransportPlan:
         if abs(recomputed - self.cost) > _PLAN_TOL * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
 
-    def to_csv(self, path):
-        """Export nonzero entries as (i, j, mass) triples."""
-        idx = np.argwhere(self.coupling > 0)
-        with open(path, "w") as f:
-            f.write("i,j,mass\n")
-            for i, j in idx:
-                f.write(f"{i},{j},{self.coupling[i, j]:.17g}\n")
-
 
 def _dist_matrix(X, Y):
     return np.sqrt(_sq_dists(X, Y))

@@ -155,14 +155,6 @@ def test_lab_learnability(tmp_path, capsys):
     assert rc == 0
 
 
-def test_threads_env_validation(monkeypatch, data):
-    p, _ = data
-    monkeypatch.setenv("WMMD_THREADS", "zebra")
-    assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 1
-    monkeypatch.setenv("WMMD_THREADS", "2")
-    assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
-
-
 @pytest.fixture
 def blas_pool():
     """The loaded OpenBLAS thread counts, restored after the test."""
@@ -173,30 +165,27 @@ def blas_pool():
     set_blas_threads(max(before))
 
 
-@pytest.mark.parametrize("flag, env", [(["--threads", "1"], None), ([], "1")])
-def test_threads_cap_loaded_blas(monkeypatch, data, blas_pool, flag, env):
+def test_threads_cap_loaded_blas(data, blas_pool):
     p, _ = data
     set_blas_threads(2)
-    if env is None:
-        monkeypatch.delenv("WMMD_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("WMMD_THREADS", env)
-    assert dispatch([*flag, "mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
+    assert dispatch(["--threads", "1", "mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
     assert blas_threads() == [1] * len(blas_pool)
 
 
-def test_threads_unset_leaves_blas_alone(monkeypatch, data, blas_pool):
+def test_threads_unset_leaves_blas_alone(data, blas_pool):
     p, _ = data
-    monkeypatch.delenv("WMMD_THREADS", raising=False)
     assert dispatch(["mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
     assert blas_threads() == blas_pool
 
 
-def _fresh_python(code, cwd):
-    """Last stdout line of `code` run by a new interpreter, with wmmd from this checkout and BLAS unset."""
+def _fresh_python(code, cwd, **blas_env):
+    """Last stdout line of `code` run by a new interpreter, with wmmd from this checkout.
+
+    The BLAS thread variables are unset, apart from those given in blas_env.
+    """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "WMMD_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars} | blas_env
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -294,6 +283,24 @@ print(json.dumps([before, loaded, rc, "scipy.optimize" in sys.modules, cli.blas_
     assert (loaded, rc, now) == (False, 0, True)
     if len(threads) <= len(before):
         pytest.skip("scipy loaded no OpenBLAS of its own (or none is readable)")
+    assert threads == [1] * len(threads)
+
+
+def test_openblas_env_alone_caps_every_loaded_blas(tmp_path):
+    """Set before start, OPENBLAS_NUM_THREADS=1 alone caps numpy's OpenBLAS and the one a 2-D wass loads with scipy."""
+    rng = stream_rng(0x5D)
+    save_dataset(tmp_path / "a.csv", rng.standard_normal((6, 2)))
+    save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
+    code = """
+import json, sys
+from wmmd import cli
+rc = cli.dispatch(["wass", "a.csv", "b.csv"])
+print(json.dumps([rc, "scipy.optimize" in sys.modules, cli.blas_threads()]))
+"""
+    rc, loaded, threads = _fresh_python(code, tmp_path, OPENBLAS_NUM_THREADS="1")
+    assert (rc, loaded) == (0, True)
+    if not threads:
+        pytest.skip("no readable OpenBLAS is loaded")
     assert threads == [1] * len(threads)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmmd.measures import (
     DiscreteMeasure,
@@ -10,6 +11,7 @@ from wmmd.measures import (
 )
 from wmmd.kernels import KernelSpec, sphere_directions
 from wmmd.discrepancy import (
+    mmd,
     mmd_discrete,
     mmd_gmm_gaussian,
     mmd_gaussian_kernel,
@@ -101,6 +103,62 @@ def test_blocked_gauss_sums_match_double_sum(n, d, widths):
     assert abs(_gauss_self(*B, sigma_k, scale, d) - scale * bb) <= tol
     assert abs(_gauss_cross(*A, *B, sigma_k, scale, d) - scale * ab) <= tol
     assert abs(_gauss_cross(*B, *A, sigma_k, scale, d) - scale * ab) <= tol
+
+
+# Coordinates from a small grid (ties and repeated atoms) or arbitrary ones.
+_coords = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _side(draw, d, mixture):
+    """A discrete measure or an isotropic Gaussian mixture, of at most 5 atoms or components."""
+    n = draw(st.integers(1, 5))
+    w = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    m = np.array(draw(st.lists(st.lists(_coords, min_size=d, max_size=d), min_size=n, max_size=n)))
+    if not mixture:
+        return DiscreteMeasure(m, w)
+    return GaussianMixture(w, m, draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+
+
+def _closed_form_sq(sigma_k, scale, mu, nu):
+    """(squared MMD, aa + bb) under scale*exp(-||z||^2/(2 sigma_k^2)), summed term by term."""
+    A, B = (
+        (g.weights, g.means, g.sigmas) if isinstance(g, GaussianMixture) else (g.weights, g.points, np.zeros(g.n))
+        for g in (mu, nu)
+    )
+    aa, bb, ab = (scale * _gauss_double_sum(*X, *Y, sigma_k, mu.d) for X, Y in ((A, A), (B, B), (A, B)))
+    return aa + bb - 2.0 * ab, aa + bb
+
+
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(_side(d, False), _side(d, False))),
+    st.sampled_from(["gaussian", "laplacian", "matern"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_mmd_chooser_matches_the_double_sum_on_discrete_pairs(pair, family):
+    mu, nu = pair
+    k = {"gaussian": KernelSpec.gaussian(0.8, mu.d, scale=1.3), "laplacian": KernelSpec.laplacian(0.9, mu.d),
+         "matern": KernelSpec.matern(1.5, 1.1, mu.d)}[family]
+    val = mmd(k, mu, nu)
+    assert val == mmd_discrete(k, mu, nu)
+    if family == "gaussian":
+        sq, mass = _closed_form_sq(0.8, 1.3, mu, nu)
+        assert abs(val**2 - sq) <= 1e-12 * mass
+
+
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(_side(d, True), st.booleans().flatmap(lambda m: _side(d, m)))),
+    st.sampled_from([0.5, 1.5]),
+)
+@settings(max_examples=100, deadline=None)
+def test_mmd_chooser_matches_the_closed_form_on_mixtures(pair, sigma_k):
+    """A mixture against a mixture or a discrete measure takes the Gaussian closed form."""
+    mu, nu = pair
+    k = KernelSpec.gaussian(sigma_k, mu.d, scale=0.7)
+    val = mmd(k, mu, nu)
+    assert val == mmd_gmm_gaussian(sigma_k, mu, nu, scale=0.7)
+    sq, mass = _closed_form_sq(sigma_k, 0.7, mu, nu)
+    assert abs(val**2 - sq) <= 1e-12 * mass
 
 
 def test_gmm_closed_form_two_gaussians():

@@ -133,18 +133,6 @@ def test_embeddability_probe_stable_case():
     assert not rep.summary["diverging"]
 
 
-def test_embeddability_probe_divergent_path():
-    kernel = KernelSpec.gaussian(1.0, 1)
-    cons = lab.BinomialDiracs(k=4, x0=(0.0,), radius=100.0, direction=(1.0,))
-    path = []
-    for eps in (2.0**-j for j in range(1, 7)):
-        mu, nu = lab.dirac_pair(cons, eps)
-        path.append((eps, mu, nu))
-    rep = lab.embeddability_probe(lambda r: None, kernel, 1, 1.0, 10, None, path=path)
-    assert rep.summary["diverging"]
-    assert rep.summary["growth"] > 10
-
-
 def test_embeddability_probe_needs_trials():
     with pytest.raises(ValueError):
         lab.embeddability_probe(lambda r: None, KernelSpec.gaussian(1.0, 1), 1, 1.0, 5, None)
@@ -288,17 +276,3 @@ def test_dominance_rejects_modified_kernel():
         lab.mmd_dominance_check(k, [])
 
 
-def test_gmm_sobolev_constant():
-    # s=2, sigma_min=0.5: max(1, 0.5^-1) * (sqrt(1!) + sqrt(2!))
-    expect = 2.0 * (1.0 + math.sqrt(2.0))
-    assert lab.gmm_sobolev_constant(0.5, 2) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        lab.gmm_sobolev_constant(0.5, 1.5)
-
-
-def test_lemma24_sampling_check():
-    rng = stream_rng(7)
-    mu = _uniform(rng.uniform(-1, 1, size=(5, 2)))
-    nu = _uniform(rng.uniform(-1, 1, size=(5, 2)))
-    out = lab.lemma24_check(RegularizerSpec(0.3), mu, nu, n=512, boot=8, seed=1)
-    assert out["pass"]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmmd.measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, stream_rng
 from wmmd.kernels import KernelSpec, kernel_to_dict
@@ -134,6 +135,21 @@ class TestMerge:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge([])
+
+
+@given(st.lists(st.integers(1, 40), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_merge_is_associative(sizes, seed):
+    """Shards merged in either grouping, all at once, or sketched as one set agree to ~1e-15."""
+    F = draw_features(K2, 32, 7)
+    rng = stream_rng(seed)
+    X = [rng.standard_normal((n, 2)) for n in sizes]
+    a, b, c = (sketch_samples(F, x) for x in X)
+    flat = merge([a, b, c])
+    for s in (merge([merge([a, b]), c]), merge([a, merge([b, c])]), sketch_samples(F, np.vstack(X))):
+        assert np.max(np.abs(s.values - flat.values)) <= 1e-15
+        assert s.n_samples == flat.n_samples
+        assert np.array_equal(s.lo, flat.lo) and np.array_equal(s.hi, flat.hi)
 
 
 def test_sketch_distance_empirical_kernel_identity():

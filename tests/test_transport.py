@@ -435,16 +435,6 @@ class TestExact:
         )
         assert val**2 == pytest.approx(ref.fun, rel=1e-7)
 
-    def test_plan_csv(self, tmp_path):
-        mu = _uniform([[0.0], [1.0]])
-        nu = _uniform([[0.5], [1.5]])
-        _, plan = w_exact(2, mu, nu)
-        out = tmp_path / "plan.csv"
-        plan.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "i,j,mass"
-        mass = sum(float(l.split(",")[2]) for l in lines[1:])
-        assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def _weighted_pair(rng, n, m, d, scale=1.0):
@@ -592,6 +582,28 @@ def test_brute_matches_permutation_loop():
             mu = _uniform(rng.normal(size=(n, 2)))
             nu = _uniform(rng.normal(size=(n, 2)))
             assert w_brute(p, mu, nu) == _brute_loop(p, mu, nu)
+
+
+# Coordinates from a small grid (ties and repeated atoms) or arbitrary ones.
+_coords = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _uniform_pair(draw, d):
+    n = draw(st.integers(1, 6))
+    side = st.lists(st.lists(_coords, min_size=d, max_size=d), min_size=n, max_size=n)
+    return _uniform(np.array(draw(side))), _uniform(np.array(draw(side)))
+
+
+@given(st.sampled_from([1, 2]).flatmap(_uniform_pair), st.sampled_from([1, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_wasserstein_chooser_matches_brute_force(pair, p):
+    """The chosen route (assignment in d = 2, quantile coupling in d = 1) against the permutation oracle."""
+    mu, nu = pair
+    w = wasserstein(p, mu, nu)
+    if mu.d == 1:
+        assert w == w1d(p, mu, nu)
+    assert w == pytest.approx(w_brute(p, mu, nu), rel=1e-12, abs=1e-12)
 
 
 def test_brute_rejects_nonuniform():
