@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, load_dataset
 from .kernels import kernel_from_text
-from .discrepancy import mmd
+from .discrepancy import cap_threads, mmd
 from .transport import wasserstein
 from .sketch import (
     draw_features,
@@ -123,7 +123,7 @@ def _build_parser():
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS worker threads",
+        help="cap BLAS's threads, and the Gaussian MMD sums' (by default one per CPU in the affinity mask), at N",
     )
     sub = ap.add_subparsers(dest="command")
 
@@ -208,6 +208,7 @@ def dispatch(argv):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
         set_blas_threads(args.threads)
+        cap_threads(args.threads)
     try:
         return _run(args)
     except (UsageError, OSError, ValueError, TypeError, RuntimeError) as e:

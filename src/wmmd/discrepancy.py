@@ -7,6 +7,8 @@ signals a non-p.s.d. kernel and raises.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import warnings
 
 import numpy as np
@@ -65,6 +67,47 @@ def _as_components(measure):
 # passes, so it should stay in L2: a 64 x 8192 float64 block is 4 MiB.
 _BLOCK = 64
 
+# Threads for the blocks: every CPU in the affinity mask, or `cap_threads`'
+# cap.  The pool starts at the first threaded sum; a forked child starts anew.
+# A sum is threaded only when its blocks average _MIN_PAIRS pairs (512 KiB):
+# narrower blocks spend more CPU on interpreter-lock hand-offs than they save.
+_MIN_PAIRS = 2**16
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_workers, _pool = _CPUS, None
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def cap_threads(n):
+    """Compute the Gaussian sums on at most n threads."""
+    global _workers
+    _workers = max(1, min(int(n), _CPUS))
+
+
+def _block_sum(block_value, n, pairs):
+    """Sum of block_value(i0) over the row blocks i0 < n, added in block order.
+
+    Block i goes to pool thread i mod W, which runs it in a copy of the
+    caller's context (numpy's error state included).
+    """
+    global _pool
+    starts = range(0, n, _BLOCK)
+    w = min(_workers, len(starts)) if pairs >= _MIN_PAIRS * len(starts) else 1
+    if w < 2:
+        values = map(block_value, starts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        _pool = _pool or ThreadPoolExecutor(_CPUS, thread_name_prefix="wmmd-gauss")
+        share = lambda k: [block_value(i0) for i0 in starts[k::w]]
+        futures = [_pool.submit(contextvars.copy_context().run, share, k) for k in range(w)]
+        wait(futures)  # no block outlives the call, even when one raises
+        shares = [f.result() for f in futures]
+        values = [shares[i % w][i // w] for i in range(len(starts))]
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
 
 def _gauss_block(m1, s1, m2, s2, sig2, d):
     """E[exp(-||X_i - Y_j||^2 / (2 sig2))] for X_i ~ N(m1_i, s1_i^2 I), Y_j ~ N(m2_j, s2_j^2 I)."""
@@ -82,23 +125,23 @@ def _gauss_block(m1, s1, m2, s2, sig2, d):
 
 def _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d):
     """sum_ij w1_i w2_j E[kappa(X_i, Y_j)] for kernel scale*exp(-||z||^2/(2 sigma_k^2))."""
-    total = 0.0
-    for i0 in range(0, m1.shape[0], _BLOCK):
+    def block_value(i0):
         rows = slice(i0, i0 + _BLOCK)
-        total += w1[rows] @ _gauss_block(m1[rows], s1[rows], m2, s2, sigma_k**2, d) @ w2
-    return scale * float(total)
+        return w1[rows] @ _gauss_block(m1[rows], s1[rows], m2, s2, sigma_k**2, d) @ w2
+
+    return scale * float(_block_sum(block_value, m1.shape[0], m1.shape[0] * m2.shape[0]))
 
 
 def _gauss_self(w, m, s, sigma_k, scale, d):
     """_gauss_cross of one mixture with itself, summed over the upper block triangle."""
-    total = 0.0
-    for i0 in range(0, m.shape[0], _BLOCK):
+    def block_value(i0):
         i1 = i0 + _BLOCK
         block = _gauss_block(m[i0:i1], s[i0:i1], m[i0:], s[i0:], sigma_k**2, d)
         wb = w[i0:i1]
         b = wb.shape[0]
-        total += wb @ block[:, :b] @ wb + 2.0 * (wb @ block[:, b:] @ w[i1:])
-    return scale * float(total)
+        return wb @ block[:, :b] @ wb + 2.0 * (wb @ block[:, b:] @ w[i1:])
+
+    return scale * float(_block_sum(block_value, m.shape[0], m.shape[0] * (m.shape[0] + 1) // 2))
 
 
 def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):

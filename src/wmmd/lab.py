@@ -125,25 +125,23 @@ def embeddability_probe(model_sampler, kernel, p, delta, trials, rng):
 
     Draws `trials` pairs from model_sampler(rng) and reports the sup plus a
     stability flag (sup over all trials within 1.5x of the sup over the first
-    half).  The `scale` column (always 1.0) and `diverging` (always false)
-    keep the report's format.
+    half).
     """
     if trials < 10:
         raise ValueError("need at least 10 trials")
     pairs = [model_sampler(rng) for _ in range(trials)]
-    rep = Report("embeddability", ["index", "scale", "w", "mmd", "ratio"])
+    rep = Report("embeddability", ["index", "w", "mmd", "ratio"])
     ratios = []
     ws = wasserstein(p, [mu for mu, _ in pairs], [nu for _, nu in pairs])
     for i, ((mu, nu), w) in enumerate(zip(pairs, ws)):
         m = mmd(kernel, mu, nu)
         ratio = w / m**delta if m > 0 else float("inf")
-        rep.add_row(i, 1.0, w, m, ratio)
+        rep.add_row(i, w, m, ratio)
         ratios.append(ratio)
     sup = float(np.max(ratios))
     half = max(np.max(ratios[: max(trials // 2, 1)]), 1e-300)
     stable = bool(sup / half < 1.5)
-    rep.summary = {"experiment": "embeddability", "delta": delta, "sup": sup, "stable": stable, "diverging": False,
-                   "pass": stable}
+    rep.summary = {"experiment": "embeddability", "delta": delta, "sup": sup, "stable": stable, "pass": stable}
     return rep
 
 

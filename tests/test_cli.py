@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from wmmd import lab
-from wmmd.measures import save_dataset, stream_rng
+from wmmd import discrepancy, lab
+from wmmd.kernels import KernelSpec
+from wmmd.measures import GaussianMixture, save_dataset, stream_rng
 from wmmd.cli import blas_threads, dispatch, set_blas_threads
 from wmmd.sketch import load_sketch
 
@@ -156,8 +157,9 @@ def test_lab_learnability(tmp_path, capsys):
 
 
 @pytest.fixture
-def blas_pool():
-    """The loaded OpenBLAS thread counts, restored after the test."""
+def blas_pool(monkeypatch):
+    """The loaded OpenBLAS thread counts, restored after the test with the Gaussian sums' thread cap."""
+    monkeypatch.setattr(discrepancy, "_workers", discrepancy._workers)
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -302,6 +304,55 @@ print(json.dumps([rc, "scipy.optimize" in sys.modules, cli.blas_threads()]))
     if not threads:
         pytest.skip("no readable OpenBLAS is loaded")
     assert threads == [1] * len(threads)
+
+
+def test_import_starts_no_thread():
+    """The Gaussian sums' pool, and the concurrent.futures it needs, wait for the first multi-block sum."""
+    code = """
+import json, sys, threading
+import wmmd, wmmd.cli, wmmd.lab
+print(json.dumps([threading.active_count(), [m for m in sys.modules if m == "concurrent.futures" or m.startswith("scipy.")]]))
+"""
+    assert _fresh_python(code, None) == [1, []]
+
+
+def test_threads_one_starts_no_worker_and_keeps_the_report(tmp_path):
+    argv = ["lab", "rates", "--which", "mmd", "--trials", "1", "-o", "r.csv"]
+    seen = {}
+    for name, flags in (("capped", ["--threads", "1"]), ("free", [])):
+        (tmp_path / name).mkdir()
+        code = f"""
+import json, threading
+from wmmd import cli, discrepancy
+discrepancy._MIN_PAIRS = 0  # a pool for these small sums too
+rc = cli.dispatch({flags + argv!r})
+print(json.dumps([rc, threading.active_count()]))
+"""
+        seen[name] = _fresh_python(code, tmp_path / name)
+    assert seen["capped"][1] == 1
+    assert (seen["free"][1] > 1) == (discrepancy._CPUS > 1)  # the pool started
+    assert seen["capped"][0] == seen["free"][0] in (0, 2)
+    for f in ("r.csv", "r.csv.summary.json"):
+        assert (tmp_path / "capped" / f).read_bytes() == (tmp_path / "free" / f).read_bytes()
+
+
+def test_mmd_rate_on_one_cpu_equals_every_cpu(monkeypatch):
+    """A process whose affinity mask holds one CPU sums on one thread, to the same bits."""
+    code = """
+import json, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from wmmd import discrepancy
+from wmmd.kernels import KernelSpec
+from wmmd.measures import GaussianMixture
+pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
+fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
+print(json.dumps([discrepancy._workers, repr(fit)]))
+"""
+    monkeypatch.setattr(discrepancy, "_workers", discrepancy._CPUS)
+    monkeypatch.setattr(discrepancy, "_MIN_PAIRS", 0)
+    pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
+    fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
+    assert _fresh_python(code, None) == [1, repr(fit)]
 
 
 def test_header_only_csv_stderr_is_clean(tmp_path):

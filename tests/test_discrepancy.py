@@ -1,7 +1,11 @@
+import contextlib
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmmd import discrepancy
 from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
@@ -304,3 +308,94 @@ def test_tanh_sinh_raises_at_cap_and_on_non_finite_sum():
     # 0/0 in numpy: the RuntimeWarning is silenced and the rule raises instead
     with pytest.raises(RuntimeError, match="not finite"):
         _tanh_sinh(lambda x: np.zeros_like(x) / np.zeros_like(x), [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian sums' row blocks on several threads
+
+several_cpus = pytest.mark.skipif(discrepancy._CPUS < 2, reason="one CPU in the affinity mask: no pool")
+
+
+@contextlib.contextmanager
+def _threads(n):
+    """At most n threads, and a pool for every multi-block sum however narrow its blocks."""
+    before = discrepancy._workers, discrepancy._MIN_PAIRS
+    discrepancy.cap_threads(n)
+    discrepancy._MIN_PAIRS = 0
+    try:
+        yield
+    finally:
+        discrepancy._workers, discrepancy._MIN_PAIRS = before
+
+
+@st.composite
+def _large_side(draw, d):
+    """A discrete measure or a mixture of 1-300 atoms or components, 63, 64, 65 and 128 among them."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128]) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, m = rng.uniform(1e-3, 1.0, n), rng.normal(size=(n, d)) * draw(st.sampled_from([0.3, 1.0, 4.0]))
+    if draw(st.booleans()):
+        return DiscreteMeasure(m, w)
+    return GaussianMixture(w, m, rng.uniform(0.05, 2.0, n))
+
+
+@several_cpus
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_large_side(d), _large_side(d))), st.sampled_from([0.3, 1.0, 2.5]))
+@settings(max_examples=60, deadline=None)
+def test_gauss_sums_on_every_thread_equal_one_thread_bit_for_bit(pair, sigma_k):
+    mu, nu = pair
+    with _threads(1):
+        one = mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.3)
+    with _threads(discrepancy._CPUS):
+        every = mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.3)
+    assert every.hex() == one.hex()
+
+
+def _split_far_pair():
+    """Rows 64-127 of mu sit far from everything else: only the cross sum's second block underflows."""
+    near = stream_rng(0x7A).normal(size=(64, 1))
+    mu = DiscreteMeasure(np.vstack([near, near + 100.0]), np.ones(128))
+    return mu, DiscreteMeasure(near, np.ones(64))
+
+
+@several_cpus
+@pytest.mark.parametrize("threads", [1, 2])
+def test_error_state_reaches_every_thread(threads):
+    """np.errstate is a context variable: a block on a pool thread raises in the caller, as on one thread."""
+    mu, nu = _split_far_pair()
+    A, B = (mu.weights, mu.points, np.zeros(mu.n)), (nu.weights, nu.points, np.zeros(nu.n))
+    with _threads(threads):
+        assert _gauss_cross(*A, *B, 1.0, 1.0, 1) > 0  # numpy ignores underflow by default
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            _gauss_cross(*A, *B, 1.0, 1.0, 1)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            mmd_gmm_gaussian(1.0, mu, nu)
+        # under `filterwarnings = ["error"]` a worker's warning is an exception in the caller
+        with np.errstate(under="warn"), pytest.raises(RuntimeWarning, match="underflow"):
+            _gauss_cross(*A, *B, 1.0, 1.0, 1)
+
+
+def _child_mmd(queue, mu, nu):
+    queue.put(mmd_gmm_gaussian(1.0, mu, nu).hex())
+
+
+@several_cpus
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_builds_its_own_pool():
+    """The parent's pool threads do not exist in a forked child; it must not wait on them."""
+    mu, nu = _split_far_pair()
+    with _threads(discrepancy._CPUS):
+        parent = mmd_gmm_gaussian(1.0, mu, nu)  # the pool now exists
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_child_mmd, args=(queue, mu, nu))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == parent.hex()

@@ -19,7 +19,10 @@ values come from `w1d`'s mixture route and whose Matern MMDs come from the
 spectral route.  Its W_2 column moved by at most 1.2e-6 relative, the old
 grid route's error (the new route matches closed forms to about 1e-15), its
 MMD column by at most 1.1e-13, and its `pass`, `stable` and `diverging`
-fields are unchanged.
+fields are unchanged.  It is re-recorded once more since the report dropped
+two fields that never varied: the CSV's `scale` column (always 1) and the
+sidecar's `diverging` (always false).  Every other column and field is the
+same bytes.
 
 One report is re-recorded since `wmmd lab fourier-bound` writes both sides of
 every pair: `fourier-bound --trials 2` wrote `nan` for `w2` and `rhs` on each
@@ -143,8 +146,8 @@ RECORDED = {
             "4b41f0d0606b2e48ac6193b59411a7ea0cfba1d77dfcb691053dc122db5a2488",
         ),
         "embeddability --trials 10": (
-            "beef680c7efda5aab15955f7e5b0685b63a120b6fe79e906ec783ba58a81813a",
-            "06efb1faf56f7dd0753f274ae8414d307740eb43d016e559cc5687936837845a",
+            "3eff6653be78b36eaa142f14cd7a9f1c003ad92400695baeb1e278e2609fe3b0",
+            "bc01d86ab431db1211b7a8dc5053203259995f2967b653119fb700d9c96c713d",
         ),
         "learnability --trials 4": (
             "4fd5d8af33d976370c42a8442c8569ddfdc1669da66967e8d09a258a63ee697f",
