@@ -13,9 +13,9 @@ import warnings
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample, stream_rng
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample
 from .kernels import _sq_dists
-from .reporting import scaling_exponent
+from .reporting import sampling_rate
 
 quad = _scipy("integrate", "quad")
 
@@ -49,8 +49,8 @@ def mmd_discrete(k, mu, nu):
     Kaa = k.gram(mu.points, mu.points)
     Kbb = k.gram(nu.points, nu.points)
     Kab = k.gram(mu.points, nu.points)
-    sq = float(a @ Kaa @ a + b @ Kbb @ b - 2.0 * (a @ Kab @ b))
     scale = float(a @ Kaa @ a + b @ Kbb @ b)
+    sq = scale - 2.0 * float(a @ Kab @ b)
     return np.sqrt(_clamp_sq(sq, scale))
 
 
@@ -164,15 +164,10 @@ def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):
 
 
 def mmd_gaussian_kernel(k, mu, nu):
-    """mmd_gmm_gaussian with (sigma_k, scale) read off a Gaussian-type kernel."""
-    if k.family == "gaussian":
-        return mmd_gmm_gaussian(k.sigma, mu, nu, scale=k.scale)
-    if k.family == "convroot":
-        # kappa0(z) = (4 pi s^2)^(-d/2) exp(-||z||^2/(4 s^2))
-        return mmd_gmm_gaussian(
-            np.sqrt(2.0) * k.sigma, mu, nu, scale=k.kappa0_0()
-        )
-    raise ValueError("kernel must be Gaussian or convolution-root Gaussian")
+    """mmd_gmm_gaussian with (sigma_k, scale) read off a Gaussian kernel."""
+    if k.family != "gaussian":
+        raise ValueError("kernel must be Gaussian")
+    return mmd_gmm_gaussian(k.sigma, mu, nu, scale=k.scale)
 
 
 def _signed_components_1d(mu, nu):
@@ -233,12 +228,13 @@ def mmd_spectral_1d(k, mu, nu):
 def mmd(k, mu, nu):
     """MMD by the route the pair allows.
 
-    Two discrete measures take the double sum; otherwise Gaussian-type
-    kernels take the closed form, and other 1-D kernels spectral quadrature.
+    Two discrete measures take the double sum; otherwise Gaussian kernels
+    (the convolution-root kernel among them) take the closed form, and other
+    1-D kernels spectral quadrature.
     """
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
         return mmd_discrete(k, mu, nu)
-    if k.family in ("gaussian", "convroot"):
+    if k.family == "gaussian":
         return mmd_gaussian_kernel(k, mu, nu)
     if k.d == 1:
         return mmd_spectral_1d(k, mu, nu)
@@ -304,20 +300,9 @@ def mmd_sliced(base_k, theta_set, mu, nu):
 def mmd_rate(measure, kernel, n_grid, trials, seed):
     """Fitted slope of log E||pi - pi_n||_kappa against log n.
 
-    The population-vs-empirical MMD is computed in closed form (Gaussian-type
+    The population-vs-empirical MMD is computed in closed form (Gaussian
     kernel), so the only randomness is the sample draw.
     """
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 5:
-        raise ValueError("n_grid needs at least 5 points")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    pairs = []
-    for gi, n in enumerate(n_grid):
-        acc = 0.0
-        for t in range(trials):
-            rng = stream_rng(seed, gi, t)
-            emp = sample(measure, n, rng)
-            acc += mmd_gaussian_kernel(kernel, measure, emp)
-        pairs.append((n, acc / trials))
-    return scaling_exponent(pairs)
+    return sampling_rate(
+        lambda n, rng: mmd_gaussian_kernel(kernel, measure, sample(measure, n, rng)), n_grid, trials, seed
+    )

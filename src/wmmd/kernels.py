@@ -1,8 +1,9 @@
 """Translation-invariant p.s.d. kernels with spectral samplers and transforms.
 
-Families: Gaussian, Laplacian, Matern, convolution-root (kappa0 = alpha*alpha
-for a Gaussian regularizer alpha), plus sliced (average of a 1-D kernel over a
-fixed direction set) and modified (additive <x,y> mean term) constructions.
+Families: Gaussian, Laplacian, Matern, plus sliced (average of a 1-D kernel
+over a fixed direction set) and modified (additive <x,y> mean term)
+constructions.  The convolution-root kernel kappa0 = alpha*alpha of a Gaussian
+regularizer alpha is built as the Gaussian kernel it equals.
 
 Conventions.  kappa(x, y) = kappa0(x - y) for the TI families.  The Fourier
 transform uses kappa0_hat(w) = int kappa0(z) e^{-i<w,z>} dz, so the spectral
@@ -43,6 +44,12 @@ def _sq_dists(X, Y):
     return sq
 
 
+def _dimension(d):
+    if not (np.isfinite(d) and d == int(d) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    return int(d)
+
+
 def _positive(**params):
     for name, v in params.items():
         if not 0 < v < np.inf:
@@ -57,10 +64,8 @@ class KernelSpec:
     """
 
     def __init__(self, family, d, **params):
-        if not (np.isfinite(d) and d == int(d) and d >= 1):
-            raise ValueError(f"d must be an integer >= 1, got {d!r}")
         self.family = family
-        self.d = int(d)
+        self.d = _dimension(d)
         self.params = params
         for k, v in params.items():
             setattr(self, k, v)
@@ -88,11 +93,13 @@ class KernelSpec:
 
         The convolution of two Gaussian densities with std sigma is the
         Gaussian density with variance 2 sigma^2, so
-        kappa0(z) = (4 pi sigma^2)^(-d/2) exp(-||z||^2 / (4 sigma^2)).
+        kappa0(z) = (4 pi sigma^2)^(-d/2) exp(-||z||^2 / (4 sigma^2)): the
+        Gaussian kernel of std sqrt(2) sigma and that scale.
         """
         if not isinstance(alpha, RegularizerSpec):
             raise TypeError("alpha must be a RegularizerSpec")
-        return cls("convroot", d, sigma=float(alpha.sigma))
+        s, d = float(alpha.sigma), _dimension(d)
+        return cls.gaussian(np.sqrt(2.0) * s, d, (4.0 * np.pi * s**2) ** (-d / 2))
 
     @classmethod
     def sliced(cls, base, theta_set):
@@ -149,9 +156,6 @@ class KernelSpec:
             tt = t[nz]
             out[nz] = (2.0 ** (1.0 - nu) / _gamma(nu)) * tt**nu * _kv(nu, tt)
             return out
-        if self.family == "convroot":
-            c = (4.0 * np.pi * self.sigma**2) ** (-self.d / 2)
-            return c * np.exp(-(r**2) / (4.0 * self.sigma**2))
         if self.family == "sliced":
             raise ValueError("sliced kernel is not radial; use eval")
         raise ValueError(f"kappa0 undefined for family {self.family}")
@@ -193,9 +197,6 @@ class KernelSpec:
         d = self.d
         if self.family == "gaussian":
             return rng.standard_normal((m, d)) / self.sigma
-        if self.family == "convroot":
-            # spectrum proportional to exp(-sigma^2 ||w||^2)
-            return rng.standard_normal((m, d)) / (np.sqrt(2.0) * self.sigma)
         if self.family in ("laplacian", "matern"):
             # multivariate Student-t: density prop. to (df/sigma^2 + ||w||^2)^-((df+d)/2)
             df = 1.0 if self.family == "laplacian" else 2.0 * self.nu
@@ -234,8 +235,6 @@ class KernelSpec:
                 / (_gamma(nu) * sig ** (2.0 * nu))
             )
             out = c * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
-        elif self.family == "convroot":
-            out = np.exp(-self.sigma**2 * w2)
         else:
             raise ValueError(f"no closed-form transform for family {self.family}")
         return float(out[0]) if scalar else out
@@ -245,15 +244,12 @@ class KernelSpec:
 
         Analytic where the second derivative at 0 is known; Laplacian and
         Matern with nu <= 1 have a kink (or unbounded curvature) at 0 and
-        raise NonSmoothAtZero.
+        raise NonSmoothAtZero.  Every other kernel (sliced, modified) raises
+        an UnsupportedKernel ValueError.
         """
         if self.family == "gaussian":
             lam = self.scale / self.sigma**2
             return self.scale * np.sqrt(lam)
-        if self.family == "convroot":
-            k0 = self.kappa0_0()
-            lam = k0 / (2.0 * self.sigma**2)
-            return k0 * np.sqrt(lam)
         if self.family == "matern":
             if self.nu <= 1.0:
                 raise NonSmoothAtZero(
@@ -263,7 +259,7 @@ class KernelSpec:
             return np.sqrt(lam)
         if self.family == "laplacian":
             raise NonSmoothAtZero("Laplacian kappa0 has a kink at 0")
-        raise ValueError(f"hessian_constant undefined for family {self.family}")
+        raise ValueError(f"UnsupportedKernel: no curvature constant for {self.family} kernels")
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items() if k != "theta_set")

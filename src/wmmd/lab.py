@@ -195,7 +195,7 @@ def smoothing_bound(alpha, p, mu, nu, s, M):
     """Check the smoothing chain bound on a pair with bounded s-th moment.
 
     W_p(mu, nu) <= C_{d,s,p} (M + int ||z||^s alpha)^((2p+d)/((d+2s)p))
-                   * MMD_convroot^(2(s-p)/((d+2s)p))  +  2 (int ||z||^p alpha)^(1/p)
+                   * MMD_{alpha*alpha}^(2(s-p)/((d+2s)p))  +  2 (int ||z||^p alpha)^(1/p)
     For the Gaussian regularizer the additive error term is also reported in
     its simplified 2*sigma*sqrt(d) form.
     """
@@ -240,8 +240,6 @@ def mmd_dominance_check(kernel, pairs, p=2):
     Also checks the pointwise condition
     kappa(x,x) + kappa(y,y) - 2 kappa(x,y) <= C^2 ||x - y||^2 on a grid.
     """
-    if kernel.family == "modified":
-        raise ValueError("UnsupportedKernel: modified kernels are not TI")
     C = kernel.hessian_constant()
     rep = Report("mmd-dominance", ["index", "mmd", "w", "bound", "ok"])
     worst = -np.inf

@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SlopeFit", "DegenerateZero", "scaling_exponent", "Report", "emit_report"]
+from .measures import stream_rng
+
+__all__ = ["SlopeFit", "DegenerateZero", "scaling_exponent", "sampling_rate", "Report", "emit_report"]
 
 
 class DegenerateZero(ValueError):
@@ -60,6 +62,26 @@ def scaling_exponent(values):
         r2=float(r2),
         grid=tuple(zip(lx.tolist(), ly.tolist())),
     )
+
+
+def sampling_rate(distance, n_grid, trials, seed):
+    """scaling_exponent of the mean of distance(n, rng) over `trials` draws, against n.
+
+    Trial t at grid point gi draws from stream_rng(seed, gi, t); the grid
+    needs at least 5 sizes.
+    """
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 5:
+        raise ValueError("n_grid needs at least 5 points")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = []
+    for gi, n in enumerate(n_grid):
+        acc = 0.0
+        for t in range(trials):
+            acc += distance(n, stream_rng(seed, gi, t))
+        pairs.append((n, acc / trials))
+    return scaling_exponent(pairs)
 
 
 @dataclass

@@ -375,12 +375,10 @@ def decode_diracs(s, K, domain, opts=None):
 
 
 def _kmeanspp_init(X, wts, K, rng):
-    idx = rng.choice(X.shape[0], p=wts)
-    centers = [X[idx]]
+    centers = [X[rng.choice(X.shape[0], p=wts)]]
+    sq = np.full(X.shape[0], np.inf)  # squared distance to the nearest centre
     for _ in range(1, K):
-        sq = np.min(
-            [np.sum((X - c) ** 2, axis=1) for c in centers], axis=0
-        )
+        np.minimum(sq, np.sum((X - centers[-1]) ** 2, axis=1), out=sq)
         probs = wts * sq
         if probs.sum() <= 0:
             idx = rng.choice(X.shape[0], p=wts)

@@ -14,8 +14,8 @@ import itertools
 import numpy as np
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, project, sample, stream_rng
-from .reporting import scaling_exponent
+from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, project, sample
+from .reporting import sampling_rate
 
 linear_sum_assignment, linprog = _scipy("optimize", "linear_sum_assignment"), _scipy("optimize", "linprog")
 csr_matrix = _scipy("sparse", "csr_matrix")
@@ -375,12 +375,6 @@ def translation_split(mu, nu):
     return centered_w2**2, float(gap @ gap)
 
 
-def _sampler_of(measure):
-    if callable(measure):
-        return measure
-    return lambda n, rng: sample(measure, n, rng).points
-
-
 def _uniform(points):
     return DiscreteMeasure(points, np.full(points.shape[0], 1.0 / points.shape[0]))
 
@@ -394,25 +388,15 @@ def w_rate(measure, p, n_grid, trials, seed):
     bias is negligible at this oversampling).  In higher dimension the
     population distance is estimated by the distance between two fresh
     same-size samples, which obeys the same n^(-1/d) law and keeps the exact
-    assignment solver applicable.
+    assignment solver applicable.  A discrete `measure` is compared with its
+    samples directly.  `wasserstein` picks the route.
     """
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 5:
-        raise ValueError("n_grid needs at least 5 points")
-    draw = _sampler_of(measure)
-    dim = draw(2, stream_rng(seed, 0xFFFF)).shape[1]
-    pairs = []
-    for gi, n in enumerate(n_grid):
-        acc = 0.0
-        for t in range(trials):
-            rng = stream_rng(seed, gi, t)
-            emp = _uniform(draw(n, rng))
-            if isinstance(measure, DiscreteMeasure):
-                val, _ = w_exact(p, measure, emp)
-            elif dim == 1:
-                val = w1d(p, emp, _uniform(draw(64 * n, rng)))
-            else:
-                val, _ = w_exact(p, emp, _uniform(draw(n, rng)))
-            acc += val
-        pairs.append((n, acc / trials))
-    return scaling_exponent(pairs)
+    draw = measure if callable(measure) else lambda n, rng: sample(measure, n, rng).points
+
+    def distance(n, rng):
+        emp = _uniform(draw(n, rng))
+        if isinstance(measure, DiscreteMeasure):
+            return wasserstein(p, measure, emp)
+        return wasserstein(p, emp, _uniform(draw(64 * n if emp.d == 1 else n, rng)))
+
+    return sampling_rate(distance, n_grid, trials, seed)

@@ -113,6 +113,25 @@ def test_decode_writes_centroids(tmp_path):
     assert abs(xs[0] + 3.0) < 0.3 and abs(xs[1] - 3.0) < 0.3
 
 
+def test_convroot_kernel_sketches_and_decodes_as_its_gaussian(tmp_path):
+    """A convroot --kernel is read as the Gaussian it equals: byte-identical sketch and centroids."""
+    rng = stream_rng(0xC2)
+    X = np.vstack([c + 0.1 * rng.standard_normal((40, 2)) for c in ([2.0, 0.0], [-2.0, 0.0])])
+    src = tmp_path / "x.csv"
+    save_dataset(src, X)
+    kernels = {
+        "conv": {"family": "convroot", "sigma": 0.5, "d": 2},
+        "gauss": {"family": "gaussian", "sigma": np.sqrt(2.0) * 0.5, "scale": 1.0 / np.pi, "d": 2},
+    }
+    for name, kernel in kernels.items():
+        sk, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert dispatch(["sketch", str(src), "-o", str(sk), "--m", "64", "--seed", "2", "--kernel", json.dumps(kernel)]) == 0
+        assert dispatch(["decode", str(sk), "-o", str(out), "--k", "2", "--radius", "4"]) == 0
+    assert (tmp_path / "conv.json").read_bytes() == (tmp_path / "gauss.json").read_bytes()
+    assert (tmp_path / "conv.csv").read_bytes() == (tmp_path / "gauss.csv").read_bytes()
+    assert len((tmp_path / "conv.csv").read_text().splitlines()) == 3
+
+
 def test_ckmeans_report(tmp_path):
     rng = stream_rng(0xCE)
     X = np.vstack(
@@ -570,6 +589,8 @@ _G1 = {"family": "gaussian", "sigma": 1.0, "d": 1}
         ({"family": "modified", "base": {**_G1, "d": 2}, "mean_weight": _NAN, "d": 2}, "mean_weight"),
         ({"family": "sliced", "base": _G1, "theta_set": [[_NAN, 0.0]], "d": 2}, "theta_set"),
         ({"family": "sliced", "base": _G1, "theta_set": [[1.0, 0.0], [_INF, 0.0]], "d": 2}, "theta_set"),
+        ({"family": "convroot", "sigma": 0.5, "d": _INF}, "d must"),
+        ({"family": "convroot", "sigma": 0.5, "d": _NAN}, "d must"),
     ],
 )
 def test_kernel_parameters_must_be_finite(data, capsys, kernel, field):

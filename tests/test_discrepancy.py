@@ -186,7 +186,8 @@ def test_gmm_closed_form_two_gaussians():
         KernelSpec.gaussian(0.5, 1, scale=2.0),
         KernelSpec.laplacian(0.8, 1),
         KernelSpec.matern(1.5, 1.2, 1),
-        KernelSpec.conv_root(RegularizerSpec(0.6), 1),
+        # a Gaussian kernel; the id keeps the name it had as a family of its own
+        pytest.param(KernelSpec.conv_root(RegularizerSpec(0.6), 1), id="KernelSpec(convroot, d=1, sigma=0.6)"),
     ],
     ids=lambda k: repr(k),
 )

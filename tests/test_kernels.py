@@ -52,14 +52,17 @@ def test_gram_symmetry_and_psd():
         assert ev.min() > -1e-10
 
 
-@pytest.mark.parametrize("k", [GAUSS, LAP, MAT, CONV], ids=lambda k: k.family)
+# CONV is a Gaussian kernel; its ids keep the name it had as a family of its own.
+_IDS = ["gaussian", "laplacian", "matern", "convroot"]
+
+
+@pytest.mark.parametrize("k", [GAUSS, LAP, MAT, CONV], ids=_IDS)
 def test_fourier_inversion_at_origin(k):
     # (2 pi)^(-1) int kappa0_hat(w) dw over a 1-D version recovers kappa0(0)
     k1 = {
         "gaussian": KernelSpec.gaussian(k.sigma, 1, getattr(k, "scale", 1.0)),
         "laplacian": KernelSpec.laplacian(k.sigma, 1),
         "matern": KernelSpec.matern(k.nu, k.sigma, 1) if k.family == "matern" else None,
-        "convroot": KernelSpec.conv_root(RegularizerSpec(k.sigma), 1),
     }.get(k.family) or KernelSpec.matern(k.nu, k.sigma, 1)
     val, _ = quad(lambda w: k1.fourier_kappa0(np.array([w]))[0], -np.inf, np.inf)
     assert val / (2 * np.pi) == pytest.approx(k1.kappa0_0(), rel=1e-7)
@@ -73,7 +76,7 @@ def test_fourier_transform_is_numerically_correct():
         assert k.fourier_kappa0(np.array([w]))[0] == pytest.approx(num, rel=1e-6)
 
 
-@pytest.mark.parametrize("k", [GAUSS, LAP, MAT, CONV], ids=lambda k: k.family)
+@pytest.mark.parametrize("k", [GAUSS, LAP, MAT, CONV], ids=_IDS)
 def test_spectral_sampler_matches_bochner(k):
     """Empirical E[cos(w^T z)] over spectral draws approximates kappa0(z)/kappa0(0)."""
     m = 40_000
@@ -114,13 +117,38 @@ def _hessian_constant_fd(k, step=1e-4):
         # nu=1.5 is only C^2: the odd |r|^3 term leaves an O(h) difference
         # error that Richardson (built for even powers) cannot cancel.
         (MAT, 5e-4),
-        (CONV, 1e-5),
+        pytest.param(CONV, 1e-5, id="KernelSpec(convroot, d=2, sigma=0.6)-1e-05"),
         (KernelSpec.matern(2.5, 0.8, 1), 1e-5),
     ],
     ids=lambda v: repr(v),
 )
 def test_hessian_constant_vs_finite_difference(k, rel):
     assert k.hessian_constant() == pytest.approx(_hessian_constant_fd(k), rel=rel)
+
+
+_CONV_CASES = [(s, d) for s in np.geomspace(0.05, 20.0, 9) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("s,d", _CONV_CASES)
+def test_conv_root_matches_its_closed_forms(s, d):
+    """conv_root(N(0, s^2 I)) against the closed forms of alpha * alpha: kappa0, its transform, C."""
+    k = KernelSpec.conv_root(RegularizerSpec(s), d)
+    rng = stream_rng(0xC0, d)
+    z = s * rng.standard_normal((6, d))
+    k0 = (4 * np.pi * s**2) ** (-d / 2)
+    want = k0 * np.exp(-np.sum(z**2, axis=1) / (4 * s**2))
+    assert np.allclose(k.gram(z, np.zeros((1, d)))[:, 0], want, rtol=1e-13, atol=0)
+    omega = rng.standard_normal((6, d)) / s
+    assert np.allclose(k.fourier_kappa0(omega), np.exp(-s**2 * np.sum(omega**2, axis=1)), rtol=1e-13, atol=0)
+    assert k.hessian_constant() == pytest.approx(k0 * np.sqrt(k0 / (2 * s**2)), rel=1e-13)
+
+
+@pytest.mark.parametrize("s,d", _CONV_CASES)
+def test_conv_root_spectral_draws_keep_their_bits(s, d):
+    k = KernelSpec.conv_root(RegularizerSpec(s), d)
+    draws = k.spectral_sample(50, stream_rng(0xC1))
+    assert np.array_equal(draws, KernelSpec.gaussian(np.sqrt(2.0) * s, d).spectral_sample(50, stream_rng(0xC1)))
+    assert np.array_equal(draws, stream_rng(0xC1).standard_normal((50, d)) / (np.sqrt(2.0) * s))
 
 
 def test_nonsmooth_kernels_refuse_hessian():
@@ -173,7 +201,7 @@ def test_modified_mean_weight_restricted():
         KernelSpec.sliced(KernelSpec.gaussian(0.77, 1), sphere_directions(4, 2, seed=1)),
         KernelSpec.modified(KernelSpec.gaussian(1.0, 2), 0.5),
     ],
-    ids=lambda k: k.family,
+    ids=_IDS + ["sliced", "modified"],
 )
 def test_json_roundtrip_bit_exact(k):
     k2 = kernel_from_json(kernel_to_json(k))

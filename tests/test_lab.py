@@ -10,7 +10,7 @@ from wmmd.measures import (
     RegularizerSpec,
     stream_rng,
 )
-from wmmd.kernels import KernelSpec
+from wmmd.kernels import KernelSpec, sphere_directions
 from wmmd.discrepancy import mmd_discrete
 from wmmd.transport import w1d, w_exact
 from wmmd.reporting import DegenerateZero, scaling_exponent
@@ -269,9 +269,11 @@ def test_embeddability_probe_rows_follow_the_sampler():
 
 
 def test_dominance_rejects_modified_kernel():
+    """Modified and sliced kernels have no curvature constant; both raise the same error."""
     base = KernelSpec.gaussian(1.0, 2)
-    k = KernelSpec.modified(base, 1.0)
-    with pytest.raises(ValueError, match="UnsupportedKernel"):
-        lab.mmd_dominance_check(k, [])
+    sliced = KernelSpec.sliced(KernelSpec.gaussian(1.0, 1), sphere_directions(4, 2, seed=1))
+    for k in (KernelSpec.modified(base, 1.0), sliced):
+        with pytest.raises(ValueError, match="UnsupportedKernel"):
+            lab.mmd_dominance_check(k, [])
 
 

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from wmmd.discrepancy import mmd_rate
+from wmmd.kernels import KernelSpec
+from wmmd.measures import GaussianMixture
 from wmmd.reporting import Report, SlopeFit, emit_report, scaling_exponent
+from wmmd.transport import w_rate
 
 
 def test_report_row_width_checked():
@@ -51,3 +55,17 @@ def test_slope_fit_grid_recomputable():
     assert isinstance(fit, SlopeFit)
     refit = scaling_exponent([(math.exp(lx), math.exp(ly)) for lx, ly in fit.grid])
     assert refit.slope == pytest.approx(fit.slope, abs=1e-9)
+
+
+_NORMAL = GaussianMixture([1.0], [[0.0]], [1.0])
+_RATES = {
+    "mmd_rate": lambda grid, trials: mmd_rate(_NORMAL, KernelSpec.gaussian(1.0, 1), grid, trials, 0),
+    "w_rate": lambda grid, trials: w_rate(_NORMAL, 1, grid, trials, 0),
+}
+
+
+@pytest.mark.parametrize("rate", _RATES.values(), ids=_RATES.keys())
+@pytest.mark.parametrize("grid, trials", [([8, 16, 32, 64, 128], 0), ([8, 16, 32, 64], 1)], ids=["no-trials", "4-sizes"])
+def test_sampling_rates_reject_no_trials_and_short_grids(rate, grid, trials):
+    with pytest.raises(ValueError):
+        rate(grid, trials)
