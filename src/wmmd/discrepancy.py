@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample
-from .kernels import _sq_dists
+from .kernels import _gaussian_width, _sq_dists
 from .reporting import sampling_rate
 
 quad = _scipy("integrate", "quad")
@@ -151,6 +151,7 @@ def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):
     as mixtures of zero-width components); every pairwise expectation is a
     Gaussian integral with an explicit value.
     """
+    _gaussian_width("sigma_k", sigma_k)
     w1, m1, s1 = _as_components(mu)
     w2, m2, s2 = _as_components(nu)
     if m1.shape[1] != m2.shape[1]:

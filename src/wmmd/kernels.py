@@ -5,6 +5,10 @@ over a fixed direction set) and modified (additive <x,y> mean term)
 constructions.  The convolution-root kernel kappa0 = alpha*alpha of a Gaussian
 regularizer alpha is built as the Gaussian kernel it equals.
 
+`KernelSpec.gram(X, Y)` is how a kernel is evaluated: the matrix
+kappa(x_i, y_j) for rows of X and Y.  A single value, kappa0(0) included, is
+one entry of a gram call (kappa0(0) = kappa(x, x) = gram(x, x) for any x).
+
 Conventions.  kappa(x, y) = kappa0(x - y) for the TI families.  The Fourier
 transform uses kappa0_hat(w) = int kappa0(z) e^{-i<w,z>} dz, so the spectral
 probability density of Bochner's representation is
@@ -56,6 +60,13 @@ def _positive(**params):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
+def _gaussian_width(name, v):
+    """Refuse a Gaussian width whose square under- or overflows: the Gaussian forms divide by it."""
+    v = float(v)  # float products round to 0 or inf where ** would raise
+    if not (v > 0 and 0 < v * v < np.inf):
+        raise ValueError(f"{name} must be positive with a positive finite square, got {v!r}")
+
+
 class KernelSpec:
     """Descriptor of a p.s.d. kernel; immutable, evaluation is pure.
 
@@ -75,6 +86,7 @@ class KernelSpec:
     @classmethod
     def gaussian(cls, sigma, d, scale=1.0):
         _positive(sigma=sigma, scale=scale)
+        _gaussian_width("sigma", sigma)
         return cls("gaussian", d, sigma=float(sigma), scale=float(scale))
 
     @classmethod
@@ -99,7 +111,13 @@ class KernelSpec:
         if not isinstance(alpha, RegularizerSpec):
             raise TypeError("alpha must be a RegularizerSpec")
         s, d = float(alpha.sigma), _dimension(d)
-        return cls.gaussian(np.sqrt(2.0) * s, d, (4.0 * np.pi * s**2) ** (-d / 2))
+        try:
+            scale = (4.0 * np.pi * s**2) ** (-d / 2)
+        except (OverflowError, ZeroDivisionError):
+            scale = 0.0
+        if not 0 < scale < np.inf:
+            raise ValueError(f"sigma = {s!r} and d = {d} put the scale (4 pi sigma^2)^(-d/2) outside the float range")
+        return cls.gaussian(np.sqrt(2.0) * s, d, scale)
 
     @classmethod
     def sliced(cls, base, theta_set):
@@ -125,25 +143,7 @@ class KernelSpec:
 
     # -- evaluation ---------------------------------------------------------
 
-    def kappa0_0(self):
-        """kappa0(0) = kappa(x, x) for TI families: the radial profile at 0."""
-        if self.family == "sliced":
-            return self.base.kappa0_0()
-        return float(self._kappa0_r(np.zeros(1))[0])
-
-    def kappa0(self, z):
-        """kappa0 at one or many offsets z (last axis is the coordinate)."""
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            z = z[None]
-        if z.shape[-1] != self.d and self.d == 1:
-            z = z[..., None]
-        r = np.linalg.norm(np.atleast_2d(z.reshape(-1, self.d)), axis=1)
-        out = self._kappa0_r(r)
-        return out.reshape(z.shape[:-1]) if z.ndim > 1 else float(out[0])
-
     def _kappa0_r(self, r):
-        r = np.asarray(r, dtype=float)
         if self.family == "gaussian":
             return self.scale * np.exp(-(r**2) / (2.0 * self.sigma**2))
         if self.family == "laplacian":
@@ -156,17 +156,7 @@ class KernelSpec:
             tt = t[nz]
             out[nz] = (2.0 ** (1.0 - nu) / _gamma(nu)) * tt**nu * _kv(nu, tt)
             return out
-        if self.family == "sliced":
-            raise ValueError("sliced kernel is not radial; use eval")
         raise ValueError(f"kappa0 undefined for family {self.family}")
-
-    def eval(self, x, y):
-        """kappa(x, y) for single points."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if x.shape[0] != self.d or y.shape[0] != self.d:
-            raise ValueError("dimension mismatch")
-        return float(self.gram(x[None, :], y[None, :])[0, 0])
 
     def gram(self, X, Y):
         """Matrix kappa(x_i, y_j) for rows of X and Y."""
@@ -180,8 +170,7 @@ class KernelSpec:
             T = self.theta_set.shape[0]
             acc = np.zeros((X.shape[0], Y.shape[0]))
             for t in range(T):
-                diff = np.abs(pX[:, t][:, None] - pY[:, t][None, :])
-                acc += self.base._kappa0_r(diff)
+                acc += self.base.gram(pX[:, t : t + 1], pY[:, t : t + 1])
             return acc / T
         if self.family == "modified":
             return self.base.gram(X, Y) + self.mean_weight * (X @ Y.T)
@@ -208,9 +197,8 @@ class KernelSpec:
     def fourier_kappa0(self, omega):
         """Closed-form Fourier transform of kappa0 at frequencies omega."""
         omega = np.asarray(omega, dtype=float)
-        scalar = omega.ndim == 0
         if omega.ndim <= 1 and self.d == 1:
-            w2 = np.atleast_1d(omega) ** 2
+            w2 = omega**2
         else:
             w2 = np.sum(np.atleast_2d(omega) ** 2, axis=-1)
         d = self.d
@@ -237,7 +225,7 @@ class KernelSpec:
             out = c * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
         else:
             raise ValueError(f"no closed-form transform for family {self.family}")
-        return float(out[0]) if scalar else out
+        return out
 
     def hessian_constant(self):
         """C = kappa0(0) * sqrt(lambda_max(-hess kappa0(0))).

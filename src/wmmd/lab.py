@@ -251,15 +251,11 @@ def mmd_dominance_check(kernel, pairs, p=2):
         ok = m <= bound + 1e-9
         worst = max(worst, m - bound)
         rep.add_row(i, m, w, bound, ok)
-    k0 = kernel.kappa0_0()
     zs = np.linspace(-4.0, 4.0, 81)
-    grid_ok = True
-    for z in zs:
-        zz = np.zeros(kernel.d)
-        zz[0] = z
-        lhs = 2.0 * (k0 - kernel.kappa0(zz))
-        if lhs > C**2 * z**2 + 1e-9:
-            grid_ok = False
+    Z = np.zeros((1 + zs.size, kernel.d))  # the origin, then the grid along the first axis
+    Z[1:, 0] = zs
+    g = kernel.gram(Z[:1], Z)[0]  # kappa0(0), then kappa0 on the grid
+    grid_ok = not np.any(2.0 * (g[0] - g[1:]) > C**2 * zs**2 + 1e-9)
     rep.summary = {
         "experiment": "mmd-dominance",
         "constant": float(C),
@@ -300,10 +296,12 @@ def counterexample(seed, k, kernel):
     kernel = kernel_from_text(kernel, 1)
     cons = BinomialDiracs(k=k, x0=(0.0,), radius=100.0, direction=(1.0,))
     rep = Report("counterexample", ["eps", "mmd", "w1", "ratio_delta1"])
+    k0 = kernel.gram(np.zeros((1, 1)), np.zeros((1, 1)))[0, 0]
     for eps in [2.0**-j for j in range(1, 7)]:
         mu, nu = dirac_pair(cons, eps)
         m = mmd_discrete(kernel, mu, nu)
-        if not m > 0:
+        # The double sum's round-off is about (atoms) * eps_mach * 2 kappa0(0); below it is no signal.
+        if not m**2 > (mu.n + nu.n) * np.finfo(float).eps * 2.0 * k0:
             raise RuntimeError(f"the MMD double sum reads {m} at eps = {eps:g}: k = {k} cancels below round-off")
         w = w1d(1, mu, nu)
         rep.add_row(eps, m, w, w / m)

@@ -339,6 +339,7 @@ def w_brute(p, mu, nu):
     over the permutations would, so the minimum does not depend on the
     vectorisation.
     """
+    _check_p(p)
     if mu.n != nu.n or mu.n > 8:
         raise ValueError("w_brute needs equal atom counts with n <= 8")
     n = mu.n

@@ -591,6 +591,10 @@ _G1 = {"family": "gaussian", "sigma": 1.0, "d": 1}
         ({"family": "sliced", "base": _G1, "theta_set": [[1.0, 0.0], [_INF, 0.0]], "d": 2}, "theta_set"),
         ({"family": "convroot", "sigma": 0.5, "d": _INF}, "d must"),
         ({"family": "convroot", "sigma": 0.5, "d": _NAN}, "d must"),
+        ({"family": "gaussian", "sigma": 1e-170, "d": 2}, "sigma must be positive with a positive finite square"),
+        ({"family": "convroot", "sigma": 1e-200, "d": 2}, "sigma = 1e-200 and d = 2"),
+        ({"family": "convroot", "sigma": 1e200, "d": 2}, "sigma = 1e+200 and d = 2"),
+        ({"family": "convroot", "sigma": 0.5, "d": 2000}, "sigma = 0.5 and d = 2000"),
     ],
 )
 def test_kernel_parameters_must_be_finite(data, capsys, kernel, field):
@@ -684,6 +688,15 @@ def test_lab_counterexample_cancelled_mmd_is_one_line(tmp_path, capsys):
     out = tmp_path / "r.csv"
     err = _fails_with_one_line(["lab", "counterexample", "--k", "8", "-o", str(out)], capsys)
     assert "reads 0.0 at eps = 0.0625" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["5", "6"])
+def test_lab_counterexample_mmd_at_round_off_is_one_line(tmp_path, capsys, k):
+    """At k = 5 and 6 the Gaussian double sum falls to its own round-off on the eps grid."""
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", "counterexample", "--k", k, "-o", str(out)], capsys)
+    assert f"k = {k} cancels below round-off" in err
     assert not out.exists()
 
 

@@ -179,6 +179,13 @@ def test_gmm_closed_form_two_gaussians():
     assert mmd_gmm_gaussian(1.0, mu, nu) == pytest.approx(np.sqrt(sq), rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma_k", [0.0, 1e-170, float("nan"), float("inf"), 1e170, -1.0])
+def test_gmm_closed_form_refuses_a_width_whose_square_leaves_the_float_range(sigma_k):
+    mu = GaussianMixture([1.0], [[0.0]], [0.5])
+    with pytest.raises(ValueError, match="sigma_k must be positive with a positive finite square"):
+        mmd_gmm_gaussian(sigma_k, mu, mu)
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from wmmd.measures import RegularizerSpec, stream_rng
@@ -19,18 +22,28 @@ MAT = KernelSpec.matern(1.5, 1.1, 2)
 CONV = KernelSpec.conv_root(RegularizerSpec(0.6), 2)
 
 
+def _at(k, z):
+    """kappa0 at one offset z: kappa(z, 0) through gram."""
+    return k.gram(z, np.zeros(k.d))[0, 0]
+
+
+def _k0(k):
+    """kappa0(0) = kappa(0, 0)."""
+    return _at(k, np.zeros(k.d))
+
+
 def test_values_at_zero():
-    assert GAUSS.kappa0_0() == pytest.approx(0.8)
-    assert LAP.kappa0_0() == 1.0
-    assert MAT.kappa0_0() == 1.0
-    assert CONV.kappa0_0() == pytest.approx((4 * np.pi * 0.36) ** -1.0)
+    assert _k0(GAUSS) == pytest.approx(0.8)
+    assert _k0(LAP) == 1.0
+    assert _k0(MAT) == 1.0
+    assert _k0(CONV) == pytest.approx((4 * np.pi * 0.36) ** -1.0)
 
 
 def test_gaussian_eval_closed_form():
     x = np.array([1.0, 2.0])
     y = np.array([0.5, -0.5])
     r2 = np.sum((x - y) ** 2)
-    assert GAUSS.eval(x, y) == pytest.approx(0.8 * np.exp(-r2 / (2 * 1.3**2)), rel=1e-14)
+    assert GAUSS.gram(x, y)[0, 0] == pytest.approx(0.8 * np.exp(-r2 / (2 * 1.3**2)), rel=1e-14)
 
 
 def test_matern_half_equals_laplacian():
@@ -65,14 +78,14 @@ def test_fourier_inversion_at_origin(k):
         "matern": KernelSpec.matern(k.nu, k.sigma, 1) if k.family == "matern" else None,
     }.get(k.family) or KernelSpec.matern(k.nu, k.sigma, 1)
     val, _ = quad(lambda w: k1.fourier_kappa0(np.array([w]))[0], -np.inf, np.inf)
-    assert val / (2 * np.pi) == pytest.approx(k1.kappa0_0(), rel=1e-7)
+    assert val / (2 * np.pi) == pytest.approx(_k0(k1), rel=1e-7)
 
 
 def test_fourier_transform_is_numerically_correct():
     # direct numeric transform of kappa0 in 1-D at a few frequencies
     k = KernelSpec.matern(1.5, 1.1, 1)
     for w in (0.0, 0.5, 2.0):
-        num, _ = quad(lambda z: k.kappa0(np.array([z])) * np.cos(w * z), -60, 60, limit=400)
+        num, _ = quad(lambda z: _at(k, z) * np.cos(w * z), -60, 60, limit=400)
         assert k.fourier_kappa0(np.array([w]))[0] == pytest.approx(num, rel=1e-6)
 
 
@@ -84,7 +97,7 @@ def test_spectral_sampler_matches_bochner(k):
     W = k.spectral_sample(m, rng)
     for z in (np.array([0.5, 0.0]), np.array([1.0, -1.0])):
         emp = np.mean(np.cos(W @ z))
-        assert abs(emp - k.kappa0(z) / k.kappa0_0()) < 4.0 / np.sqrt(m)
+        assert abs(emp - _at(k, z) / _k0(k)) < 4.0 / np.sqrt(m)
 
 
 def test_hessian_constant_gaussian():
@@ -99,15 +112,15 @@ def _hessian_constant_fd(k, step=1e-4):
     def second_diag(h):
         H = np.empty(k.d)
         e = np.eye(k.d)
-        k0 = k.kappa0_0()
+        k0 = _k0(k)
         for i in range(k.d):
-            H[i] = (k.kappa0(h * e[i]) - 2 * k0 + k.kappa0(-h * e[i])) / h**2
+            H[i] = (_at(k, h * e[i]) - 2 * k0 + _at(k, -h * e[i])) / h**2
         return H
 
     d1 = second_diag(step)
     d2 = second_diag(step / 2.0)
     diag = (4.0 * d2 - d1) / 3.0  # Richardson extrapolation, O(h^4)
-    return k.kappa0_0() * np.sqrt(float(np.max(-diag)))
+    return _k0(k) * np.sqrt(float(np.max(-diag)))
 
 
 @pytest.mark.parametrize(
@@ -166,8 +179,38 @@ def test_sliced_kernel_eval_is_direction_average():
     k = KernelSpec.sliced(base, theta)
     x = np.array([0.3, -0.7, 1.1])
     y = np.zeros(3)
-    manual = np.mean([base.kappa0(np.array([t @ (x - y)])) for t in theta])
-    assert k.eval(x, y) == pytest.approx(manual, rel=1e-14)
+    manual = np.mean([_at(base, t @ (x - y)) for t in theta])
+    assert k.gram(x, y)[0, 0] == pytest.approx(manual, rel=1e-14)
+
+
+_SLICE_BASES = {
+    "gaussian": KernelSpec.gaussian(0.77, 1, scale=1.3),
+    "laplacian": KernelSpec.laplacian(0.9, 1),
+    "matern": KernelSpec.matern(2.5, 1.1, 1),
+    "modified": KernelSpec.modified(KernelSpec.gaussian(1.0, 1), 1.0),
+}
+
+
+@given(
+    st.sampled_from(sorted(_SLICE_BASES)),
+    st.integers(2, 3),
+    st.integers(1, 8),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_sliced_gram_is_the_direction_sum_of_base_grams(family, d, T, sizes, seed, log_spread):
+    """The sliced Gram matrix is the base's Gram matrices on each direction's projections, summed in order, over T."""
+    base = _SLICE_BASES[family]
+    theta = sphere_directions(T, d, seed=seed)
+    rng = stream_rng(seed)
+    X, Y = (10.0**log_spread * rng.standard_normal((n, d)) for n in sizes)
+    pX, pY = X @ theta.T, Y @ theta.T
+    want = np.zeros(sizes)
+    for t in range(T):
+        want += base.gram(pX[:, [t]], pY[:, [t]])
+    assert np.array_equal(KernelSpec.sliced(base, theta).gram(X, Y), want / T)
 
 
 def test_sliced_rejects_bad_directions():
@@ -180,7 +223,7 @@ def test_modified_kernel_adds_inner_product():
     base = KernelSpec.gaussian(1.0, 2)
     k = KernelSpec.modified(base, 0.5)
     x = np.array([1.0, 2.0])
-    assert k.eval(x, x) == pytest.approx(base.kappa0_0() + 0.5 * 5.0)
+    assert k.gram(x, x)[0, 0] == pytest.approx(_k0(base) + 0.5 * 5.0)
 
 
 def test_modified_mean_weight_restricted():
@@ -226,6 +269,18 @@ def test_constructor_validation():
         KernelSpec.matern(-1.0, 1.0, 1)
     with pytest.raises(TypeError):
         KernelSpec.conv_root(0.5, 1)
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 1e-300, 1e170])
+def test_gaussian_refuses_a_width_whose_square_leaves_the_float_range(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive with a positive finite square"):
+        KernelSpec.gaussian(sigma, 1)
+
+
+@pytest.mark.parametrize("s,d", [(1e-200, 1), (1e200, 1), (0.5, 2000), (1e-100, 8)])
+def test_conv_root_refuses_a_scale_outside_the_float_range(s, d):
+    with pytest.raises(ValueError, match=re.escape(f"sigma = {s!r} and d = {d} put the scale")):
+        KernelSpec.conv_root(RegularizerSpec(s), d)
 
 
 def test_1d_sq_dists_are_exact_differences():

@@ -547,7 +547,7 @@ def test_wasserstein_list_routes_per_pair(monkeypatch):
         wasserstein(2, mus, nus[:-1])
 
 
-@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5])
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5, 0])
 def test_p_must_be_finite(p):
     mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
     line = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
@@ -555,6 +555,8 @@ def test_p_must_be_finite(p):
         w_exact(p, mu, mu)
     with pytest.raises(ValueError, match="p must be a finite number >= 1"):
         w1d(p, line, line)
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        w_brute(p, _uniform([[0.0], [1.0]]), _uniform([[0.0], [1.0]]))
 
 
 def test_constraint_blocks_are_block_diagonal():
