@@ -34,6 +34,12 @@ __all__ = [
 _SIZE_GUARD = 10**6
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _PLAN_TOL = 1e-9  # TransportPlan.validate's slack on sign, marginals and cost
+# Restricted transport LPs (see `_solve_transport_lp`): blocks of at least
+# _SEED_MIN_ENTRIES plan entries start from a Sinkhorn run of _SEED_ITERS
+# iterations at width _SEED_EPS; an entry joins the support when its reduced
+# cost is below -_REDUCED_COST_TOL, HiGHS's dual feasibility tolerance.
+_SEED_MIN_ENTRIES, _SEED_ITERS, _SEED_EPS, _SEED_KEEP = 2**12, 500, 1e-3, 1e-3
+_REDUCED_COST_TOL = 1e-7
 
 
 class TransportPlan:
@@ -84,30 +90,22 @@ def _pth_power(D, p, M):
     """
     with np.errstate(over="ignore", under="ignore"):
         Mp = np.power(M, p)
-    if M > 0 and not _TINY <= Mp <= _HUGE:
-        return (D / M) ** p, float(M)
-    return D**p, 1.0
+    with np.errstate(under="ignore"):  # terms far below the largest underflow to 0 by design
+        if M > 0 and not _TINY <= Mp <= _HUGE:
+            return (D / M) ** p, float(M)
+        return D**p, 1.0
 
 
-def _quantile_cost_discrete(p, x, a, y, b):
-    """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
+def _monotone_support(a, b):
+    """(q, i, j): the monotone (north-west-corner) coupling of weights a and b in their given order.
 
-    The integral is exact over the merged cumulative-weight breakpoints.
-    Each side is sorted unstably (atoms at equal positions cost the same in
-    any order), by `np.sort` alone when its weights are all equal.  One
-    stable argsort of the two sorted cumulative runs merges them (timsort
-    finds the runs, so the merge is linear); the first entry of each run of
-    equal values gives the breakpoints, and the counts of each side's
-    entries before it give both atom indices.
+    It moves q[k] - q[k-1] (q[-1] = 0) from atom i[k] to atom j[k].  The q are
+    the merged cumulative-weight breakpoints.  One stable argsort of the two
+    sorted cumulative runs merges them (timsort finds the runs, so the merge
+    is linear); the first entry of each run of equal values gives the
+    breakpoints, and the counts of each side's entries before it give both
+    atom indices.
     """
-
-    def ordered(v, w):
-        if w.min() == w.max():  # a permuted constant array is the same array
-            return np.sort(v), w
-        i = np.argsort(v)
-        return v[i], w[i]
-
-    (x, a), (y, b) = ordered(x, a), ordered(y, b)
     # Clip before pinning the last entry: a cumsum that overshoots 1 early
     # would otherwise leave the run unsorted.
     ca = np.minimum(np.cumsum(a), 1.0)
@@ -119,12 +117,30 @@ def _quantile_cost_discrete(p, x, a, y, b):
     first = np.empty(merged.size, dtype=bool)
     first[0] = merged[0] > 0  # a leading zero-weight atom spans no interval
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    # On (q[k-1], q[k]] both quantile functions sit on the first atom whose
-    # cumulative weight reaches q[k]: the count of entries below q[k].
+    # On (q[k-1], q[k]] both sides sit on the first atom whose cumulative
+    # weight reaches q[k]: the count of entries below q[k].
     from_a = order < ca.size
     i = (np.cumsum(from_a) - from_a)[first]
-    j = np.flatnonzero(first) - i
-    q = merged[first]
+    return merged[first], i, np.flatnonzero(first) - i
+
+
+def _quantile_cost_discrete(p, x, a, y, b):
+    """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
+
+    The integral is exact over the breakpoints of the monotone coupling of
+    the sorted atoms (`_monotone_support`).  Each side is sorted unstably
+    (atoms at equal positions cost the same in any order), by `np.sort` alone
+    when its weights are all equal.
+    """
+
+    def ordered(v, w):
+        if w.min() == w.max():  # a permuted constant array is the same array
+            return np.sort(v), w
+        i = np.argsort(v)
+        return v[i], w[i]
+
+    (x, a), (y, b) = ordered(x, a), ordered(y, b)
+    q, i, j = _monotone_support(a, b)
     gap = np.abs(x[i] - y[j])
     gap, s = _pth_power(gap, p, gap.max())
     return float(np.diff(q, prepend=0.0) @ gap), s
@@ -197,7 +213,9 @@ def w_exact(p, mu, nu):
 
     Uniform equal-size inputs reduce to an assignment problem (Birkhoff);
     the general case is solved as an LP on the transport polytope, which
-    refuses instances with more than 10^6 plan entries.  When the distances'
+    refuses instances with more than 10^6 plan entries.  Large LPs are solved
+    on a Sinkhorn-seeded support and certified over every entry by their
+    reduced costs (see `_solve_transport_lp`).  When the distances'
     p-th powers would leave the float range they are rescaled first (see
     `_pth_power`), and the plan's `scale` holds the factor.
 
@@ -271,57 +289,120 @@ def wasserstein(p, mu, nu):
     return out
 
 
-def _transport_constraints(shapes):
-    """Block-diagonal equality matrix on row-major plans of the given (n, m) shapes.
+def _transport_constraints(supports):
+    """Block-diagonal equality matrix over the plan entries each block keeps.
 
-    Each block has row sums for every source atom and column sums for all
-    but the last target atom (the dropped constraint is implied by total
-    mass).
+    `supports` holds one boolean (n, m) mask per block; a block's columns are
+    its kept entries in row-major order.  Each block has row sums for every
+    source atom and column sums for all but the last target atom (the
+    dropped constraint is implied by total mass).
     """
     rows, cols = [], []
     r0 = c0 = 0
-    for n, m in shapes:
-        idx = np.arange(n * m)
-        in_col = idx[idx % m < m - 1]
-        rows += [r0 + idx // m, r0 + n + in_col % m]
-        cols += [c0 + idx, c0 + in_col]
+    for keep in supports:
+        (n, m), idx = keep.shape, np.flatnonzero(keep)
+        k = np.arange(idx.size)
+        j = idx % m
+        in_col = j < m - 1
+        rows += [r0 + idx // m, r0 + n + j[in_col]]
+        cols += [c0 + k, c0 + k[in_col]]
         r0 += n + m - 1
-        c0 += n * m
+        c0 += idx.size
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(r0, c0))
 
 
+def _sinkhorn_support(C, a, b):
+    """Mask of the entries a short entropic (Sinkhorn) plan marks as large.
+
+    The costs are row- and column-reduced and scaled to a largest entry in
+    [1/2, 1) before the Gibbs kernel exp(-C / eps) is taken.  An entry is
+    kept when it is finite and above `_SEED_KEEP` times the largest of its
+    row or of its column.  Far entries underflow to 0 and scalings may
+    overflow by design; neither is an error here.
+    """
+    with np.errstate(all="ignore"):
+        R = C - C.min(axis=1, keepdims=True)
+        R -= R.min(axis=0)
+        K = np.exp(np.ldexp(R, -np.frexp(R.max())[1]) / -_SEED_EPS)
+        v = np.ones(b.size)
+        for _ in range(_SEED_ITERS):
+            u = a / (K @ v)
+            v = b / (u @ K)
+        P = u[:, None] * K * v
+        keep = (P > _SEED_KEEP * P.max(axis=1, keepdims=True)) | (P > _SEED_KEEP * P.max(axis=0))
+    return keep & np.isfinite(P)
+
+
+def _lp_seed(C, a, b):
+    """The support a block's first restricted LP is solved on.
+
+    Blocks with fewer than `_SEED_MIN_ENTRIES` entries keep every entry.
+    Larger ones keep the Sinkhorn plan's large entries plus the north-west
+    corner coupling's, so the restricted LP is always feasible.
+    """
+    if C.size < _SEED_MIN_ENTRIES:
+        return np.ones(C.shape, dtype=bool)
+    keep = _sinkhorn_support(C, a, b)
+    _, i, j = _monotone_support(a, b)
+    keep[i, j] = True
+    return keep
+
+
 def _solve_transport_lp(blocks):
-    """Optimal plans and costs for a list of (C, a, b) blocks, from one LP.
+    """Optimal plans and costs for a list of (C, a, b) blocks, from restricted LPs.
 
     The blocks share no variable, so the block-diagonal LP's optimum is the
     optimum of every block.  HiGHS's optimality tolerance is absolute, so
     each block's costs are first scaled by a power of two to a largest entry
     in [1/2, 1): the scaling is exact, and a block of tiny costs beside one of
     large costs still gets an optimal vertex.  Costs are summed unscaled.
+
+    Each block is solved on a candidate support (`_lp_seed`; every entry for
+    small blocks), and the answer is certified over the whole block: with the
+    duals u, v of the row and column sums (v = 0 for the dropped one), every
+    entry outside the support whose reduced cost C - u - v is below
+    `_REDUCED_COST_TOL` joins it, and the blocks that grew are solved again.
+    A block is done when no such entry is left, so its plan is optimal for
+    the full LP; a block that keeps every entry is done after one pass.
     """
-    shapes = [C.shape for C, _, _ in blocks]
-    c = np.concatenate([np.ldexp(C, -np.frexp(C.max())[1]).ravel() for C, _, _ in blocks])
-    rhs = np.concatenate([np.concatenate([a, b[:-1]]) for _, a, b in blocks])
-    # HiGHS's default 1e-7 feasibility tolerance leaves entries down to about -1e-7
-    # whose clipping below breaks the marginals by more than validate's 1e-9.
-    res = linprog(
-        c,
-        A_eq=_transport_constraints(shapes),
-        b_eq=rhs,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    x = np.maximum(res.x, 0.0)
-    out, start = [], 0
-    for C, _, _ in blocks:
-        g = x[start : start + C.size].reshape(C.shape)
-        start += C.size
-        out.append((g, float(np.sum(g * C))))
-    return out
+    with np.errstate(under="ignore"):  # costs far below the largest underflow by design
+        scaled = [np.ldexp(C, -np.frexp(C.max())[1]) for C, _, _ in blocks]
+    supports = [_lp_seed(S, a, b) for S, (_, a, b) in zip(scaled, blocks)]
+    plans = [None] * len(blocks)
+    todo = list(range(len(blocks)))
+    while todo:
+        c = np.concatenate([scaled[k][supports[k]] for k in todo])
+        rhs = np.concatenate([np.concatenate([blocks[k][1], blocks[k][2][:-1]]) for k in todo])
+        # HiGHS's default 1e-7 feasibility tolerance leaves entries down to about -1e-7
+        # whose clipping below breaks the marginals by more than validate's 1e-9.
+        res = linprog(
+            c,
+            A_eq=_transport_constraints([supports[k] for k in todo]),
+            b_eq=rhs,
+            bounds=(0, None),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10},
+        )
+        if not res.success:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        x, y = np.maximum(res.x, 0.0), res.eqlin.marginals
+        grown, start, r0 = [], 0, 0
+        for k in todo:
+            keep, (n, m) = supports[k], scaled[k].shape
+            size = np.count_nonzero(keep)
+            plans[k] = np.zeros((n, m))
+            plans[k][keep] = x[start : start + size]
+            if size < keep.size:  # a full support has no entry left to price
+                u, v = y[r0 : r0 + n], np.append(y[r0 + n : r0 + n + m - 1], 0.0)
+                add = (scaled[k] - u[:, None] - v < -_REDUCED_COST_TOL) & ~keep
+                if add.any():
+                    supports[k] = keep | add
+                    grown.append(k)
+            start, r0 = start + size, r0 + n + m - 1
+        todo = grown
+    with np.errstate(under="ignore"):
+        return [(g, float(np.sum(g * C))) for g, (C, _, _) in zip(plans, blocks)]
 
 
 @functools.cache

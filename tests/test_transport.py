@@ -258,6 +258,22 @@ def test_large_p_is_rescaled_on_every_route(spread):
     assert all(0.0 < v < np.inf for v in [got[0], got[1][0], got[2][0]])
 
 
+def test_pth_power_underflow_is_not_an_error():
+    """Small distances' p-th powers underflow to 0 by design, also under a caller's np.errstate(under="raise").
+
+    It raised FloatingPointError from `D**p` on the LP route at p = 200 and on
+    the quantile route at p = 500, where the largest distance's power stays
+    in range.
+    """
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(rng.normal(size=(90, 1)), rng.uniform(0.1, 1, 90))
+    nu = DiscreteMeasure(rng.normal(size=(70, 1)), rng.uniform(0.1, 1, 70))
+    ref = [w_exact(200, mu, nu)[0], w1d(500, mu, nu)]
+    with np.errstate(under="raise"):
+        got = [w_exact(200, mu, nu)[0], w1d(500, mu, nu)]
+    assert got == ref and all(0.0 < v < np.inf for v in got)
+
+
 def test_zero_weight_atoms_do_not_set_the_scale():
     """A far atom without mass neither rescales nor turns the 1-D value into nan."""
     rng = stream_rng(506)
@@ -408,7 +424,7 @@ class TestExact:
                 rows.append(n + j)
                 cols.append(i * m + j)
         ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
-        A = _transport_constraints([(n, m)])
+        A = _transport_constraints([np.ones((n, m), dtype=bool)])
         assert A.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, attr), getattr(ref, attr))
@@ -428,7 +444,7 @@ class TestExact:
         assert plan.coupling.min() >= 0.0
         ref = linprog(
             (_dist_matrix(X, Y) ** 2).ravel(),
-            A_eq=_transport_constraints([(120, 120)]),
+            A_eq=_transport_constraints([np.ones((120, 120), dtype=bool)]),
             b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
             bounds=(0, None),
             method="highs",
@@ -560,11 +576,171 @@ def test_p_must_be_finite(p):
 
 
 def test_constraint_blocks_are_block_diagonal():
+    rng = stream_rng(0xB10C)
     shapes = [(1, 1), (2, 3), (5, 2), (4, 4)]
-    A = _transport_constraints(shapes)
-    ref = block_diag([_transport_constraints([s]) for s in shapes], format="csr")
-    assert A.shape == ref.shape
-    assert np.array_equal(A.toarray(), ref.toarray())
+    for supports in ([np.ones(s, dtype=bool) for s in shapes], [rng.uniform(size=s) < 0.6 for s in shapes]):
+        A = _transport_constraints(supports)
+        ref = block_diag([_transport_constraints([keep]) for keep in supports], format="csr")
+        assert A.shape == ref.shape
+        assert np.array_equal(A.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (5, 2), (60, 50), (70, 64)])
+def test_constraint_columns_are_the_kept_entries(n, m):
+    """A support keeps the full matrix's columns of its entries, in row-major order."""
+    rng = stream_rng(0x5CC, n, m)
+    full = _transport_constraints([np.ones((n, m), dtype=bool)])
+    for density in (0.0, 0.1, 0.5, 1.0):
+        keep = rng.uniform(size=(n, m)) < density
+        A = _transport_constraints([keep])
+        assert A.shape == (n + m - 1, np.count_nonzero(keep))
+        assert np.array_equal(A.toarray(), full.toarray()[:, keep.ravel()])
+
+
+def test_monotone_support_is_a_coupling():
+    """The north-west-corner masses on (i, j) have the weights as marginals, in the given order."""
+    rng = stream_rng(0x4E57)
+    for t in range(60):
+        n, m = rng.integers(1, 40, size=2)
+        a, b = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+        if t % 2:
+            a[rng.uniform(size=n) < 0.3] = 0.0
+            b[rng.uniform(size=m) < 0.3] = 0.0
+            a[-1], b[0] = a[-1] + 0.1, b[0] + 0.1
+        a, b = a / a.sum(), b / b.sum()
+        q, i, j = transport._monotone_support(a, b)
+        g = np.zeros((n, m))
+        np.add.at(g, (i, j), np.diff(q, prepend=0.0))
+        assert g.min() >= 0.0 and np.all(np.diff(i) >= 0) and np.all(np.diff(j) >= 0)
+        assert np.abs(g.sum(axis=1) - a).max() <= 1e-14
+        assert np.abs(g.sum(axis=0) - b).max() <= 1e-14
+
+
+def _reference_cost(p, mu, nu):
+    """(optimal cost, largest cost) of the transport LP over every plan entry.
+
+    One `linprog` whose constraints are built here by Kronecker products, at
+    primal and dual tolerances of 1e-10 on costs scaled to a largest entry in
+    [1/2, 1): tight enough that HiGHS's default 1e-7 would not hide a
+    suboptimal vertex.
+    """
+    n, m = mu.n, nu.n
+    C = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=2) ** p
+    A = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))[:-1]])
+    s = np.ldexp(1.0, -np.frexp(C.max())[1])
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog((s * C).ravel(), A_eq=csr_matrix(A), b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
+                  bounds=(0, None), method="highs", options=tol)
+    assert res.success
+    return res.fun / s, C.max()
+
+
+_KINDS = ("random", "random", "zero weights", "duplicates", "far target")
+
+
+def _large_pair(rng, d, kind):
+    """A weighted pair above the LP seed threshold, plain or with one kind of edge case."""
+    n, m = (70, 64) if d < 3 else (64, 80)
+    X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) * rng.uniform(0.5, 1.5) + rng.uniform(-1, 1, d)
+    a, b = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+    if kind == "zero weights":
+        a[rng.uniform(size=n) < 0.3] = 0.0
+        b[rng.uniform(size=m) < 0.3] = 0.0
+        a[[0, -1]], b[[0, -1]] = 0.0, 0.5  # a leading and a trailing zero-weight source atom
+    elif kind == "duplicates":
+        X, Y = rng.integers(0, 3, size=(n, d)).astype(float), rng.integers(0, 3, size=(m, d)).astype(float)
+    elif kind == "far target":
+        Y += 100.0
+    assert n * m >= transport._SEED_MIN_ENTRIES
+    return DiscreteMeasure(X, a), DiscreteMeasure(Y, b)
+
+
+@pytest.mark.parametrize("case", range(len(_KINDS)), ids=[f"{k}{i}" for i, k in enumerate(_KINDS)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_seeded_lp_matches_full_lp(p, d, case):
+    kind = _KINDS[case]
+    mu, nu = _large_pair(stream_rng(0x5EED, p, d, case), d, kind)
+    val, plan = w_exact(p, mu, nu)  # TransportPlan validates the plan
+    _check_marginals(plan, mu, nu)
+    ref, top = _reference_cost(p, mu, nu)
+    # HiGHS meets optimality to its 1e-7 dual tolerance on costs scaled to at
+    # most 1, in the seeded route as in a full solve at default tolerances.
+    assert abs(val**p - ref) <= 2e-7 * top
+    # Where that slack is far below the optimum, the values agree to round-off
+    # at p <= 2.  (A target 100 away puts it within 1e-8 of W_p, for the full
+    # LP at HiGHS's default tolerances as for the seeded one.)
+    if p <= 2 and kind != "far target":
+        assert val == pytest.approx(ref ** (1.0 / p), rel=1e-9)
+
+
+def test_restricted_lp_grows_to_the_full_optimum(monkeypatch):
+    """From the north-west corner alone, the reduced costs pull in columns until the plan is optimal."""
+    rng = stream_rng(0x6205)
+    pairs = [_large_pair(rng, 2, "random"), _large_pair(rng, 1, "zero weights"), _weighted_pair(rng, 5, 4, 2)]
+    refs = [_reference_cost(2, mu, nu)[0] ** 0.5 for mu, nu in pairs]
+    sizes = []
+    real_linprog = transport.linprog
+
+    def counting_linprog(c, *args, **kwargs):
+        sizes.append(c.size)
+        return real_linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
+    monkeypatch.setattr(transport, "_sinkhorn_support", lambda C, a, b: np.zeros(C.shape, dtype=bool))
+    got = w_exact(2, [mu for mu, _ in pairs], [nu for _, nu in pairs])
+    assert len(sizes) > 2
+    # the first solve holds both corners (at most n + m - 1 entries each) and all 20 of the small pair's
+    assert sizes[0] <= (70 + 64 - 1) * 2 + 20
+    for (val, plan), (mu, nu), ref in zip(got, pairs, refs):
+        _check_marginals(plan, mu, nu)
+        assert val == pytest.approx(ref, rel=1e-9)
+
+
+def test_workload_sized_pairs_need_one_solve_each(monkeypatch):
+    """The 2-D pairs of the benchmark's `exact` workload, drawn as it draws them, are optimal on their seed."""
+    rng = np.random.default_rng([0, 8])
+    shapes = ((1, 60, 50), (1, 50, 60)) + ((2, 100, 120), (2, 120, 100), (2, 140, 140), (2, 160, 150)) * 2
+    calls = []
+    real_linprog = transport.linprog
+
+    def counting_linprog(c, *args, **kwargs):
+        calls.append(c.size)
+        return real_linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
+    for d, n, m in shapes:
+        X = rng.normal(size=(n, d))
+        Y = rng.normal(size=(m, d)) * rng.uniform(0.5, 1.5) + rng.uniform(-1.0, 1.0, size=d)
+        a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
+        if d == 2:
+            calls.clear()
+            w_exact(2, DiscreteMeasure(X, a), DiscreteMeasure(Y, b))
+            assert len(calls) == 1 and calls[0] < n * m, (n, m)
+
+
+def test_seed_ignores_the_callers_floating_point_traps():
+    """Far entries of the Gibbs kernel underflow to 0 by design, whatever np.errstate the caller set."""
+    mu, nu = _large_pair(stream_rng(0x7A9), 2, "far target")
+    ref = w_exact(2, mu, nu)[0]
+    with np.errstate(all="raise"):
+        assert w_exact(2, mu, nu)[0] == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"):
+            assert w_exact(2, mu, nu)[0] == ref
+
+
+def test_seed_leaves_non_finite_entries_out():
+    """A Sinkhorn plan that turns nan gives an empty seed, and the north-west corner keeps the LP solvable."""
+    C = np.full((64, 64), 0.99)  # off-diagonal Gibbs entries exp(-990) underflow to 0
+    np.fill_diagonal(C, 0.0)
+    a = np.full(64, 1 / 64)
+    b = np.r_[np.zeros(63), 1.0]  # the scalings of the 63 empty columns reach 0 and then 0 * inf
+    assert not transport._sinkhorn_support(C, a, b).any()
+    points = np.eye(64) * (0.99 / np.sqrt(2))  # pairwise distances 0.99, the same seed
+    val, plan = w_exact(1, DiscreteMeasure(points, a), DiscreteMeasure(points, b))
+    assert val == pytest.approx(63 / 64 * 0.99, rel=1e-12)
 
 
 def _brute_loop(p, mu, nu):
