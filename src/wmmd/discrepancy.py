@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample
-from .kernels import _gaussian_width, _sq_dists
+from .kernels import _sq_dists
 from .reporting import sampling_rate
 
 quad = _scipy("integrate", "quad")
@@ -22,7 +22,6 @@ quad = _scipy("integrate", "quad")
 __all__ = [
     "mmd",
     "mmd_discrete",
-    "mmd_gmm_gaussian",
     "mmd_gaussian_kernel",
     "mmd_spectral_1d",
     "smoothed_l2",
@@ -144,31 +143,25 @@ def _gauss_self(w, m, s, sigma_k, scale, d):
     return scale * float(_block_sum(block_value, m.shape[0], m.shape[0] * (m.shape[0] + 1) // 2))
 
 
-def mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.0):
-    """Closed-form MMD under the kernel scale*exp(-||z||^2/(2 sigma_k^2)).
+def mmd_gaussian_kernel(k, mu, nu):
+    """Closed-form MMD under a Gaussian kernel k, kappa0(z) = scale * exp(-||z||^2 / (2 sigma^2)).
 
     Inputs may be isotropic Gaussian mixtures or discrete measures (treated
     as mixtures of zero-width components); every pairwise expectation is a
     Gaussian integral with an explicit value.
     """
-    _gaussian_width("sigma_k", sigma_k)
+    if k.family != "gaussian":
+        raise ValueError("kernel must be Gaussian")
     w1, m1, s1 = _as_components(mu)
     w2, m2, s2 = _as_components(nu)
     if m1.shape[1] != m2.shape[1]:
         raise ValueError("dimension mismatch")
     d = m1.shape[1]
-    aa = _gauss_self(w1, m1, s1, sigma_k, scale, d)
-    bb = _gauss_self(w2, m2, s2, sigma_k, scale, d)
-    ab = _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d)
+    aa = _gauss_self(w1, m1, s1, k.sigma, k.scale, d)
+    bb = _gauss_self(w2, m2, s2, k.sigma, k.scale, d)
+    ab = _gauss_cross(w1, m1, s1, w2, m2, s2, k.sigma, k.scale, d)
     sq = aa + bb - 2.0 * ab
     return np.sqrt(_clamp_sq(sq, aa + bb))
-
-
-def mmd_gaussian_kernel(k, mu, nu):
-    """mmd_gmm_gaussian with (sigma_k, scale) read off a Gaussian kernel."""
-    if k.family != "gaussian":
-        raise ValueError("kernel must be Gaussian")
-    return mmd_gmm_gaussian(k.sigma, mu, nu, scale=k.scale)
 
 
 def _signed_components_1d(mu, nu):

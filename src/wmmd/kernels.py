@@ -1,9 +1,11 @@
 """Translation-invariant p.s.d. kernels with spectral samplers and transforms.
 
-Families: Gaussian, Laplacian, Matern, plus sliced (average of a 1-D kernel
-over a fixed direction set) and modified (additive <x,y> mean term)
-constructions.  The convolution-root kernel kappa0 = alpha*alpha of a Gaussian
-regularizer alpha is built as the Gaussian kernel it equals.
+Families: Gaussian, Matern, plus sliced (average of a 1-D kernel over a fixed
+direction set) and modified (additive <x,y> mean term) constructions.  Two
+kernels are built as the family members they equal: the Laplacian
+exp(-||z||/sigma) as the Matern kernel with nu = 1/2, and the
+convolution-root kernel kappa0 = alpha*alpha of a Gaussian regularizer alpha
+as a Gaussian kernel.
 
 `KernelSpec.gram(X, Y)` is how a kernel is evaluated: the matrix
 kappa(x_i, y_j) for rows of X and Y.  A single value, kappa0(0) included, is
@@ -24,7 +26,7 @@ from .measures import RegularizerSpec, _gamma, _scipy
 
 _kv = _scipy("special", "kv")
 
-__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_to_json", "kernel_from_json", "kernel_from_text"]
+__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_from_json", "kernel_from_text"]
 
 
 class NonSmoothAtZero(ValueError):
@@ -60,13 +62,6 @@ def _positive(**params):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
-def _gaussian_width(name, v):
-    """Refuse a Gaussian width whose square under- or overflows: the Gaussian forms divide by it."""
-    v = float(v)  # float products round to 0 or inf where ** would raise
-    if not (v > 0 and 0 < v * v < np.inf):
-        raise ValueError(f"{name} must be positive with a positive finite square, got {v!r}")
-
-
 class KernelSpec:
     """Descriptor of a p.s.d. kernel; immutable, evaluation is pure.
 
@@ -86,13 +81,15 @@ class KernelSpec:
     @classmethod
     def gaussian(cls, sigma, d, scale=1.0):
         _positive(sigma=sigma, scale=scale)
-        _gaussian_width("sigma", sigma)
-        return cls("gaussian", d, sigma=float(sigma), scale=float(scale))
+        s = float(sigma)  # s * s rounds to 0 or inf where s**2 would raise
+        if not 0 < s * s < np.inf:  # the Gaussian forms divide by sigma^2
+            raise ValueError(f"sigma must be positive with a positive finite square, got {s!r}")
+        return cls("gaussian", d, sigma=s, scale=float(scale))
 
     @classmethod
     def laplacian(cls, sigma, d):
-        _positive(sigma=sigma)
-        return cls("laplacian", d, sigma=float(sigma))
+        """kappa0(z) = exp(-||z|| / sigma): the Matern kernel with nu = 1/2 and the same sigma."""
+        return cls.matern(0.5, sigma, d)
 
     @classmethod
     def matern(cls, nu, sigma, d):
@@ -146,10 +143,10 @@ class KernelSpec:
     def _kappa0_r(self, r):
         if self.family == "gaussian":
             return self.scale * np.exp(-(r**2) / (2.0 * self.sigma**2))
-        if self.family == "laplacian":
-            return np.exp(-r / self.sigma)
         if self.family == "matern":
             nu, sig = self.nu, self.sigma
+            if nu == 0.5:  # K_1/2(t) = sqrt(pi / (2t)) e^-t, and t = r / sigma exactly
+                return np.exp(-r / sig)
             t = np.sqrt(2.0 * nu) * r / sig
             out = np.ones_like(t)
             nz = t > 0
@@ -186,9 +183,9 @@ class KernelSpec:
         d = self.d
         if self.family == "gaussian":
             return rng.standard_normal((m, d)) / self.sigma
-        if self.family in ("laplacian", "matern"):
+        if self.family == "matern":
             # multivariate Student-t: density prop. to (df/sigma^2 + ||w||^2)^-((df+d)/2)
-            df = 1.0 if self.family == "laplacian" else 2.0 * self.nu
+            df = 2.0 * self.nu
             z = rng.standard_normal((m, d)) / self.sigma
             u = rng.chisquare(df, size=m)
             return z / np.sqrt(u / df)[:, None]
@@ -203,50 +200,30 @@ class KernelSpec:
             w2 = np.sum(np.atleast_2d(omega) ** 2, axis=-1)
         d = self.d
         if self.family == "gaussian":
-            out = (
-                self.scale
-                * (2.0 * np.pi) ** (d / 2)
-                * self.sigma**d
-                * np.exp(-self.sigma**2 * w2 / 2.0)
-            )
-        elif self.family == "laplacian":
-            a = 1.0 / self.sigma
-            c = 2.0**d * np.pi ** ((d - 1) / 2) * _gamma((d + 1) / 2) * a
-            out = c * (a**2 + w2) ** (-(d + 1) / 2)
-        elif self.family == "matern":
+            s = self.sigma
+            return self.scale * (2.0 * np.pi) ** (d / 2) * s**d * np.exp(-s**2 * w2 / 2.0)
+        if self.family == "matern":
             nu, sig = self.nu, self.sigma
-            c = (
-                2.0**d
-                * np.pi ** (d / 2)
-                * _gamma(nu + d / 2)
-                * (2.0 * nu) ** nu
-                / (_gamma(nu) * sig ** (2.0 * nu))
-            )
-            out = c * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
-        else:
-            raise ValueError(f"no closed-form transform for family {self.family}")
-        return out
+            c = 2.0**d * np.pi ** (d / 2) * _gamma(nu + d / 2) * (2.0 * nu) ** nu
+            return c / (_gamma(nu) * sig ** (2.0 * nu)) * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
+        raise ValueError(f"no closed-form transform for family {self.family}")
 
     def hessian_constant(self):
         """C = kappa0(0) * sqrt(lambda_max(-hess kappa0(0))).
 
-        Analytic where the second derivative at 0 is known; Laplacian and
-        Matern with nu <= 1 have a kink (or unbounded curvature) at 0 and
-        raise NonSmoothAtZero.  Every other kernel (sliced, modified) raises
-        an UnsupportedKernel ValueError.
+        Analytic where the second derivative at 0 is known; Matern with
+        nu <= 1 (the Laplacian among them) has a kink or unbounded curvature
+        at 0 and raises NonSmoothAtZero.  Every other kernel (sliced,
+        modified) raises an UnsupportedKernel ValueError.
         """
         if self.family == "gaussian":
             lam = self.scale / self.sigma**2
             return self.scale * np.sqrt(lam)
         if self.family == "matern":
             if self.nu <= 1.0:
-                raise NonSmoothAtZero(
-                    "Matern kappa0 is not C^2 at 0 for nu <= 1"
-                )
+                raise NonSmoothAtZero("Matern kappa0 is not C^2 at 0 for nu <= 1")
             lam = self.nu / ((self.nu - 1.0) * self.sigma**2)
             return np.sqrt(lam)
-        if self.family == "laplacian":
-            raise NonSmoothAtZero("Laplacian kappa0 has a kink at 0")
         raise ValueError(f"UnsupportedKernel: no curvature constant for {self.family} kernels")
 
     def __repr__(self):
@@ -297,10 +274,6 @@ def kernel_from_dict(obj):
             return KernelSpec.sliced(base, np.array(field("theta_set"), dtype=float))
         return KernelSpec.modified(base, field("mean_weight"))
     raise ValueError(f"unknown kernel family {fam!r}")
-
-
-def kernel_to_json(k):
-    return json.dumps(kernel_to_dict(k))
 
 
 def kernel_from_json(text):

@@ -3,7 +3,7 @@
 Discrete measures are immutable weighted point clouds; Gaussian mixtures are
 restricted to isotropic components, which is all the closed forms downstream
 need.  Both expose means, moments (of mixtures in 1-D only), projections
-onto directions, Gaussian smoothing and deterministic sampling.
+onto directions and deterministic sampling.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "GaussianMixture",
     "RegularizerSpec",
     "project",
-    "smooth",
-    "gmm_quantile",
     "sample",
     "stream_rng",
     "load_dataset",
@@ -234,19 +232,6 @@ def project(mu, theta):
         raise ValueError("theta must be a unit vector")
     pts = (mu.points @ theta)[:, None]
     return DiscreteMeasure(pts, mu.weights)
-
-
-def smooth(mu, alpha):
-    """Gaussian smoothing: one mixture component per atom of `mu`."""
-    if not isinstance(alpha, RegularizerSpec):
-        raise TypeError("alpha must be a RegularizerSpec")
-    sig = np.full(mu.n, alpha.sigma)
-    return GaussianMixture(mu.weights, mu.points, sig)
-
-
-def gmm_quantile(g, q):
-    """Quantile of a 1-D Gaussian mixture at one level q in (0, 1)."""
-    return float(gmm_quantiles(g, np.array([q], dtype=float))[0])
 
 
 _TABLE_POINTS = 257

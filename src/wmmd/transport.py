@@ -1,9 +1,10 @@
 """Exact Wasserstein distances between discrete measures (and 1-D mixture pairs).
 
-The exact solver is deliberately unregularized: 1-D inputs go through the
-closed-form quantile coupling, uniform equal-size inputs through an exact
-assignment, and everything else through an exact LP on the transport polytope.
-A brute-force permutation oracle covers tiny uniform instances.
+Every route is deliberately unregularized.  `wasserstein` sends 1-D inputs
+to the closed-form quantile coupling (`w1d`) and the rest to `w_exact`, which
+solves uniform equal-size inputs as an exact assignment and everything else
+as an exact LP on the transport polytope.  A brute-force permutation oracle
+covers tiny uniform instances.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, project, sample
+from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, sample
 from .reporting import sampling_rate
 
 linear_sum_assignment, linprog = _scipy("optimize", "linear_sum_assignment"), _scipy("optimize", "linprog")
@@ -26,7 +27,6 @@ __all__ = [
     "w_exact",
     "wasserstein",
     "w_brute",
-    "sliced_w1",
     "translation_split",
     "w_rate",
 ]
@@ -37,9 +37,9 @@ _PLAN_TOL = 1e-9  # TransportPlan.validate's slack on sign, marginals and cost
 # Restricted transport LPs (see `_solve_transport_lp`): blocks of at least
 # _SEED_MIN_ENTRIES plan entries start from a Sinkhorn run of _SEED_ITERS
 # iterations at width _SEED_EPS; an entry joins the support when its reduced
-# cost is below -_REDUCED_COST_TOL, HiGHS's dual feasibility tolerance.
+# cost is below -_REDUCED_COST_TOL, the dual feasibility tolerance HiGHS is given.
 _SEED_MIN_ENTRIES, _SEED_ITERS, _SEED_EPS, _SEED_KEEP = 2**12, 500, 1e-3, 1e-3
-_REDUCED_COST_TOL = 1e-7
+_REDUCED_COST_TOL = 1e-10
 
 
 class TransportPlan:
@@ -213,7 +213,11 @@ def w_exact(p, mu, nu):
 
     Uniform equal-size inputs reduce to an assignment problem (Birkhoff);
     the general case is solved as an LP on the transport polytope, which
-    refuses instances with more than 10^6 plan entries.  Large LPs are solved
+    refuses instances with more than 10^6 plan entries.  1-D pairs take
+    these routes too, not the quantile coupling `w1d`.  HiGHS's tolerances are
+    absolute on costs scaled to at most 1, so at large p, where most scaled
+    costs are far below the largest, the LP value is not certified: on a
+    1-D pair at p = 200 it can read three times `w1d`'s.  Large LPs are solved
     on a Sinkhorn-seeded support and certified over every entry by their
     reduced costs (see `_solve_transport_lp`).  When the distances'
     p-th powers would leave the float range they are rescaled first (see
@@ -365,24 +369,31 @@ def _solve_transport_lp(blocks):
     `_REDUCED_COST_TOL` joins it, and the blocks that grew are solved again.
     A block is done when no such entry is left, so its plan is optimal for
     the full LP; a block that keeps every entry is done after one pass.
+
+    Atoms without mass are left out of the LP: their plan rows and columns
+    are 0.  Kept in, they would give empty constraint rows, whose arbitrary
+    duals pull entries into the support for nothing.
     """
+    masses = [(a > 0, b > 0) for _, a, b in blocks]
+    subs = [(C[np.ix_(i, j)], a[i], b[j]) for (C, a, b), (i, j) in zip(blocks, masses)]
     with np.errstate(under="ignore"):  # costs far below the largest underflow by design
-        scaled = [np.ldexp(C, -np.frexp(C.max())[1]) for C, _, _ in blocks]
-    supports = [_lp_seed(S, a, b) for S, (_, a, b) in zip(scaled, blocks)]
+        scaled = [np.ldexp(C, -np.frexp(C.max())[1]) for C, _, _ in subs]
+    supports = [_lp_seed(S, a, b) for S, (_, a, b) in zip(scaled, subs)]
     plans = [None] * len(blocks)
     todo = list(range(len(blocks)))
     while todo:
         c = np.concatenate([scaled[k][supports[k]] for k in todo])
-        rhs = np.concatenate([np.concatenate([blocks[k][1], blocks[k][2][:-1]]) for k in todo])
-        # HiGHS's default 1e-7 feasibility tolerance leaves entries down to about -1e-7
-        # whose clipping below breaks the marginals by more than validate's 1e-9.
+        rhs = np.concatenate([np.concatenate([subs[k][1], subs[k][2][:-1]]) for k in todo])
+        # HiGHS's default 1e-7 feasibility tolerances leave entries down to about -1e-7,
+        # whose clipping below breaks the marginals by more than validate's 1e-9, and
+        # accept vertices up to 1e-7 suboptimal (W_2 off by 9e-9 on an 83 x 71 pair).
         res = linprog(
             c,
             A_eq=_transport_constraints([supports[k] for k in todo]),
             b_eq=rhs,
             bounds=(0, None),
             method="highs",
-            options={"primal_feasibility_tolerance": 1e-10},
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": _REDUCED_COST_TOL},
         )
         if not res.success:
             raise RuntimeError(f"transport LP failed: {res.message}")
@@ -401,8 +412,11 @@ def _solve_transport_lp(blocks):
                     grown.append(k)
             start, r0 = start + size, r0 + n + m - 1
         todo = grown
+    full = [np.zeros(C.shape) for C, _, _ in blocks]
+    for g, f, (i, j) in zip(plans, full, masses):
+        f[np.ix_(i, j)] = g
     with np.errstate(under="ignore"):
-        return [(g, float(np.sum(g * C))) for g, (C, _, _) in zip(plans, blocks)]
+        return [(g, float(np.sum(g * C))) for g, (C, _, _) in zip(full, blocks)]
 
 
 @functools.cache
@@ -433,17 +447,6 @@ def w_brute(p, mu, nu):
     for i in range(n):
         total += C[i, P[:, i]]
     return s * (total.min() / n) ** (1.0 / p)
-
-
-def sliced_w1(mu, nu, theta_set):
-    """Average of 1-D W_1 distances over a fixed shared direction set."""
-    theta_set = np.atleast_2d(np.asarray(theta_set, dtype=float))
-    if theta_set.shape[0] == 0:
-        raise ValueError("theta_set must be nonempty")
-    total = 0.0
-    for theta in theta_set:
-        total += w1d(1, project(mu, theta), project(nu, theta))
-    return total / theta_set.shape[0]
 
 
 def translation_split(mu, nu):

@@ -258,7 +258,9 @@ _OPTIMIZE = ["scipy.optimize", "scipy.sparse", "scipy.special"]  # scipy.optimiz
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["mmd", "x.csv", "x.csv", "--kernel", "matern"], ["scipy.special"]),
+        (["mmd", "x.csv", "x.csv", "--kernel", "matern"], []),
+        (["mmd", "x.csv", "x.csv", "--kernel", "laplacian"], []),
+        (["mmd", "x.csv", "x.csv", "--kernel", '{"family": "matern", "nu": 1.5, "sigma": 1, "d": 2}'], ["scipy.special"]),
         (["lab", "fourier-bound", "--trials", "2", "-o", "r.csv"], ["scipy.special"]),
         (["lab", "embeddability", "--trials", "10", "-o", "r.csv"], ["scipy.special"]),
         (["lab", "embeddability", "--trials", "10", "--kernel", "gaussian", "-o", "r.csv"], ["scipy.special"]),
@@ -269,7 +271,7 @@ _OPTIMIZE = ["scipy.optimize", "scipy.sparse", "scipy.special"]  # scipy.optimiz
         (["lab", "dominance", "--trials", "3", "-o", "r.csv"], _OPTIMIZE),
         (["lab", "learnability", "--trials", "2", "-o", "r.csv"], _OPTIMIZE),
     ],
-    ids=["mmd-matern", "fourier-bound", "embeddability", "embeddability-gaussian", "decode", "ckmeans", "rates-w-d2",
+    ids=["mmd-matern", "mmd-laplacian", "mmd-matern-1.5", "fourier-bound", "embeddability", "embeddability-gaussian", "decode", "ckmeans", "rates-w-d2",
          "smoothing", "dominance", "learnability"],
 )
 def test_command_loads_the_scipy_submodules_it_calls(tmp_path, argv, loaded):

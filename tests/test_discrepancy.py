@@ -17,7 +17,6 @@ from wmmd.kernels import KernelSpec, sphere_directions
 from wmmd.discrepancy import (
     mmd,
     mmd_discrete,
-    mmd_gmm_gaussian,
     mmd_gaussian_kernel,
     mmd_spectral_1d,
     smoothed_l2,
@@ -160,7 +159,7 @@ def test_mmd_chooser_matches_the_closed_form_on_mixtures(pair, sigma_k):
     mu, nu = pair
     k = KernelSpec.gaussian(sigma_k, mu.d, scale=0.7)
     val = mmd(k, mu, nu)
-    assert val == mmd_gmm_gaussian(sigma_k, mu, nu, scale=0.7)
+    assert val == mmd_gaussian_kernel(k, mu, nu)
     sq, mass = _closed_form_sq(sigma_k, 0.7, mu, nu)
     assert abs(val**2 - sq) <= 1e-12 * mass
 
@@ -176,14 +175,15 @@ def test_gmm_closed_form_two_gaussians():
         return v**-0.5 * np.exp(-(delta**2) / (2 * v))
 
     sq = cross(s1, s1, 0) + cross(s2, s2, 0) - 2 * cross(s1, s2, m)
-    assert mmd_gmm_gaussian(1.0, mu, nu) == pytest.approx(np.sqrt(sq), rel=1e-12)
+    assert mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu) == pytest.approx(np.sqrt(sq), rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma_k", [0.0, 1e-170, float("nan"), float("inf"), 1e170, -1.0])
 def test_gmm_closed_form_refuses_a_width_whose_square_leaves_the_float_range(sigma_k):
+    """The closed form takes its width from a Gaussian KernelSpec, which refuses these widths."""
     mu = GaussianMixture([1.0], [[0.0]], [0.5])
-    with pytest.raises(ValueError, match="sigma_k must be positive with a positive finite square"):
-        mmd_gmm_gaussian(sigma_k, mu, mu)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        mmd_gaussian_kernel(KernelSpec.gaussian(sigma_k, 1), mu, mu)
 
 
 @pytest.mark.parametrize(
@@ -191,9 +191,9 @@ def test_gmm_closed_form_refuses_a_width_whose_square_leaves_the_float_range(sig
     [
         KernelSpec.gaussian(1.0, 1),
         KernelSpec.gaussian(0.5, 1, scale=2.0),
-        KernelSpec.laplacian(0.8, 1),
+        # a Matern and a Gaussian kernel; the ids keep the names they had as families of their own
+        pytest.param(KernelSpec.laplacian(0.8, 1), id="KernelSpec(laplacian, d=1, sigma=0.8)"),
         KernelSpec.matern(1.5, 1.2, 1),
-        # a Gaussian kernel; the id keeps the name it had as a family of its own
         pytest.param(KernelSpec.conv_root(RegularizerSpec(0.6), 1), id="KernelSpec(convroot, d=1, sigma=0.6)"),
     ],
     ids=lambda k: repr(k),
@@ -352,10 +352,11 @@ def _large_side(draw, d):
 @settings(max_examples=60, deadline=None)
 def test_gauss_sums_on_every_thread_equal_one_thread_bit_for_bit(pair, sigma_k):
     mu, nu = pair
+    k = KernelSpec.gaussian(sigma_k, mu.d, scale=1.3)
     with _threads(1):
-        one = mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.3)
+        one = mmd_gaussian_kernel(k, mu, nu)
     with _threads(discrepancy._CPUS):
-        every = mmd_gmm_gaussian(sigma_k, mu, nu, scale=1.3)
+        every = mmd_gaussian_kernel(k, mu, nu)
     assert every.hex() == one.hex()
 
 
@@ -377,14 +378,14 @@ def test_error_state_reaches_every_thread(threads):
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             _gauss_cross(*A, *B, 1.0, 1.0, 1)
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            mmd_gmm_gaussian(1.0, mu, nu)
+            mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu)
         # under `filterwarnings = ["error"]` a worker's warning is an exception in the caller
         with np.errstate(under="warn"), pytest.raises(RuntimeWarning, match="underflow"):
             _gauss_cross(*A, *B, 1.0, 1.0, 1)
 
 
 def _child_mmd(queue, mu, nu):
-    queue.put(mmd_gmm_gaussian(1.0, mu, nu).hex())
+    queue.put(mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu).hex())
 
 
 @several_cpus
@@ -393,7 +394,7 @@ def test_forked_child_builds_its_own_pool():
     """The parent's pool threads do not exist in a forked child; it must not wait on them."""
     mu, nu = _split_far_pair()
     with _threads(discrepancy._CPUS):
-        parent = mmd_gmm_gaussian(1.0, mu, nu)  # the pool now exists
+        parent = mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu)  # the pool now exists
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_child_mmd, args=(queue, mu, nu))

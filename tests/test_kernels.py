@@ -1,15 +1,18 @@
+import json
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, kv
 
 from wmmd.measures import RegularizerSpec, stream_rng
 from wmmd.kernels import (
     KernelSpec,
     NonSmoothAtZero,
-    kernel_to_json,
+    kernel_to_dict,
+    kernel_from_dict,
     kernel_from_json,
     sphere_directions,
     _sq_dists,
@@ -47,12 +50,44 @@ def test_gaussian_eval_closed_form():
 
 
 def test_matern_half_equals_laplacian():
-    """nu = 1/2 collapses to the exponential kernel with the same sigma."""
+    """nu = 1/2's closed-form profile exp(-r/sigma) against the Bessel form of the Matern kernel."""
     m = KernelSpec.matern(0.5, 0.9, 2)
     rng = stream_rng(11)
     X = rng.standard_normal((6, 2))
     Y = rng.standard_normal((5, 2))
-    assert np.allclose(m.gram(X, Y), LAP.gram(X, Y), atol=1e-12)
+    t = np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2) / 0.9
+    assert np.allclose(m.gram(X, Y), 2.0**0.5 / gamma(0.5) * t**0.5 * kv(0.5, t), rtol=1e-14, atol=0)
+
+
+def _laplacian_reference(sigma, d):
+    """The Laplacian as its own family: profile, spectral sampler and Fourier transform."""
+    a = 1.0 / sigma
+    c = 2.0**d * np.pi ** ((d - 1) / 2) * gamma((d + 1) / 2) * a
+
+    def sample(m, rng):
+        z = rng.standard_normal((m, d)) / sigma
+        return z / np.sqrt(rng.chisquare(1.0, size=m) / 1.0)[:, None]
+
+    return (lambda r: np.exp(-r / sigma)), sample, (lambda w2: c * (a**2 + w2) ** (-(d + 1) / 2))
+
+
+@given(st.floats(0.05, 20.0), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_laplacian_is_the_matern_half_kernel(sigma, d, seed):
+    """KernelSpec.laplacian is Matern nu = 1/2, with the values of the Laplacian's own formulas."""
+    k = KernelSpec.laplacian(sigma, d)
+    profile, sample, transform = _laplacian_reference(sigma, d)
+    rng = stream_rng(seed)
+    X, Y = sigma * rng.standard_normal((5, d)), sigma * rng.standard_normal((4, d))
+    assert np.array_equal(k.gram(X, Y), profile(np.sqrt(_sq_dists(X, Y))))
+    assert np.array_equal(k.spectral_sample(20, stream_rng(seed, 1)), sample(20, stream_rng(seed, 1)))
+    omega = rng.standard_normal((6, d)) / sigma
+    want = transform(np.sum(omega**2, axis=1))
+    assert np.allclose(k.fourier_kappa0(omega), want, rtol=1e-15, atol=0)
+    with pytest.raises(NonSmoothAtZero):
+        k.hessian_constant()
+    k2 = kernel_from_dict({"family": "laplacian", "sigma": sigma, "d": d})
+    assert kernel_to_dict(k2) == kernel_to_dict(k) == {"family": "matern", "nu": 0.5, "sigma": sigma, "d": d}
 
 
 def test_gram_symmetry_and_psd():
@@ -65,18 +100,17 @@ def test_gram_symmetry_and_psd():
         assert ev.min() > -1e-10
 
 
-# CONV is a Gaussian kernel; its ids keep the name it had as a family of its own.
+# LAP is a Matern kernel and CONV a Gaussian one; their ids keep the names they had as families of their own.
 _IDS = ["gaussian", "laplacian", "matern", "convroot"]
 
 
 @pytest.mark.parametrize("k", [GAUSS, LAP, MAT, CONV], ids=_IDS)
 def test_fourier_inversion_at_origin(k):
     # (2 pi)^(-1) int kappa0_hat(w) dw over a 1-D version recovers kappa0(0)
-    k1 = {
-        "gaussian": KernelSpec.gaussian(k.sigma, 1, getattr(k, "scale", 1.0)),
-        "laplacian": KernelSpec.laplacian(k.sigma, 1),
-        "matern": KernelSpec.matern(k.nu, k.sigma, 1) if k.family == "matern" else None,
-    }.get(k.family) or KernelSpec.matern(k.nu, k.sigma, 1)
+    if k.family == "gaussian":
+        k1 = KernelSpec.gaussian(k.sigma, 1, k.scale)
+    else:
+        k1 = KernelSpec.matern(k.nu, k.sigma, 1)
     val, _ = quad(lambda w: k1.fourier_kappa0(np.array([w]))[0], -np.inf, np.inf)
     assert val / (2 * np.pi) == pytest.approx(_k0(k1), rel=1e-7)
 
@@ -247,7 +281,7 @@ def test_modified_mean_weight_restricted():
     ids=_IDS + ["sliced", "modified"],
 )
 def test_json_roundtrip_bit_exact(k):
-    k2 = kernel_from_json(kernel_to_json(k))
+    k2 = kernel_from_json(json.dumps(kernel_to_dict(k)))
     assert k2.family == k.family and k2.d == k.d
     rng = stream_rng(99)
     X = rng.standard_normal((4, k.d))

@@ -10,8 +10,6 @@ from wmmd.measures import (
     GaussianMixture,
     RegularizerSpec,
     project,
-    smooth,
-    gmm_quantile,
     gmm_quantiles,
     sample,
     stream_rng,
@@ -85,7 +83,7 @@ class TestGaussianMixture:
     def test_quantile_roundtrip(self):
         g = GaussianMixture([0.3, 0.7], [[-1.0], [2.0]], [0.5, 1.5])
         for q in (0.05, 0.3, 0.5, 0.9):
-            x = gmm_quantile(g, q)
+            (x,) = gmm_quantiles(g, [q])
             assert float(g.cdf(np.array(x))) == pytest.approx(q, abs=1e-10)
 
     def test_quantiles_vectorized_matches_scalar(self):
@@ -93,7 +91,7 @@ class TestGaussianMixture:
         qs = np.array([0.1, 0.25, 0.5, 0.75, 0.99])
         xs = gmm_quantiles(g, qs)
         for q, x in zip(qs, xs):
-            assert x == pytest.approx(gmm_quantile(g, q), abs=1e-9)
+            assert x == pytest.approx(gmm_quantiles(g, [q])[0], abs=1e-9)
 
     def test_pdf_matches_cdf_slope(self):
         g = GaussianMixture([0.2, 0.8], [[-1.0], [0.5]], [0.3, 2.0])
@@ -123,8 +121,8 @@ class TestGaussianMixture:
             g = GaussianMixture(rng.uniform(0.1, 1, 4), rng.normal(size=(4, 1)), rng.uniform(0.5, 2, 4))
         assert g.weights.sum() == 1 - 2**-52
         with pytest.raises(ValueError, match=r"q = 0\.9999999999999999 lies above .* 0\.9999999999999998"):
-            gmm_quantile(g, 1 - 2**-53)
-        assert g.cdf(gmm_quantile(g, 1 - 2**-52)) == pytest.approx(1 - 2**-52, abs=2**-52)
+            gmm_quantiles(g, [1 - 2**-53])
+        assert g.cdf(gmm_quantiles(g, [1 - 2**-52])) == pytest.approx(1 - 2**-52, abs=2**-52)
 
     def test_iteration_cap_raises(self, monkeypatch):
         g = GaussianMixture([0.3, 0.7], [[-1.0], [2.0]], [0.5, 1.5])
@@ -197,14 +195,6 @@ def test_regularizer_moment_closed_form():
     assert a.moment_p(2, 1) == pytest.approx(0.49, rel=1e-12)
     # d=3, p=2: trace of covariance = 3 sigma^2
     assert a.moment_p(2, 3) == pytest.approx(3 * 0.49, rel=1e-12)
-
-
-def test_smooth_builds_mixture():
-    m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    g = smooth(m, RegularizerSpec(0.3))
-    assert isinstance(g, GaussianMixture)
-    assert g.K == 2
-    assert np.all(g.sigmas == 0.3)
 
 
 class TestStreams:
