@@ -152,11 +152,11 @@ def mmd_gaussian_kernel(k, mu, nu):
     """
     if k.family != "gaussian":
         raise ValueError("kernel must be Gaussian")
+    if mu.d != k.d or nu.d != k.d:
+        raise ValueError("dimension mismatch")
     w1, m1, s1 = _as_components(mu)
     w2, m2, s2 = _as_components(nu)
-    if m1.shape[1] != m2.shape[1]:
-        raise ValueError("dimension mismatch")
-    d = m1.shape[1]
+    d = k.d
     aa = _gauss_self(w1, m1, s1, k.sigma, k.scale, d)
     bb = _gauss_self(w2, m2, s2, k.sigma, k.scale, d)
     ab = _gauss_cross(w1, m1, s1, w2, m2, s2, k.sigma, k.scale, d)
@@ -207,6 +207,8 @@ def mmd_spectral_1d(k, mu, nu):
     """
     if k.d != 1:
         raise ValueError("spectral route implemented for d=1")
+    if mu.d != 1 or nu.d != 1:
+        raise ValueError("dimension mismatch")
     w, m, s = _signed_components_1d(mu, nu)
     sq = 0.0
     n = w.shape[0]

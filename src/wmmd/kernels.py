@@ -36,17 +36,15 @@ class NonSmoothAtZero(ValueError):
 def _sq_dists(X, Y):
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
-    if X.shape[1] == Y.shape[1] == 1:
-        # One rounded difference per pair: cheaper than the Gram form's k = 1
-        # GEMM and three passes, and free of its cancellation far from 0.
-        sq = np.subtract.outer(X[:, 0], Y[:, 0])
-        return np.multiply(sq, sq, out=sq)
-    sq = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(Y**2, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError("dimension mismatch")
+    # Summed squared coordinate differences: unlike the Gram form x^2 + y^2 - 2xy
+    # they do not cancel away from 0, so equal rows come out exactly 0.
+    sq = np.subtract.outer(X[:, 0], Y[:, 0])
+    np.multiply(sq, sq, out=sq)
+    for k in range(1, X.shape[1]):
+        diff = np.subtract.outer(X[:, k], Y[:, k])
+        sq += np.multiply(diff, diff, out=diff)
     return sq
 
 

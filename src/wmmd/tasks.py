@@ -378,7 +378,7 @@ def _kmeanspp_init(X, wts, K, rng):
     centers = [X[rng.choice(X.shape[0], p=wts)]]
     sq = np.full(X.shape[0], np.inf)  # squared distance to the nearest centre
     for _ in range(1, K):
-        np.minimum(sq, np.sum((X - centers[-1]) ** 2, axis=1), out=sq)
+        np.minimum(sq, _sq_dists(X, centers[-1])[:, 0], out=sq)
         probs = wts * sq
         if probs.sum() <= 0:
             idx = rng.choice(X.shape[0], p=wts)

@@ -186,6 +186,21 @@ def test_gmm_closed_form_refuses_a_width_whose_square_leaves_the_float_range(sig
         mmd_gaussian_kernel(KernelSpec.gaussian(sigma_k, 1), mu, mu)
 
 
+# Two 2-D one-component mixtures, means (0, 0) and (0, 5): they differ only in
+# the second coordinate, which a route reading column 0 alone would miss.
+_PLANE_PAIR = (GaussianMixture([1.0], [[0.0, 0.0]], [1.0]), GaussianMixture([1.0], [[0.0, 5.0]], [1.0]))
+
+
+def test_gmm_closed_form_refuses_measures_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), *_PLANE_PAIR)
+
+
+def test_spectral_route_refuses_measures_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mmd(KernelSpec.matern(1.5, 1.0, 1), *_PLANE_PAIR)
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

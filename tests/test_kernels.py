@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,3 +324,33 @@ def test_1d_sq_dists_are_exact_differences():
     assert np.all(np.diag(sq) == 0.0)
     assert np.array_equal(sq, sq.T)
     assert np.array_equal(sq, (X - X.T) ** 2)
+
+
+# Coordinates up to 1e7 in magnitude, and 0; none so small that a squared
+# difference could underflow.
+_COORD = st.just(0.0) | st.floats(1e-7, 1e7) | st.floats(-1e7, -1e-7)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sq_dists_are_zero_at_equal_rows_symmetric_and_accurate(d, data):
+    """Exactly 0 between equal rows, sq(X, Y) = sq(Y, X).T bit for bit, and
+    every entry within (d + 2) eps relative of the exact value.
+
+    Each squared difference carries at most 3 roundings and the sum d - 1 more,
+    so (d + 2) units of 2^-53 bound the error to first order; eps = 2^-52
+    leaves room for the second-order terms.
+    """
+    row = st.lists(_COORD, min_size=d, max_size=d)
+    X = data.draw(st.lists(row, min_size=1, max_size=6))
+    repeats = data.draw(st.lists(st.sampled_from(X), min_size=1, max_size=3))
+    X, Y = np.array(X), np.array(data.draw(st.lists(row, max_size=4)) + repeats)
+    sq = _sq_dists(X, Y)
+    assert np.array_equal(sq, _sq_dists(Y, X).T)
+    tol = (d + 2) * Fraction(np.finfo(float).eps)
+    for i, x in enumerate(X):
+        for j, y in enumerate(Y):
+            exact = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
+            if np.array_equal(x, y):
+                assert sq[i, j] == 0.0
+            assert abs(Fraction(sq[i, j]) - exact) <= tol * exact

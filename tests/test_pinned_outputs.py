@@ -39,14 +39,64 @@ with nu = 1/2, whose profile is now computed in closed form:
   them against 0.6% for the second, with mean relative errors of 4.0e-17
   against 2.8e-16 (mpmath reference).  The end-to-end value cannot tell the
   two apart: both lie 6.8e-11 below the mpmath value 0.21484672236154268567,
-  an error that comes from the Gram-form squared distances of
-  `kernels._sq_dists` (self-distances up to 2.1e-8 meet the kernel's kink at
-  0).  The Laplacian line `RECORDED["cli"][1]` and the
-  `counterexample --kernel laplacian` report keep their bytes.
+  an error that came from the Gram-form squared distances of
+  `kernels._sq_dists` (self-distances up to 2.1e-8 met the kernel's kink at
+  0; see the next paragraph).  The Laplacian line `RECORDED["cli"][1]` and the
+  `counterexample --kernel laplacian` report kept their bytes.
 - `RECORDED["w_rate"][3]` returns to -0x1.03cba6bd1fb8cp-1, its value before
   the power-of-two cost scaling, since the transport LP is solved at a 1e-10
   dual feasibility tolerance: at HiGHS's default 1e-7 one of its ten W_2
   values stopped at a vertex one ulp off.
+
+Twenty pins and four reports are re-recorded since squared distances are
+formed from coordinate differences in every dimension, not by the Gram form
+x^2 + y^2 - 2xy for d >= 2.  Every changed float is listed below as old ->
+new, against a 40-digit mpmath reference: for an MMD line the double sum
+over the CSV values; for a W_p value the same plan's cost over mpmath
+distances (every plan is unchanged); for a risk the weighted sum of mpmath
+losses; for a `w_rate` slope the least-squares slope over the mean mpmath
+costs of the same plans.  The error is in ulps of the reference.
+- `RECORDED["cli"][1]`, `wmmd mmd --kernel laplacian` (d = 2):
+  0.42172066788923324 -> 0.42172066810705283, mpmath 0.42172066810705282611
+  (error -3.9e6 -> +0.1 ulp).
+- `RECORDED["cli"][2]`, `wmmd mmd --kernel matern`: 0.21484672229342711 ->
+  0.21484672236154242, mpmath 0.21484672236154268567 (-2.5e6 -> -9.4 ulp; the
+  9.4 ulp are the float double sum's, whose terms are 11 times the squared MMD).
+- `RECORDED["cli"][7]`, `wmmd wass --p 1` (d = 2): 0.61989984169433032 ->
+  0.61989984169433021, reference 0.61989984169433021144 (+1 -> 0 ulp).
+- The rest, as (pin, old, new, reference, error old -> new):
+
+      w_exact[0]        0x1.d027df111d697p+0   0x1.d027df111d696p+0   1.8131083885940931    +1 -> 0
+      w_exact[8]        0x1.6c0e8c7818a84p+0   0x1.6c0e8c7818a85p+0   1.4220969956592464     0 -> +1
+      w_exact[14]       0x1.fc857b606040dp-1   0x1.fc857b606040bp-1   0.9932058863779516    +1 -> -1
+      w_exact[18]       0x1.a646cc8cf4c7ap-1   0x1.a646cc8cf4c79p-1   0.82475890370041249   +1 -> 0
+      w_exact[20]       0x1.4d0564d0b895fp+0   0x1.4d0564d0b8960p+0   1.3008635530064439    -1 -> 0
+      w_exact[23]       0x1.928393c0d220ep+0   0x1.928393c0d220dp+0   1.5723202081445635    +1 -> 0
+      w_exact[28]       0x1.62d45d48c38bdp-1   0x1.62d45d48c38bbp-1   0.69302646172743421   +1 -> -1
+      w_exact[32]       0x1.d0263a2713a5dp-1   0x1.d0263a2713a5cp-1   0.90654165007601817   +1 -> 0
+      w_exact[33]       0x1.82b989309b0c7p+0   0x1.82b989309b0c8p+0   1.5106435531297833    +1 -> +2
+      w_exact[35]       0x1.7b7540f951cc3p+0   0x1.7b7540f951cc2p+0   1.4822579010668029     0 -> -1
+      w_exact[36]       0x1.13c444a8b8ba1p+0   0x1.13c444a8b8ba0p+0   1.0772135650556507    +1 -> 0
+      risk_d2[0]        0x1.d65582be55151p+0   0x1.d65582be55152p+0   1.8372422899893379    -2 -> -1
+      risk_d3[0]        0x1.81c9ceeb78f2fp+1   0x1.81c9ceeb78f37p+1   3.013971199967183     -7 -> +1
+      risk_d3[1]        0x1.9999ddce71009p+0   0x1.9999ddce7100ep+0   1.6000040654189465    -5 -> 0
+      task_kmedians[1]  0x1.db8b1b696da59p-1   0x1.db8b1b696da5ap-1   0.92879567777601857    0 -> +1
+      w_rate[1]         -0x1.52be592287440p-2  -0x1.52be592287436p-2  -0.33080424569363093  -7 -> +3
+      w_rate[2]         -0x1.3a7b97a4db9acp-2  -0x1.3a7b97a4db9adp-2  -0.30711209243500087  +1 -> 0
+
+  Over all 40 `w_exact` pins the absolute errors sum to 15 ulp before and
+  12 after, with 25 and 29 values exact.  Four of the moved values are one
+  ulp farther from their reference: at that level the last bit is set by the
+  float cost sum and the root, not by the distances.
+- Reports: `rates --which w --d 2 --trials 2` (6 CSV values, at most 4.9e-15
+  relative, all closer to a rerun whose squared distances are formed in
+  64-bit-mantissa precision and rounded once; its sidecar slope
+  -0.3568078579010327 -> -0.3568078579010304, the rerun's value),
+  `smoothing` (3 values of `w_p`, 1 ulp each, all closer to that rerun),
+  `dominance --trials 10` (4 values, 1 ulp each: two MMDs, -2 -> -1 and
+  0 -> +1 ulp from mpmath, one W_2 0 -> +1, and its bound) and
+  `learnability --trials 4` (one bound, 1 ulp, whose W_2 goes 0 -> -1 ulp from
+  mpmath).  Every `pass` field, and every other sidecar field, is unchanged.
 
 Two pins are dropped with the code they pinned: `RECORDED["lemma24"]`, the
 bootstrap estimate of `lab.lemma24_check` (criterion 13 and `wmmd lab
@@ -60,11 +110,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from wmmd.cli import dispatch
-from wmmd.measures import DiscreteMeasure, save_dataset, stream_rng
+from wmmd.measures import DiscreteMeasure, load_dataset, save_dataset, stream_rng
 from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk, task_metric_probe
 from wmmd.transport import w_exact, w_rate
 
@@ -73,44 +124,44 @@ RECORDED = {
         "0x1.757fe69e2d821p+2", "0x1.80c0695f03746p-1", "-0x1.3bd4efb0818b8p+2",
         "-0x1.1cd7417e37ab7p-2", "-0x1.ce09e47c3d0f6p+2", "0x1.8b3470aac2af1p-2",
     ],
-    "risk_d2": ["0x1.d65582be55151p+0", "0x1.3255a7f10ab9ep+0"],
+    "risk_d2": ["0x1.d65582be55152p+0", "0x1.3255a7f10ab9ep+0"],
     "project_d2": ["0x1.6098ead65b7adp-2", "0x1.3e1f671529a34p-2", "0x1.6147ae147ae1fp-2"],
     "lloyd_d3": [
         "-0x1.f9b8f6161a4fcp+2", "0x1.1eff49c89098dp+2", "0x1.fd5ab57460a22p+1",
         "0x1.0883869516f82p-5", "0x1.93174e8875168p-3", "-0x1.c232c47e52b02p-1",
         "-0x1.67fc686eba17ap+0", "0x1.1683473e40ef5p+3", "-0x1.b5322a68c7188p+2",
     ],
-    "risk_d3": ["0x1.81c9ceeb78f2fp+1", "0x1.9999ddce71009p+0"],
-    "task_kmedians": ["0x1.d52da5b0c1cefp+0", "0x1.db8b1b696da59p-1", "0x1.c1ad0655dc2dcp+0"],
+    "risk_d3": ["0x1.81c9ceeb78f37p+1", "0x1.9999ddce7100ep+0"],
+    "task_kmedians": ["0x1.d52da5b0c1cefp+0", "0x1.db8b1b696da5ap-1", "0x1.c1ad0655dc2dcp+0"],
     "task_linreg": ["0x1.6c935056e7d10p+0", "0x1.68bc957c71c4fp+2", "0x1.08775a4f1f315p+1"],
     "task_binclass": ["0x1.f9f00a06ed45ep-1", "0x1.b06fcb55162d6p+0", "0x1.022fea1bbc874p+0"],
     "project_d3": ["0x1.5fea27983c13cp-2", "0x1.5a740da740dacp-2", "0x1.45a1cac083119p-2"],
     "w_exact": [
-        "0x1.d027df111d697p+0", "0x1.bad3dcf27d184p+0", "0x1.4d14a5160055fp+0",
+        "0x1.d027df111d696p+0", "0x1.bad3dcf27d184p+0", "0x1.4d14a5160055fp+0",
         "0x1.2cf74da69e320p+1", "0x1.5bfa882289f70p+0", "0x1.4788d4b715308p+0",
-        "0x1.ae4d6b18ccad9p+0", "0x1.f4aa665a47952p+0", "0x1.6c0e8c7818a84p+0",
+        "0x1.ae4d6b18ccad9p+0", "0x1.f4aa665a47952p+0", "0x1.6c0e8c7818a85p+0",
         "0x1.f28245e311a8ap+0", "0x1.0da0e796156e5p+0", "0x1.599c3749ed3f3p+0",
-        "0x1.c83aa559f540ep-1", "0x1.87fb5f6d44fedp+0", "0x1.fc857b606040dp-1",
+        "0x1.c83aa559f540ep-1", "0x1.87fb5f6d44fedp+0", "0x1.fc857b606040bp-1",
         "0x1.80b011d034d90p+0", "0x1.0ea074c2cfa77p+0", "0x1.a03946980f3a0p+0",
-        "0x1.a646cc8cf4c7ap-1", "0x1.37b6c929479f7p+1", "0x1.4d0564d0b895fp+0",
-        "0x1.eb588ea87729bp+0", "0x1.9e0ac99950033p-1", "0x1.928393c0d220ep+0",
+        "0x1.a646cc8cf4c79p-1", "0x1.37b6c929479f7p+1", "0x1.4d0564d0b8960p+0",
+        "0x1.eb588ea87729bp+0", "0x1.9e0ac99950033p-1", "0x1.928393c0d220dp+0",
         "0x1.9959199ea7e1ep+0", "0x1.8525f01f80642p+0", "0x1.ebc85a5eb2501p-1",
-        "0x1.6dcb0edca57e1p+0", "0x1.62d45d48c38bdp-1", "0x1.00d5b7b408895p+1",
-        "0x1.ee26b2bf8ed94p+0", "0x1.aad5ec936df92p+0", "0x1.d0263a2713a5dp-1",
-        "0x1.82b989309b0c7p+0", "0x1.a6c962ed19cb3p+0", "0x1.7b7540f951cc3p+0",
-        "0x1.13c444a8b8ba1p+0", "0x1.1fff8e368ccdbp+0", "0x1.19eab2cc11ef0p+0",
+        "0x1.6dcb0edca57e1p+0", "0x1.62d45d48c38bbp-1", "0x1.00d5b7b408895p+1",
+        "0x1.ee26b2bf8ed94p+0", "0x1.aad5ec936df92p+0", "0x1.d0263a2713a5cp-1",
+        "0x1.82b989309b0c8p+0", "0x1.a6c962ed19cb3p+0", "0x1.7b7540f951cc2p+0",
+        "0x1.13c444a8b8ba0p+0", "0x1.1fff8e368ccdbp+0", "0x1.19eab2cc11ef0p+0",
         "0x1.cc65743f4b116p+0",
     ],
     # The last slope is re-recorded since the LP runs at a 1e-10 dual
     # tolerance; see the module docstring.
     "w_rate": [
-        "-0x1.5732ef6d343abp-1", "-0x1.52be592287440p-2", "-0x1.3a7b97a4db9acp-2",
+        "-0x1.5732ef6d343abp-1", "-0x1.52be592287436p-2", "-0x1.3a7b97a4db9adp-2",
         "-0x1.03cba6bd1fb8cp-1",
     ],
     "cli": [
-        "0.33179683462770093\n", "0.42172066788923324\n", "0.21484672229342711\n",
+        "0.33179683462770093\n", "0.42172066810705283\n", "0.21484672236154242\n",
         "1.1247349592121727\n", "0.81639413158038354\n", "0.87256574866923642\n",
-        "1.5606234685757456\n", "0.61989984169433032\n",
+        "1.5606234685757456\n", "0.61989984169433021\n",
     ],
     "sketch_sha256": [
         "0932524430d112dd4ddfee8157d3b7252c86deb069274319e6f9781c1311e4a9",
@@ -143,19 +194,19 @@ RECORDED = {
             "8c7aa3f0f8870b9c9e1b0d9373a56d71406a8fc14968b78affc85afb0f639f1b",
         ),
         "rates --which w --d 2 --trials 2": (
-            "d6855481db46eddfb3cbcf9eb06d5cd846e9002175d5313ffa9546288e42e41d",
-            "236aaee533656ed1872c43030413e5831642a0e8dad52816e3cf01c74efdc191",
+            "bd1cd1cbc58c801d7551a2d67a9fe678aae203a884c2bb4b742d57f7ffc703cb",
+            "ec4fe84c6aee15534ab28f37819fe0152b6bdbd1b49bc4bdabbe59fd619de507",
         ),
         "fourier-bound --trials 2": (
             "adbf694243bc6c0cfe978ffc620e9e9072bd4db6d53f659378e3e69374d14310",
             "34275bff23dd4afcb7db7c1b503d23c0324520b0363bdb3a182870e4b0c3485a",
         ),
         "smoothing": (
-            "e9793a40b6c4bd4943689f5759180f6a82a91d0b593ea0ca913ab6f372816e8d",
+            "0e053a7453f227b38b8e6f8f86ba3f52c5ca2cbc1da7fad189937bc9c85765a5",
             "124064b3157e116f42d96690aa03ca83c82828a55e3a6e99f8136cf675de925e",
         ),
         "dominance --trials 10": (
-            "675d4827884ff0364bd52b6d82b3d5edcbb40d6e8be1d47c3b140f8f37f353ab",
+            "4eb9749c1cb912653edd11a9ef82a38fc550b05f3b9d424851f061e7e0cd28bc",
             "ac4d2a35fdc26ad0667e829e5a241e65ea12dad99347ab9d04d4f5c5c19cc43e",
         ),
         "sliced --trials 5": (
@@ -167,7 +218,7 @@ RECORDED = {
             "bc01d86ab431db1211b7a8dc5053203259995f2967b653119fb700d9c96c713d",
         ),
         "learnability --trials 4": (
-            "4fd5d8af33d976370c42a8442c8569ddfdc1669da66967e8d09a258a63ee697f",
+            "ffed8db36c002761fa7b012991d4b6d71cf4af04c72d3669541f8d0dee471c4a",
             "5d44a3ad4515026dbb4b0977d6c592d1ec74c876b6b5a95b595b19f43b643287",
         ),
     },
@@ -276,6 +327,42 @@ def test_cli_mmd_and_wass_output(datasets, capsys):
         assert dispatch(argv) == 0
         printed.append(capsys.readouterr().out)
     assert printed == RECORDED["cli"]
+
+
+def _mmd_mpmath(X, Y, profile):
+    """40-digit MMD between the uniform measures on the rows of X and Y, and aa + bb."""
+    with mpmath.workdps(40):
+
+        def term(P, Q):
+            dist = lambda x, y: mpmath.sqrt(mpmath.fsum((mpmath.mpf(a) - mpmath.mpf(b)) ** 2 for a, b in zip(x, y)))
+            return mpmath.fsum(profile(dist(x, y)) for x in P for y in Q) / (len(P) * len(Q))
+
+        aa, bb, ab = term(X, X), term(Y, Y), term(X, Y)
+        return mpmath.sqrt(aa + bb - 2 * ab), aa + bb
+
+
+@pytest.mark.parametrize(
+    "a, b, kernel, profile",
+    [
+        ("a1", "b1", "gaussian", lambda r: mpmath.exp(-(r**2) / 2)),
+        ("a2", "b2", "laplacian", lambda r: mpmath.exp(-r)),
+        ("a2", "c2", "matern", lambda r: mpmath.exp(-r)),
+    ],
+    ids=["gaussian", "laplacian", "matern"],
+)
+def test_cli_mmd_lines_match_mpmath(datasets, capsys, a, b, kernel, profile):
+    """The `wmmd mmd` lines of `test_cli_mmd_and_wass_output` are right, not only unmoved.
+
+    The printed value is the root of aa + bb - 2 ab, each sum rounded in
+    floats, so its error is bounded on the square, in ulps of aa + bb: 4 of
+    them.  Measured: at most 1.0 here, against 1.7e6 (Laplacian) and 2.6e5
+    (Matern) with the Gram-form squared distances.
+    """
+    assert dispatch(["mmd", datasets[a], datasets[b], "--kernel", kernel]) == 0
+    value = float(capsys.readouterr().out)
+    ref, scale = _mmd_mpmath(load_dataset(datasets[a]), load_dataset(datasets[b]), profile)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(value) ** 2 - ref**2) <= 4 * np.spacing(float(scale))
 
 
 def test_sketch_file_bytes(datasets, tmp_path):

@@ -87,6 +87,16 @@ def test_kmeans_project_tie_goes_to_lowest_index():
     assert push.points[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_centroids_of_another_dimension_are_refused(d):
+    mu = _uniform(np.arange(8.0).reshape(4, 2))
+    h = Hypothesis("kmeans", np.ones((3, d)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kmeans_project(h, mu)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        risk(TaskSpec("kmeans", K=3), mu, h)
+
+
 def test_risk_equals_transport_to_pushforward():
     """Compression-task identity: risk = W_p^p(mu, P_h # mu)."""
     rng = stream_rng(12)
