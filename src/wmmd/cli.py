@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .measures import DiscreteMeasure, load_dataset
+from .measures import DiscreteMeasure, cap_threads, load_dataset
 from .kernels import kernel_from_text
-from .discrepancy import cap_threads, mmd
+from .discrepancy import mmd
 from .transport import wasserstein
 from .sketch import (
     draw_features,
@@ -123,7 +123,7 @@ def _build_parser():
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS's threads, and the Gaussian MMD sums' (by default one per CPU in the affinity mask), at N",
+        help="cap BLAS's threads, and those of the Gaussian MMD and sketch sums (by default one per CPU in the affinity mask), at N",
     )
     sub = ap.add_subparsers(dest="command")
 

@@ -7,13 +7,11 @@ signals a non-p.s.d. kernel and raises.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import warnings
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project, sample
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _block_sum, _scipy, _tanh_sinh, project, sample
 from .kernels import _sq_dists
 from .reporting import sampling_rate
 
@@ -66,46 +64,16 @@ def _as_components(measure):
 # passes, so it should stay in L2: a 64 x 8192 float64 block is 4 MiB.
 _BLOCK = 64
 
-# Threads for the blocks: every CPU in the affinity mask, or `cap_threads`'
-# cap.  The pool starts at the first threaded sum; a forked child starts anew.
-# A sum is threaded only when its blocks average _MIN_PAIRS pairs (512 KiB):
-# narrower blocks spend more CPU on interpreter-lock hand-offs than they save.
+# A sum goes to the block pool (`measures._block_sum`) only when its blocks
+# average _MIN_PAIRS pairs (512 KiB): narrower blocks spend more CPU on
+# interpreter-lock hand-offs than they save.
 _MIN_PAIRS = 2**16
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_workers, _pool = _CPUS, None
-os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
-def cap_threads(n):
-    """Compute the Gaussian sums on at most n threads."""
-    global _workers
-    _workers = max(1, min(int(n), _CPUS))
-
-
-def _block_sum(block_value, n, pairs):
-    """Sum of block_value(i0) over the row blocks i0 < n, added in block order.
-
-    Block i goes to pool thread i mod W, which runs it in a copy of the
-    caller's context (numpy's error state included).
-    """
-    global _pool
+def _gauss_sum(block_value, n, pairs):
+    """Sum of block_value(i0) over the row blocks i0 < n of a sum of `pairs` pairs."""
     starts = range(0, n, _BLOCK)
-    w = min(_workers, len(starts)) if pairs >= _MIN_PAIRS * len(starts) else 1
-    if w < 2:
-        values = map(block_value, starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor, wait
-
-        _pool = _pool or ThreadPoolExecutor(_CPUS, thread_name_prefix="wmmd-gauss")
-        share = lambda k: [block_value(i0) for i0 in starts[k::w]]
-        futures = [_pool.submit(contextvars.copy_context().run, share, k) for k in range(w)]
-        wait(futures)  # no block outlives the call, even when one raises
-        shares = [f.result() for f in futures]
-        values = [shares[i % w][i // w] for i in range(len(starts))]
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return _block_sum(block_value, starts, pairs >= _MIN_PAIRS * len(starts))
 
 
 def _gauss_block(m1, s1, m2, s2, sig2, d):
@@ -128,7 +96,7 @@ def _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d):
         rows = slice(i0, i0 + _BLOCK)
         return w1[rows] @ _gauss_block(m1[rows], s1[rows], m2, s2, sigma_k**2, d) @ w2
 
-    return scale * float(_block_sum(block_value, m1.shape[0], m1.shape[0] * m2.shape[0]))
+    return scale * float(_gauss_sum(block_value, m1.shape[0], m1.shape[0] * m2.shape[0]))
 
 
 def _gauss_self(w, m, s, sigma_k, scale, d):
@@ -140,7 +108,7 @@ def _gauss_self(w, m, s, sigma_k, scale, d):
         b = wb.shape[0]
         return wb @ block[:, :b] @ wb + 2.0 * (wb @ block[:, b:] @ w[i1:])
 
-    return scale * float(_block_sum(block_value, m.shape[0], m.shape[0] * (m.shape[0] + 1) // 2))
+    return scale * float(_gauss_sum(block_value, m.shape[0], m.shape[0] * (m.shape[0] + 1) // 2))
 
 
 def mmd_gaussian_kernel(k, mu, nu):

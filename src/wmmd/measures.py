@@ -8,7 +8,9 @@ onto directions and deterministic sampling.
 
 from __future__ import annotations
 
+import contextvars
 import importlib
+import os
 
 import numpy as np
 
@@ -339,6 +341,55 @@ def _tanh_sinh(f, cuts):
                 return h * acc
             total = h * acc
     raise RuntimeError(f"integral did not converge in {_TS_LEVELS} levels, down to step h = {h:g}")
+
+
+# ---------------------------------------------------------------------------
+# Row blocks on every CPU: the pool behind the Gaussian sums and the sketch sums.
+
+# Threads for the blocks: every CPU in the affinity mask, or `cap_threads`'
+# cap.  The pool starts at the first threaded sum; a forked child starts anew.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_workers, _pool = _CPUS, None
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+# Blocks per wave of a threaded sum.  A wave's values are added before the
+# next wave starts, so at most this many block values (arrays, for a sketch)
+# are held at once.
+_WAVE = 32
+
+
+def cap_threads(n):
+    """Compute the block sums on at most n threads."""
+    global _workers
+    _workers = max(1, min(int(n), _CPUS))
+
+
+def _block_sum(block_value, starts, threaded=True):
+    """Sum of block_value(i0) over the block starts, added in block order.
+
+    Values are floats or arrays.  Threaded, the blocks go out in waves of
+    _WAVE: block i of a wave goes to pool thread i mod W, which runs it in a
+    copy of the caller's context (numpy's error state included).
+    """
+    global _pool
+    w = min(_workers, len(starts)) if threaded else 1
+    total = 0.0
+    if w < 2:
+        for i0 in starts:
+            total += block_value(i0)
+        return total
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    _pool = _pool or ThreadPoolExecutor(_CPUS, thread_name_prefix="wmmd-blocks")
+    share = lambda part: [block_value(i0) for i0 in part]
+    for lo in range(0, len(starts), _WAVE):
+        wave = starts[lo : lo + _WAVE]
+        futures = [_pool.submit(contextvars.copy_context().run, share, wave[k::w]) for k in range(min(w, len(wave)))]
+        wait(futures)  # no block outlives the call, even when one raises
+        shares = [f.result() for f in futures]
+        for i in range(len(wave)):
+            total += shares[i % w][i // w]
+    return total
 
 
 def sample(measure, n, rng):

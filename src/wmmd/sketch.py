@@ -9,10 +9,11 @@ by count-weighted averaging, exactly.
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, _seed64
+from .measures import DiscreteMeasure, GaussianMixture, _block_sum, _seed64
 from .kernels import kernel_to_dict, kernel_from_dict
 
 __all__ = [
@@ -35,35 +36,42 @@ _FORMAT_TAG = "wmmd-sketch-v1"
 _BLOCK_ENTRIES = 2**15
 
 
-def _cos_sin(T, c=None, den=None):
-    """cos T and sin T from one tangent of the half angle; T is overwritten.
+def _cos_sin(U, c=None, den=None):
+    """cos 2U and sin(2U)/2 from one tangent of the half angle U; U is overwritten.
 
-    With u = tan(T/2), cos T = (1 - u^2)/(1 + u^2) and sin T = 2u/(1 + u^2).
-    A vectorised tan replaces the separate cos and sin passes; both results
-    stay within 2.2e-16 absolute of np.cos/np.sin for every finite T (tan of
-    a double never reaches inf, so u^2 cannot overflow).  Returns (c, T):
-    the cosine goes to `c` and `den` is scratch, both arrays of T's shape or
-    None to allocate; the operations are the same either way.
+    With u = tan U, cos 2U = (1 - u^2)/(1 + u^2) and sin(2U)/2 = u/(1 + u^2).
+    A vectorised tan replaces the separate cos and sin passes; the cosine and
+    twice the half sine stay within 2.2e-16 absolute of np.cos/np.sin of 2U
+    for every finite U (tan of a double never reaches inf, so u^2 cannot
+    overflow).  Callers form U with `FeatureMap.half_omega` and fold the
+    sine's factor 2 into a later product.  Returns (c, U): the cosine goes to
+    `c` and `den` is scratch, both arrays of U's shape or None to allocate;
+    the operations are the same either way.
     """
-    u = np.multiply(T, 0.5, out=T)
-    np.tan(u, out=u)
+    u = np.tan(U, out=U)
     den = np.multiply(u, u, out=den)
     c = np.subtract(1.0, den, out=c)
     den += 1.0
     c /= den
-    u += u
     u /= den
     return c, u
 
 
 class FeatureMap:
-    """Frozen frequency matrix with the 1/sqrt(m) complex-exponential map."""
+    """Frozen frequency matrix with the 1/sqrt(m) complex-exponential map.
 
-    __slots__ = ("omega", "kernel", "seed")
+    `half_omega` is omega / 2, for the half angles of `_cos_sin`.  Above the
+    subnormal range halving commutes with every rounding of a product or
+    sum, so X @ half_omega.T is (X @ omega.T) / 2 bit for bit.
+    """
+
+    __slots__ = ("omega", "half_omega", "kernel", "seed")
 
     def __init__(self, omega, kernel, seed):
         self.omega = np.atleast_2d(np.asarray(omega, dtype=float))
         self.omega.setflags(write=False)
+        self.half_omega = self.omega * 0.5
+        self.half_omega.setflags(write=False)
         self.kernel = kernel
         self.seed = int(seed)
 
@@ -78,11 +86,11 @@ class FeatureMap:
     def phi(self, X):
         """Feature matrix, one row of Phi(x) per sample row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        c, s = _cos_sin(X @ self.omega.T)
+        c, s = _cos_sin(X @ self.half_omega.T)
         out = np.empty(c.shape, dtype=complex)
         scale = np.sqrt(self.m)
         np.divide(c, scale, out=out.real)
-        np.divide(s, -scale, out=out.imag)
+        np.divide(s, -0.5 * scale, out=out.imag)
         return out
 
     def same_as(self, other):
@@ -144,20 +152,32 @@ def _feature_sum(F, X, weights=None):
     """Sum of Phi over the rows of X, weighted if weights are given.
 
     Rows are taken in blocks of about _BLOCK_ENTRIES feature entries, so the
-    n x m feature matrix is never formed.
+    n x m feature matrix is never formed.  The blocks run on the block pool
+    (`measures._block_sum`); each thread keeps one scratch array for all of
+    its blocks, and each block's value is its sums of cos and of sin/2.
     """
     rows = max(1, _BLOCK_ENTRIES // F.m)
-    re, im = np.zeros(F.m), np.zeros(F.m)
-    for lo in range(0, X.shape[0], rows):
-        c, s = _cos_sin(X[lo : lo + rows] @ F.omega.T)
+    local = threading.local()
+
+    def block_value(lo):
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = np.empty((3, rows, F.m))
+        Xb = X[lo : lo + rows]
+        U, c, den = work[:, : Xb.shape[0]]
+        c, s = _cos_sin(np.matmul(Xb, F.half_omega.T, out=U), c, den)
+        out = np.empty((2, F.m))
         if weights is None:
-            re += c.sum(axis=0)
-            im += s.sum(axis=0)
+            c.sum(axis=0, out=out[0])
+            s.sum(axis=0, out=out[1])
         else:
             w = weights[lo : lo + rows]
-            re += w @ c
-            im += w @ s
-    return (re - 1j * im) / np.sqrt(F.m)
+            np.matmul(w, c, out=out[0])
+            np.matmul(w, s, out=out[1])
+        return out
+
+    re, im_half = _block_sum(block_value, range(0, X.shape[0], rows))
+    return (re - 2j * im_half) / np.sqrt(F.m)
 
 
 def sketch_samples(F, X):

@@ -209,20 +209,22 @@ def _atom_objective_grad(F, r, thetas, work):
     With r = a + ib and Phi_j = (cos t_j - i sin t_j)/sqrt(m), t = omega theta:
     f = sum_j (a_j cos t_j - b_j sin t_j)/sqrt(m), and its gradient is
     -omega^T (a sin t + b cos t)/sqrt(m); the arithmetic is real.  `work` is a
-    (3, S, m) array with S >= len(thetas) that holds the phase matrix and its
-    cos/sin scratch, so repeated calls allocate no (k x m) array.  Returns f
-    of shape (k,) and the gradients as a (k, d) array.
+    (3, S, m) array with S >= len(thetas) that holds the half-angle matrix and
+    its cos/sin scratch, so repeated calls allocate no (k x m) array.  The
+    sine comes halved (`_cos_sin`) and meets 2a and 2b, the real and
+    imaginary views of 2r, so every product keeps its bits.  Returns f of
+    shape (k,) and the gradients as a (k, d) array.
     """
-    T, c, den = work[:, : thetas.shape[0]]
-    np.matmul(thetas, F.omega.T, out=T)
-    c, s = _cos_sin(T, c, den)
-    a, b = r.real, r.imag
+    U, c, den = work[:, : thetas.shape[0]]
+    np.matmul(thetas, F.half_omega.T, out=U)
+    c, h = _cos_sin(U, c, den)  # h = sin(t) / 2
+    r2 = r + r
     scale = 1.0 / math.sqrt(F.m)
-    f = (c @ a - s @ b) * scale
-    s *= a  # s <- a sin t + b cos t, in place
-    c *= b
-    s += c
-    return f, (s @ F.omega) * -scale
+    f = (c @ r.real - h @ r2.imag) * scale
+    h *= r2.real  # h <- a sin t + b cos t, in place
+    c *= r.imag
+    h += c
+    return f, (h @ F.omega) * -scale
 
 
 def _clamp_ball(thetas, center, radius):
@@ -309,6 +311,8 @@ def decode_diracs(s, K, domain, opts=None):
     opts = dict(opts or {})
     seed = _seed64(opts.get("seed", 0))
     n_starts = int(opts.get("n_starts", 16))
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     F = s.feature_map
     s_vals = s.values
     d = center.shape[0]
@@ -388,10 +392,23 @@ def _kmeanspp_init(X, wts, K, rng):
     return np.array(centers)
 
 
+def _has_distinct_rows(X, K):
+    """Whether X has at least K distinct rows, equal by float == as np.unique has them.
+
+    Rows go into a set in chunks of doubling length, so the scan stops soon
+    after the K-th distinct row; 0.0 and -0.0 are one float, and one hash.
+    """
+    seen, lo, step = set(), 0, K
+    while len(seen) < K and lo < X.shape[0]:
+        seen.update(map(tuple, X[lo : lo + step].tolist()))
+        lo, step = lo + step, 2 * step
+    return len(seen) >= K
+
+
 def lloyd(measure, K, inits, rng):
     """Best of `inits` k-means++ runs of Lloyd's algorithm on a discrete measure."""
     X, wts = measure.points, measure.weights
-    if K > np.unique(X, axis=0).shape[0]:
+    if not _has_distinct_rows(X, K):
         raise ValueError("K exceeds the number of distinct atoms")
     task = TaskSpec("kmeans", K=K)
     best_h, best_r = None, np.inf

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wmmd import discrepancy, lab
+from wmmd import discrepancy, lab, measures
 from wmmd.kernels import KernelSpec
 from wmmd.measures import GaussianMixture, save_dataset, stream_rng
 from wmmd.cli import blas_threads, dispatch, set_blas_threads
@@ -177,8 +177,8 @@ def test_lab_learnability(tmp_path, capsys):
 
 @pytest.fixture
 def blas_pool(monkeypatch):
-    """The loaded OpenBLAS thread counts, restored after the test with the Gaussian sums' thread cap."""
-    monkeypatch.setattr(discrepancy, "_workers", discrepancy._workers)
+    """The loaded OpenBLAS thread counts, restored after the test with the block pool's thread cap."""
+    monkeypatch.setattr(measures, "_workers", measures._workers)
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -351,7 +351,7 @@ print(json.dumps([rc, threading.active_count()]))
 """
         seen[name] = _fresh_python(code, tmp_path / name)
     assert seen["capped"][1] == 1
-    assert (seen["free"][1] > 1) == (discrepancy._CPUS > 1)  # the pool started
+    assert (seen["free"][1] > 1) == (measures._CPUS > 1)  # the pool started
     assert seen["capped"][0] == seen["free"][0] in (0, 2)
     for f in ("r.csv", "r.csv.summary.json"):
         assert (tmp_path / "capped" / f).read_bytes() == (tmp_path / "free" / f).read_bytes()
@@ -362,14 +362,14 @@ def test_mmd_rate_on_one_cpu_equals_every_cpu(monkeypatch):
     code = """
 import json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from wmmd import discrepancy
+from wmmd import discrepancy, measures
 from wmmd.kernels import KernelSpec
 from wmmd.measures import GaussianMixture
 pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
 fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
-print(json.dumps([discrepancy._workers, repr(fit)]))
+print(json.dumps([measures._workers, repr(fit)]))
 """
-    monkeypatch.setattr(discrepancy, "_workers", discrepancy._CPUS)
+    monkeypatch.setattr(measures, "_workers", measures._CPUS)
     monkeypatch.setattr(discrepancy, "_MIN_PAIRS", 0)
     pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
     fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmmd import discrepancy
+from wmmd import discrepancy, measures
 from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
@@ -336,19 +336,19 @@ def test_tanh_sinh_raises_at_cap_and_on_non_finite_sum():
 # ---------------------------------------------------------------------------
 # The Gaussian sums' row blocks on several threads
 
-several_cpus = pytest.mark.skipif(discrepancy._CPUS < 2, reason="one CPU in the affinity mask: no pool")
+several_cpus = pytest.mark.skipif(measures._CPUS < 2, reason="one CPU in the affinity mask: no pool")
 
 
 @contextlib.contextmanager
 def _threads(n):
     """At most n threads, and a pool for every multi-block sum however narrow its blocks."""
-    before = discrepancy._workers, discrepancy._MIN_PAIRS
-    discrepancy.cap_threads(n)
+    before = measures._workers, discrepancy._MIN_PAIRS
+    measures.cap_threads(n)
     discrepancy._MIN_PAIRS = 0
     try:
         yield
     finally:
-        discrepancy._workers, discrepancy._MIN_PAIRS = before
+        measures._workers, discrepancy._MIN_PAIRS = before
 
 
 @st.composite
@@ -370,7 +370,7 @@ def test_gauss_sums_on_every_thread_equal_one_thread_bit_for_bit(pair, sigma_k):
     k = KernelSpec.gaussian(sigma_k, mu.d, scale=1.3)
     with _threads(1):
         one = mmd_gaussian_kernel(k, mu, nu)
-    with _threads(discrepancy._CPUS):
+    with _threads(measures._CPUS):
         every = mmd_gaussian_kernel(k, mu, nu)
     assert every.hex() == one.hex()
 
@@ -408,7 +408,7 @@ def _child_mmd(queue, mu, nu):
 def test_forked_child_builds_its_own_pool():
     """The parent's pool threads do not exist in a forked child; it must not wait on them."""
     mu, nu = _split_far_pair()
-    with _threads(discrepancy._CPUS):
+    with _threads(measures._CPUS):
         parent = mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu)  # the pool now exists
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()

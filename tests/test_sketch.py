@@ -1,4 +1,7 @@
+import contextlib
 import json
+import multiprocessing
+import sys
 import tracemalloc
 import warnings
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmmd import measures
 from wmmd.measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, stream_rng
 from wmmd.kernels import KernelSpec, kernel_to_dict
 from wmmd.sketch import (
@@ -274,9 +278,9 @@ def test_cos_sin_matches_numpy():
         (2 * rng.integers(-(10**6), 10**6, 100_000) + 1) * np.pi,  # odd multiples of pi
     ]
     for T in args:
-        c, s = _cos_sin(T.copy())
+        c, s = _cos_sin(T * 0.5)  # half angles in, half sines out
         assert np.max(np.abs(c - np.cos(T))) <= 4.5e-16
-        assert np.max(np.abs(s - np.sin(T))) <= 4.5e-16
+        assert np.max(np.abs(2.0 * s - np.sin(T))) <= 4.5e-16
     c, s = _cos_sin(np.array([0.0, -0.0]))
     assert np.array_equal(c, [1.0, 1.0])
     assert np.array_equal(np.signbit(s), [False, True]) and np.all(s == 0.0)
@@ -304,16 +308,121 @@ def test_phi_matches_dense():
     assert np.max(np.abs(F.phi(X) - E)) <= 1e-16
 
 
+@contextlib.contextmanager
+def _workers(n):
+    """Sums on n pool threads, forced past `cap_threads`' CPU count: a pool even on one CPU."""
+    before = measures._workers
+    measures._workers = n
+    try:
+        yield
+    finally:
+        measures._workers = before
+
+
 def test_sketch_samples_memory_is_bounded():
+    """2,500 blocks of 64 KiB values: the waves hold 32 of them (about 6 MiB), all of them 160 MiB."""
     F = draw_features(K2, 4096, 45)
     X = stream_rng(46).standard_normal((20_000, 2))
-    tracemalloc.start()
+    with _workers(2):
+        tracemalloc.start()
+        try:
+            sketch_samples(F, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@st.composite
+def _sketch_case(draw):
+    """m, and n rows of d <= 3 coordinates up to 1e6 around 1 row, 1 block, or more than a wave of blocks."""
+    m = draw(st.sampled_from([1, 7, 1024, 4096, 2**15 + 1]))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    n = draw(st.sampled_from([1, rows - 1, rows, rows + 1, (measures._WAVE + 3) * rows + 5]).filter(lambda n: n >= 1))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.uniform(-3.0, 6.0, (1, d))
+    return m, X, rng.uniform(0.0, 1.0, n) + 1e-3
+
+
+@given(_sketch_case(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sketch_sums_on_every_thread_equal_one_thread_bit_for_bit(case, seed):
+    m, X, w = case
+    F = draw_features(KernelSpec.gaussian(0.8, X.shape[1]), m, seed)
+    mu = DiscreteMeasure(X, w)
+    with _workers(1):
+        one = sketch_samples(F, X).values, sketch_measure(F, mu).values
+    with _workers(max(2, measures._CPUS)):
+        every = sketch_samples(F, X).values, sketch_measure(F, mu).values
+    for a, b in zip(one, every):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_concurrent_sketches_keep_their_bits():
+    """Sketches from 4 caller threads at once, on more pool tasks than CPUs, equal the one-thread sketch."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    F = draw_features(K2, 1024, 54)
+    Xs = [stream_rng(55, i).standard_normal((40 * (_BLOCK_ENTRIES // 1024) + i, 2)) * 30.0 for i in range(4)]
+    with _workers(1):
+        want = [sketch_samples(F, X).values.tobytes() for X in Xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        sketch_samples(F, X)
-        _, peak = tracemalloc.get_traced_memory()
+        with _workers(2 * measures._CPUS + 1), ThreadPoolExecutor(4) as callers:
+            got = list(callers.map(lambda X: sketch_samples(F, X).values.tobytes(), Xs * 3, timeout=120))
     finally:
-        tracemalloc.stop()
-    assert peak < 200 * 2**20
+        sys.setswitchinterval(interval)
+    assert got == want * 3
+
+
+def _overflowing_rows():
+    """Two blocks of rows; only the second holds a row whose phase overflows to inf."""
+    F = draw_features(K2, 1024, 49)
+    X = stream_rng(50).standard_normal((2 * (_BLOCK_ENTRIES // 1024), 2))
+    X[-1] = 1e308
+    return F, X
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sketch_error_state_reaches_every_thread(threads):
+    """np.errstate is a context variable: a sketch block on a pool thread raises in the caller, as on one thread."""
+    F, X = _overflowing_rows()
+    with _workers(threads):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(sketch_samples(F, X).values).any()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            sketch_samples(F, X)
+        # under `filterwarnings = ["error"]` a worker's warning is an exception in the caller
+        with np.errstate(over="warn", invalid="ignore"), pytest.raises(RuntimeWarning, match="overflow"):
+            sketch_samples(F, X)
+
+
+def _child_sketch(queue, F, X):
+    queue.put(sketch_samples(F, X).values.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_sketches_on_its_own_pool():
+    """The parent's pool threads do not exist in a forked child; its sketch must not wait on them."""
+    F = draw_features(K2, 1024, 51)
+    X = stream_rng(52).standard_normal((5_000, 2))
+    with _workers(max(2, measures._CPUS)):
+        parent = sketch_samples(F, X).values.tobytes()  # the pool now exists
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_child_sketch, args=(queue, F, X))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == parent
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

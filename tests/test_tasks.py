@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wmmd.measures import DiscreteMeasure, stream_rng
 from wmmd.kernels import KernelSpec
@@ -192,6 +193,13 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decode_diracs(s, 1, (np.zeros(2), 0.0))
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_no_starts_is_refused_by_name(self, n_starts):
+        F = draw_features(self.kernel, 64, 0)
+        s = sketch_samples(F, stream_rng(53).standard_normal((200, 2)))
+        with pytest.raises(ValueError, match="n_starts"):
+            decode_diracs(s, 2, (np.zeros(2), 3.0), {"n_starts": n_starts})
+
 
 def test_atom_objective_grad_matches_complex_formula_and_differences():
     def complex_objective_grad(F, r, theta):
@@ -221,7 +229,8 @@ def _per_start_ascent(F, r, theta0, center, radius, iters):
     """The decoder's ascent as one start at a time, kept as the batch's reference."""
 
     def objective_grad(theta):
-        c, s = _cos_sin(F.omega @ theta)
+        c, s = _cos_sin(F.half_omega @ theta)
+        s = 2.0 * s
         a, b = r.real, r.imag
         scale = 1.0 / np.sqrt(F.m)
         return float(a @ c - b @ s) * scale, ((a * s + b * c) @ F.omega) * -scale
@@ -294,6 +303,26 @@ def test_lloyd_rejects_k_above_support():
     mu = _uniform([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         lloyd(mu, 3, 1, stream_rng(0))
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1e3, 1e3), min_size=d, max_size=d),
+        min_size=1, max_size=40)),
+    st.integers(-2, 2),
+)
+@example([[0.0, 1.0], [-0.0, 1.0]], 1)
+@settings(max_examples=200, deadline=None)
+def test_lloyd_refuses_k_exactly_when_np_unique_has_fewer_rows(rows, offset):
+    """Duplicates and signed zeros count as np.unique counts them: 0.0 and -0.0 are one value."""
+    X = np.array(rows)
+    K = max(1, np.unique(X, axis=0).shape[0] + offset)
+    mu = DiscreteMeasure(X, np.ones(X.shape[0]))
+    if K > np.unique(X, axis=0).shape[0]:
+        with pytest.raises(ValueError, match="distinct atoms"):
+            lloyd(mu, K, 1, stream_rng(0))
+    else:
+        assert lloyd(mu, K, 1, stream_rng(0)).payload.shape == (K, X.shape[1])
 
 
 def test_excess_risk_report_smoke():
