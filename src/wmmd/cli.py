@@ -8,9 +8,7 @@ the machine-parseable prefix "E:".
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
 
 import numpy as np
@@ -42,46 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _openblas_fns(name):
-    """OpenBLAS's `name` function from every OpenBLAS mapped into this process.
-
-    numpy and scipy may each load their own copy, and a copy reads the
-    environment variables only when it loads (scipy's at its first call), so
-    the copies already loaded are capped through these functions.
-    """
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted(
-                {ln.split()[-1] for ln in f if "openblas" in ln.lower() and ln.rstrip().endswith(".so")}
-            )
-    except OSError:
-        return []
-    fns = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_", f"openblas_{name}"):
-            if hasattr(lib, sym):
-                fns.append(getattr(lib, sym))
-                break
-    return fns
-
-
-def blas_threads():
-    """Thread count of every loaded OpenBLAS, read back from the library."""
-    counts = []
-    for fn in _openblas_fns("get_num_threads"):
-        fn.argtypes, fn.restype = [], ctypes.c_int
-        counts.append(int(fn()))
-    return counts
-
-
-def set_blas_threads(n):
-    """Set the thread count of every loaded OpenBLAS to n."""
-    for fn in _openblas_fns("set_num_threads"):
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(int(n))
 
 
 def _empirical(path):
@@ -205,9 +163,6 @@ def dispatch(argv):
         if args.threads < 1:
             print("E: --threads must be >= 1", file=sys.stderr)
             return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-        set_blas_threads(args.threads)
         cap_threads(args.threads)
     try:
         return _run(args)

@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import numpy as np
 
-from .measures import RegularizerSpec, _gamma, _scipy
+from .measures import RegularizerSpec, _gamma, _scipy, stream_rng
 
 _kv = _scipy("special", "kv")
 
-__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_from_json", "kernel_from_text"]
+__all__ = ["KernelSpec", "NonSmoothAtZero", "kernel_from_text"]
 
 
 class NonSmoothAtZero(ValueError):
@@ -274,10 +274,6 @@ def kernel_from_dict(obj):
     raise ValueError(f"unknown kernel family {fam!r}")
 
 
-def kernel_from_json(text):
-    return kernel_from_dict(json.loads(text))
-
-
 def kernel_from_text(text, d):
     """Kernel from JSON, or from a bare family name with default parameters in dimension d.
 
@@ -286,7 +282,7 @@ def kernel_from_text(text, d):
     """
     text = text.strip()
     if text.startswith("{"):
-        return kernel_from_json(text)
+        return kernel_from_dict(json.loads(text))
     if text in ("gaussian", "laplacian"):
         return getattr(KernelSpec, text)(1.0, d)
     if text == "matern":
@@ -297,10 +293,9 @@ def kernel_from_text(text, d):
 def sphere_directions(T, d, seed=0):
     """Deterministic quasi-uniform unit directions on S^(d-1).
 
-    Seeded Gaussian draws, normalized and sign-canonicalized; stored with
-    results so sliced quantities are exactly reproducible.
+    Normalized Gaussian draws from `stream_rng(seed)`, so every seed modulo
+    2^64 keys its own directions and sliced quantities are reproducible.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    v = rng.standard_normal((T, d))
+    v = stream_rng(seed).standard_normal((T, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v

@@ -9,6 +9,7 @@ onto directions and deterministic sampling.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import importlib
 import os
 
@@ -358,10 +359,55 @@ os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 _WAVE = 32
 
 
+def _openblas_fns(name):
+    """OpenBLAS's `name` function from every OpenBLAS mapped into this process.
+
+    numpy and scipy may each load their own copy, and a copy reads the
+    environment variables only when it loads (scipy's at its first call), so
+    the copies already loaded are capped through these functions.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted(
+                {ln.split()[-1] for ln in f if "openblas" in ln.lower() and ln.rstrip().endswith(".so")}
+            )
+    except OSError:
+        return []
+    fns = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, sym):
+                fns.append(getattr(lib, sym))
+                break
+    return fns
+
+
+def blas_threads():
+    """Thread count of every loaded OpenBLAS, read back from the library."""
+    counts = []
+    for fn in _openblas_fns("get_num_threads"):
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts.append(int(fn()))
+    return counts
+
+
 def cap_threads(n):
-    """Compute the block sums on at most n threads."""
+    """Compute on at most n threads: the block sums, and every OpenBLAS.
+
+    The OpenBLAS copies already loaded are capped at once; one that loads
+    later (scipy's, at its first call) reads the cap from OMP_NUM_THREADS,
+    OPENBLAS_NUM_THREADS and MKL_NUM_THREADS, which are set here.  The
+    OpenBLAS count is process-wide.
+    """
     global _workers
-    _workers = max(1, min(int(n), _CPUS))
+    n = max(1, int(n))
+    _workers = min(n, _CPUS)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(n)
+    for fn in _openblas_fns("set_num_threads"):
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(n)
 
 
 def _block_sum(block_value, starts, threaded=True):
@@ -393,15 +439,9 @@ def _block_sum(block_value, starts, threaded=True):
 
 
 def sample(measure, n, rng):
-    """Empirical measure of n i.i.d. draws; deterministic given the stream.
-
-    `rng` is either a numpy Generator or a (seed, stream...) tuple fed to
-    stream_rng.
-    """
+    """Empirical measure of n i.i.d. draws from the numpy Generator `rng`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = stream_rng(*rng) if isinstance(rng, tuple) else stream_rng(rng)
     if isinstance(measure, DiscreteMeasure):
         idx = rng.choice(measure.n, size=n, p=measure.weights)
         pts = measure.points[idx]

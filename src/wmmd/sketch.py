@@ -170,10 +170,10 @@ def _feature_sum(F, X, weights=None):
         if weights is None:
             c.sum(axis=0, out=out[0])
             s.sum(axis=0, out=out[1])
-        else:
-            w = weights[lo : lo + rows]
-            np.matmul(w, c, out=out[0])
-            np.matmul(w, s, out=out[1])
+        else:  # not a BLAS product, whose bits depend on OpenBLAS's thread count
+            w = weights[lo : lo + rows, None]
+            np.multiply(c, w, out=den).sum(axis=0, out=out[0])
+            np.multiply(s, w, out=den).sum(axis=0, out=out[1])
         return out
 
     re, im_half = _block_sum(block_value, range(0, X.shape[0], rows))
@@ -204,17 +204,15 @@ def sketch_measure(F, measure):
     raise TypeError("unsupported measure type")
 
 
-def merge(sketches, counts=None):
-    """Count-weighted average of sketches sharing one feature map."""
+def merge(sketches):
+    """Average of sketches sharing one feature map, weighted by their sample counts."""
     sketches = list(sketches)
     if not sketches:
         raise ValueError("nothing to merge")
     F = sketches[0].feature_map
-    if counts is None:
-        counts = [s.n_samples for s in sketches]
     if any(not s.feature_map.same_as(F) for s in sketches):
         raise ValueError("sketches use different feature maps")
-    counts = np.asarray(counts, dtype=float)
+    counts = np.array([s.n_samples for s in sketches], dtype=float)
     if counts.sum() <= 0:
         raise ValueError("total count must be positive")
     vals = np.zeros(F.m, dtype=complex)

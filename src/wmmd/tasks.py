@@ -42,13 +42,12 @@ _BOUND_TOL = 1e-9  # slack of Hypothesis.check's norm bound
 
 
 class TaskSpec:
-    """Task descriptor; `p` is the loss exponent used by W_p comparisons."""
+    """Task descriptor: `p` is the loss exponent used by W_p comparisons, `bound` its K, R or L."""
 
     def __init__(self, variant, **params):
         if variant not in _VARIANTS:
             raise ValueError(f"unknown task variant {variant!r}")
         self.variant = variant
-        self.params = dict(params)
         self.p, name = _VARIANTS[variant]
         self.bound = params[name]
         self.centroids = name == "K"
@@ -56,12 +55,6 @@ class TaskSpec:
             raise ValueError("K must be >= 1")
         if not self.centroids and self.bound <= 0:
             raise ValueError(f"{name} must be positive")
-
-    def __getattr__(self, name):
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name)
 
 
 class Hypothesis:
@@ -72,6 +65,8 @@ class Hypothesis:
         self.payload = payload
 
     def check(self, task):
+        if self.variant != task.variant:
+            raise ValueError(f"a {self.variant} hypothesis does not fit a {task.variant} task")
         if task.centroids:
             if np.atleast_2d(self.payload).shape[0] < 1:
                 raise ValueError("empty centroid list")
@@ -132,7 +127,7 @@ def _random_hypothesis(task, box_lo, box_hi, rng):
     """Centroids uniform in the box; else w of uniform norm in the ball, b uniform in [-2, 2]."""
     d = box_lo.shape[0]
     if task.centroids:
-        return Hypothesis(task.variant, rng.uniform(box_lo, box_hi, size=(task.K, d)))
+        return Hypothesis(task.variant, rng.uniform(box_lo, box_hi, size=(task.bound, d)))
     w = rng.standard_normal(d - 1)
     w *= rng.uniform(0, task.bound) / max(np.linalg.norm(w), 1e-300)
     if task.variant == "binclass":
@@ -456,10 +451,10 @@ def excess_risk_report(pi_samples, task, sketch_opts):
     s = sketch_samples(F, X)
     center = X.mean(axis=0)
     radius = float(1.5 * np.max(np.linalg.norm(X - center, axis=1)))
-    dec = decode_diracs(s, task.K, (center, radius), {"seed": seed})
+    dec = decode_diracs(s, task.bound, (center, radius), {"seed": seed})
     h_sketch = Hypothesis("kmeans", dec.points)
     rng = stream_rng(seed, 0x11)
-    h_lloyd = lloyd(emp, task.K, 5, rng)
+    h_lloyd = lloyd(emp, task.bound, 5, rng)
     r_sketch = risk(task, emp, h_sketch)
     r_lloyd = risk(task, emp, h_lloyd)
     dist = sketch_distance(sketch_measure(F, dec), s)

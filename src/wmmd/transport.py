@@ -143,7 +143,9 @@ def _quantile_cost_discrete(p, x, a, y, b):
     q, i, j = _monotone_support(a, b)
     gap = np.abs(x[i] - y[j])
     gap, s = _pth_power(gap, p, gap.max())
-    return float(np.diff(q, prepend=0.0) @ gap), s
+    # numpy's pairwise sum, not a BLAS dot, whose bits depend on OpenBLAS's
+    # thread count; einsum's running sum strays up to 13 ulp at 64n atoms
+    return float(np.multiply(np.diff(q, prepend=0.0), gap, out=gap).sum()), s
 
 
 def w1d(p, mu, nu):

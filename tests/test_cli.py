@@ -9,8 +9,8 @@ import pytest
 
 from wmmd import discrepancy, lab, measures
 from wmmd.kernels import KernelSpec
-from wmmd.measures import GaussianMixture, save_dataset, stream_rng
-from wmmd.cli import blas_threads, dispatch, set_blas_threads
+from wmmd.measures import GaussianMixture, blas_threads, cap_threads, save_dataset, stream_rng
+from wmmd.cli import dispatch
 from wmmd.sketch import load_sketch
 
 
@@ -175,20 +175,29 @@ def test_lab_learnability(tmp_path, capsys):
     assert rc == 0
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @pytest.fixture
 def blas_pool(monkeypatch):
-    """The loaded OpenBLAS thread counts, restored after the test with the block pool's thread cap."""
+    """The loaded OpenBLAS thread counts, restored after the test with the block pool's cap and the BLAS variables."""
     monkeypatch.setattr(measures, "_workers", measures._workers)
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded in this process")
+    env = {var: os.environ.get(var) for var in _BLAS_VARS}
     yield before
-    set_blas_threads(max(before))
+    cap_threads(max(before))
+    for var, value in env.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 def test_threads_cap_loaded_blas(data, blas_pool):
     p, _ = data
-    set_blas_threads(2)
+    cap_threads(2)
     assert dispatch(["--threads", "1", "mmd", str(p), str(p), "--kernel", "gaussian"]) == 0
     assert blas_threads() == [1] * len(blas_pool)
 
@@ -205,8 +214,7 @@ def _fresh_python(code, cwd, **blas_env):
     The BLAS thread variables are unset, apart from those given in blas_env.
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars} | blas_env
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS} | blas_env
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -296,17 +304,33 @@ def test_threads_cap_the_blas_that_scipy_loads_during_the_command(tmp_path):
     save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
     code = """
 import json, sys
-from wmmd import cli
-before = cli.blas_threads()
+from wmmd import cli, measures
+before = measures.blas_threads()
 loaded = "scipy.optimize" in sys.modules
 rc = cli.dispatch(["--threads", "1", "wass", "a.csv", "b.csv"])
-print(json.dumps([before, loaded, rc, "scipy.optimize" in sys.modules, cli.blas_threads()]))
+print(json.dumps([before, loaded, rc, "scipy.optimize" in sys.modules, measures.blas_threads()]))
 """
     before, loaded, rc, now, threads = _fresh_python(code, tmp_path)
     assert (loaded, rc, now) == (False, 0, True)
     if len(threads) <= len(before):
         pytest.skip("scipy loaded no OpenBLAS of its own (or none is readable)")
     assert threads == [1] * len(threads)
+
+
+def test_library_cap_threads_caps_every_blas_before_and_after_scipy_loads(tmp_path):
+    """`cap_threads(1)` caps numpy's OpenBLAS at once, and the one scipy.optimize loads later through the environment."""
+    code = """
+import json
+from wmmd import measures
+measures.cap_threads(1)
+before = measures.blas_threads()
+import scipy.optimize
+print(json.dumps([before, measures.blas_threads()]))
+"""
+    before, after = _fresh_python(code, tmp_path)
+    if not after:
+        pytest.skip("no readable OpenBLAS is loaded")
+    assert before + after == [1] * (len(before) + len(after))
 
 
 def test_openblas_env_alone_caps_every_loaded_blas(tmp_path):
@@ -316,9 +340,9 @@ def test_openblas_env_alone_caps_every_loaded_blas(tmp_path):
     save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
     code = """
 import json, sys
-from wmmd import cli
+from wmmd import cli, measures
 rc = cli.dispatch(["wass", "a.csv", "b.csv"])
-print(json.dumps([rc, "scipy.optimize" in sys.modules, cli.blas_threads()]))
+print(json.dumps([rc, "scipy.optimize" in sys.modules, measures.blas_threads()]))
 """
     rc, loaded, threads = _fresh_python(code, tmp_path, OPENBLAS_NUM_THREADS="1")
     assert (rc, loaded) == (0, True)

@@ -1,5 +1,6 @@
 import contextlib
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -341,13 +342,26 @@ several_cpus = pytest.mark.skipif(measures._CPUS < 2, reason="one CPU in the aff
 
 @contextlib.contextmanager
 def _threads(n):
-    """At most n threads, and a pool for every multi-block sum however narrow its blocks."""
+    """At most n threads, and a pool for every multi-block sum however narrow its blocks.
+
+    The pool's cap, the OpenBLAS counts and the BLAS variables that
+    `cap_threads` sets are restored afterwards.
+    """
     before = measures._workers, discrepancy._MIN_PAIRS
+    blas = measures.blas_threads()
+    env = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     measures.cap_threads(n)
     discrepancy._MIN_PAIRS = 0
     try:
         yield
     finally:
+        if blas:
+            measures.cap_threads(max(blas))
+        for var, value in env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
         measures._workers, discrepancy._MIN_PAIRS = before
 
 

@@ -14,7 +14,7 @@ from wmmd.kernels import (
     NonSmoothAtZero,
     kernel_to_dict,
     kernel_from_dict,
-    kernel_from_json,
+    kernel_from_text,
     sphere_directions,
     _sq_dists,
 )
@@ -282,7 +282,7 @@ def test_modified_mean_weight_restricted():
     ids=_IDS + ["sliced", "modified"],
 )
 def test_json_roundtrip_bit_exact(k):
-    k2 = kernel_from_json(json.dumps(kernel_to_dict(k)))
+    k2 = kernel_from_text(json.dumps(kernel_to_dict(k)), k.d)
     assert k2.family == k.family and k2.d == k.d
     rng = stream_rng(99)
     X = rng.standard_normal((4, k.d))
@@ -295,6 +295,13 @@ def test_sphere_directions_deterministic_and_unit():
     b = sphere_directions(16, 3, seed=7)
     assert np.array_equal(a, b)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+
+
+def test_sphere_directions_take_every_64_bit_seed():
+    """Seeds at and past 2^63 draw distinct directions, and -1 is 2^64 - 1 (stream_rng's key)."""
+    a, b = sphere_directions(4, 3, seed=2**63), sphere_directions(4, 3, seed=2**63 + 1)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(sphere_directions(4, 3, seed=-1), sphere_directions(4, 3, seed=2**64 - 1))
 
 
 def test_constructor_validation():

@@ -98,6 +98,30 @@ costs of the same plans.  The error is in ulps of the reference.
   `learnability --trials 4` (one bound, 1 ulp, whose W_2 goes 0 -> -1 ulp from
   mpmath).  Every `pass` field, and every other sidecar field, is unchanged.
 
+Two pins are re-recorded since the 1-D quantile cost of `w1d` is added by
+numpy's pairwise sum, not by a BLAS dot whose bits changed with OpenBLAS's
+thread count (the report below read differently on one thread and on two).
+The reference is the same breakpoints and gaps summed exactly in `fractions`;
+errors are in ulps of it.
+- `RECORDED["cli"][4]`, `wmmd wass --p 1` (d = 1, 40 vs 55 atoms):
+  0.81639413158038354 -> 0.81639413158038343, reference
+  0.81639413158038359132 (-0.5 -> -1.5 ulp; at 95 terms either sum is one
+  rounding away).  The p = 2 line `[5]` kept its bytes.
+- `rates --which w --d 1 --trials 2`: one CSV value and the sidecar slope.
+  The twelve W_1 costs behind the report lie within 1.4 ulp of their exact
+  sums (2.4 before), with mean absolute errors 0.73 -> 0.51 ulp.  The
+  n = 1024 mean is now correctly rounded (it was 1 ulp high); its CSV value,
+  exp(log(mean)), moved 0.006811320270852155 -> 0.0068113202708521489 against
+  the exact 0.0068113202708521514929 (+4.0 -> -3.0 ulp, the round trip's own
+  error).  The slope moved -0.3050111614873371 -> -0.30501116148733737: the
+  float fit returns exactly this on the correctly rounded exact means, and
+  the mpmath fit is -0.30501116148733713100 (+0.7 -> -4.0 ulp, the fit's own
+  error).  Every other CSV value and sidecar field, `pass` included, is the
+  same.
+Over 16 pairs of n and 64n uniform atoms (n = 512, 2048) the pairwise sum's
+worst error is 0.93 ulp, against 4.08 for `np.einsum` and 3.71 for the dot on
+one OpenBLAS thread.  `w_rate`'s pins kept their bits.
+
 Two pins are dropped with the code they pinned: `RECORDED["lemma24"]`, the
 bootstrap estimate of `lab.lemma24_check` (criterion 13 and `wmmd lab
 smoothing` check its 2 sigma sqrt(d) term in closed form), and the
@@ -106,8 +130,13 @@ smoothing` check its 2 sigma sqrt(d) term in closed form), and the
 vanishing-moment path).
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -116,8 +145,10 @@ import pytest
 
 from wmmd.cli import dispatch
 from wmmd.measures import DiscreteMeasure, load_dataset, save_dataset, stream_rng
+from wmmd.sketch import draw_features, sketch_measure
+from wmmd.kernels import KernelSpec
 from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk, task_metric_probe
-from wmmd.transport import w_exact, w_rate
+from wmmd.transport import w1d, w_exact, w_rate
 
 RECORDED = {
     "lloyd_d2": [
@@ -160,7 +191,7 @@ RECORDED = {
     ],
     "cli": [
         "0.33179683462770093\n", "0.42172066810705283\n", "0.21484672236154242\n",
-        "1.1247349592121727\n", "0.81639413158038354\n", "0.87256574866923642\n",
+        "1.1247349592121727\n", "0.81639413158038343\n", "0.87256574866923642\n",
         "1.5606234685757456\n", "0.61989984169433021\n",
     ],
     "sketch_sha256": [
@@ -190,8 +221,8 @@ RECORDED = {
             "c1a13ba1f9a05febdb1e86a2475902c04e0cd3ce9f63a3a46efb7ddc30a81d15",
         ),
         "rates --which w --d 1 --trials 2": (
-            "3b0a9810fdd0f41446d88c9f06ce3ad13536952013813e8a9a18eaf8fcbb1b22",
-            "8c7aa3f0f8870b9c9e1b0d9373a56d71406a8fc14968b78affc85afb0f639f1b",
+            "5b1e899d62cb72c3d7207d26f61391f7d73d33a4d0ceca1f4916217aa8effb70",
+            "62f8213e8735a3db60edf0bc33b3359b0e8b960ff3df08f60145d56ecc18c082",
         ),
         "rates --which w --d 2 --trials 2": (
             "bd1cd1cbc58c801d7551a2d67a9fe678aae203a884c2bb4b742d57f7ffc703cb",
@@ -237,7 +268,7 @@ def test_lloyd_risk_and_projection():
         emp = DiscreteMeasure(X, np.ones(3000))
         assert _hex(lloyd(emp, 3, 3, stream_rng(d, 1)).payload) == RECORDED[f"lloyd_d{d}"]
         g = Hypothesis("kmeans", centres)
-        risks = [risk(TaskSpec("kmeans", K=3), emp, g), risk(TaskSpec("kmedians", K=3), emp, g)]
+        risks = [risk(TaskSpec("kmeans", K=3), emp, g), risk(TaskSpec("kmedians", K=3), emp, Hypothesis("kmedians", centres))]
         assert _hex(risks) == RECORDED[f"risk_d{d}"]
         assert _hex(kmeans_project(g, emp).weights) == RECORDED[f"project_d{d}"]
 
@@ -280,7 +311,7 @@ def test_w_exact_values():
     assert _hex(vals) == RECORDED["w_exact"]
 
 
-def test_w_rate_slopes():
+def _w_rate_slopes():
     def u1(n, r):
         return r.uniform(0.0, 1.0, size=(n, 1))
 
@@ -288,23 +319,30 @@ def test_w_rate_slopes():
         return r.uniform(0.0, 1.0, size=(n, 3))
 
     atoms = DiscreteMeasure(stream_rng(5).normal(size=(12, 2)), np.ones(12))
-    slopes = [
+    return _hex([
         w_rate(u1, 1, [2**j for j in range(6, 11)], 2, 11).slope,
         w_rate(u3, 1, [2**j for j in range(4, 9)], 2, 11).slope,
         w_rate(u3, 2, [2**j for j in range(4, 9)], 1, 12).slope,
         w_rate(atoms, 2, [4, 6, 8, 10, 12], 2, 13).slope,
-    ]
-    assert _hex(slopes) == RECORDED["w_rate"]
+    ])
+
+
+def test_w_rate_slopes():
+    assert _w_rate_slopes() == RECORDED["w_rate"]
+
+
+def _write_datasets(directory):
+    rng = stream_rng(0x5A, 2)
+    paths = {}
+    for name, shape in (("a1", (40, 1)), ("b1", (55, 1)), ("a2", (30, 2)), ("b2", (30, 2)), ("c2", (25, 2))):
+        paths[name] = str(Path(directory) / f"{name}.csv")
+        save_dataset(paths[name], rng.normal(size=shape) + (name[0] == "b"))
+    return paths
 
 
 @pytest.fixture
 def datasets(tmp_path):
-    rng = stream_rng(0x5A, 2)
-    paths = {}
-    for name, shape in (("a1", (40, 1)), ("b1", (55, 1)), ("a2", (30, 2)), ("b2", (30, 2)), ("c2", (25, 2))):
-        paths[name] = str(tmp_path / f"{name}.csv")
-        save_dataset(paths[name], rng.normal(size=shape) + (name[0] == "b"))
-    return paths
+    return _write_datasets(tmp_path)
 
 
 def test_cli_mmd_and_wass_output(datasets, capsys):
@@ -384,3 +422,76 @@ def test_lab_report_bytes(tmp_path, capsys, command):
     out = tmp_path / "r.csv"
     assert dispatch(["lab", *command.split(), "-o", str(out)]) in (0, 2)
     assert _report_sha256(out) == RECORDED["lab_sha256"][command]
+
+
+# ---------------------------------------------------------------------------
+# Bits that must not depend on OpenBLAS's thread count.  Each of these sums
+# was once a BLAS product whose bits changed with the thread count on long
+# sums: the 1-D cost's dot at 2,048 vs 131,072 atoms, and a weighted
+# sketch's matrix-vector product at m = 1 over 32,768 rows.
+
+
+def _w1_uniform(n):
+    """Hex of W_1 between n and 64n uniform draws on [0, 1]: 65n breakpoints."""
+    rng = stream_rng(0x5A, 5, n)
+    x, y = rng.uniform(size=(n, 1)), rng.uniform(size=(64 * n, 1))
+    return float(w1d(1, DiscreteMeasure(x, np.ones(n)), DiscreteMeasure(y, np.ones(64 * n)))).hex()
+
+
+def _weighted_sketch_m1(d):
+    """Hex of a weighted sketch at m = 1 over 65,539 rows: three blocks of up to 32,768 rows."""
+    rng = stream_rng(0x5A, 4, d)
+    X, w = rng.normal(size=(65_539, d)), rng.uniform(0.1, 1.0, 65_539)
+    s = sketch_measure(draw_features(KernelSpec.gaussian(1.0, d), 1, 3), DiscreteMeasure(X, w))
+    return [_hex(s.values.real), _hex(s.values.imag)]
+
+
+def _blas_sensitive_outputs(directory):
+    """`w_rate`'s pins, the 1-D `wass` lines, the `rates --which w --d 1` report and weighted sketches."""
+    paths = _write_datasets(directory)
+    lines = []
+    for p in ("1", "2"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert dispatch(["wass", paths["a1"], paths["b1"], "--p", p]) == 0
+        lines.append(out.getvalue())
+    report = str(Path(directory) / "r.csv")
+    assert dispatch(["lab", "rates", "--which", "w", "--d", "1", "--trials", "2", "-o", report]) in (0, 2)
+    sketches = [_weighted_sketch_m1(d) for d in (1, 3)]
+    return {"w_rate": _w_rate_slopes(), "wass": lines, "report": list(_report_sha256(report)), "sketch": sketches}
+
+
+def _in_fresh_python(expr, cwd, blas):
+    """JSON of `expr`, evaluated by a new interpreter that imports this module, with OpenBLAS at `blas` threads.
+
+    blas None leaves OpenBLAS at its default: every BLAS thread variable is unset.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")])
+    code = f"import json, test_pinned_outputs as t; print(json.dumps({expr}))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "t._w1_uniform(2048)",
+        "t._weighted_sketch_m1(1)",
+        "t._weighted_sketch_m1(3)",
+    ],
+    ids=["quantile-cost", "weighted-sketch-d1", "weighted-sketch-d3"],
+)
+def test_sums_keep_their_bits_on_one_blas_thread(tmp_path, expr):
+    """A 1-D W_1 of 2,048 vs 131,072 atoms and weighted m = 1 sketches: the same bits at OpenBLAS's default and on one thread."""
+    assert _in_fresh_python(expr, tmp_path, None) == _in_fresh_python(expr, tmp_path, 1)
+
+
+def test_blas_sensitive_pins_hold_on_one_blas_thread(tmp_path):
+    """The pins once computed by BLAS products, recomputed on one OpenBLAS thread, equal this process's."""
+    (tmp_path / "fresh").mkdir()
+    fresh = _in_fresh_python("t._blas_sensitive_outputs('fresh')", tmp_path, 1)
+    assert fresh == _blas_sensitive_outputs(tmp_path)

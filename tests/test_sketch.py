@@ -253,7 +253,7 @@ def test_sketch_bounds_roundtrip_and_merge(tmp_path):
     assert np.array_equal(back.lo, m.lo) and np.array_equal(back.hi, m.hi)
     # a sketch without bounds (here of a mixture) makes the merged bounds unknown
     mix = sketch_measure(F, GaussianMixture([1.0], [[0.0, 0.0]], [1.0]))
-    unknown = merge([sx, mix], counts=[5, 7])
+    unknown = merge([sx, mix])
     assert unknown.lo is None and unknown.hi is None
     point_box = sketch_measure(F, DiscreteMeasure(Y, np.full(7, 1 / 7)))
     assert np.array_equal(point_box.lo, Y.min(axis=0)) and np.array_equal(point_box.hi, Y.max(axis=0))

@@ -71,6 +71,28 @@ def test_hypothesis_constraints_enforced():
         risk(taskc, _uniform([[0.0, 1.0]]), Hypothesis("binclass", (np.array([2.0]), 0.0)))
 
 
+_TASKS = {"kmeans": {"K": 2}, "kmedians": {"K": 2}, "linreg": {"R": 2.0}, "binclass": {"L": 1.5}}
+_PAYLOADS = {
+    "kmeans": np.array([[0.0, 0.0], [1.0, 1.0]]),
+    "kmedians": np.array([[0.0, 0.0], [1.0, 1.0]]),
+    "linreg": np.array([0.5]),
+    "binclass": (np.array([0.5]), 0.1),
+}
+
+
+@pytest.mark.parametrize("hypothesis", _PAYLOADS)
+@pytest.mark.parametrize("task", _TASKS)
+def test_risk_refuses_a_hypothesis_of_another_variant(task, hypothesis):
+    """Every task takes its own variant's hypothesis, and refuses the other three by name."""
+    mu = _uniform([[0.0, 1.0], [1.0, -1.0], [3.0, 1.0]])
+    h = Hypothesis(hypothesis, _PAYLOADS[hypothesis])
+    if task == hypothesis:
+        assert np.isfinite(risk(TaskSpec(task, **_TASKS[task]), mu, h))
+    else:
+        with pytest.raises(ValueError, match=f"a {hypothesis} hypothesis does not fit a {task} task"):
+            risk(TaskSpec(task, **_TASKS[task]), mu, h)
+
+
 def test_kmeans_project_hand_example():
     mu = _uniform([[0.0], [1.0], [10.0]])
     h = Hypothesis("kmeans", np.array([[0.0], [10.0]]))

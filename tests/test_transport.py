@@ -98,7 +98,7 @@ def _union_searchsorted_cost(p, x, a, y, b):
     i = np.searchsorted(ca, q, side="left")
     j = np.searchsorted(cb, q, side="left")
     gap = np.abs(x[ix[i]] - y[iy[j]]) ** p
-    return float(np.diff(q, prepend=0.0) @ gap)
+    return float((np.diff(q, prepend=0.0) * gap).sum())
 
 
 # Few distinct positions so that ties are common, plus arbitrary ones.
@@ -173,7 +173,7 @@ def _argsort_cost(p, x, a, y, b):
     j = np.flatnonzero(first) - i
     gap = np.abs(x[ix[i]] - y[iy[j]])
     gap, s = transport._pth_power(gap, p, gap.max())
-    return float(np.diff(merged[first], prepend=0.0) @ gap), s
+    return float((np.diff(merged[first], prepend=0.0) * gap).sum()), s
 
 
 _signed = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
