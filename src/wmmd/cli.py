@@ -48,7 +48,8 @@ def _empirical(path):
 
 
 def _decode_domain(s, center_text, radius):
-    """Centre and radius of the ball `decode` searches.
+    """Centre and radius of the ball `decode`'s ascent searches; the refinement
+    keeps atoms in the ball's bounding box.
 
     Defaults come from the data box [lo, hi] stored in the sketch: its midpoint
     and 1.5 times its half diagonal, the margin `excess_risk_report` uses.

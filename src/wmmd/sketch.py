@@ -104,8 +104,8 @@ class FeatureMap:
 class Sketch:
     """m complex generalized moments of a measure, with provenance.
 
-    `lo` and `hi` are the per-coordinate bounds of the sketched points, or
-    None for a mixture, a file written without them, or a merge including one.
+    `lo` and `hi` are the per-coordinate bounds of the sketched points, or None
+    for a mixture, a file written without them, or a merge including such a file.
     """
 
     __slots__ = ("values", "feature_map", "n_samples", "lo", "hi")
@@ -205,7 +205,7 @@ def sketch_measure(F, measure):
 
 
 def merge(sketches):
-    """Average of sketches sharing one feature map, weighted by their sample counts."""
+    """Average of sample sketches sharing one feature map, weighted by their sample counts."""
     sketches = list(sketches)
     if not sketches:
         raise ValueError("nothing to merge")
@@ -213,8 +213,9 @@ def merge(sketches):
     if any(not s.feature_map.same_as(F) for s in sketches):
         raise ValueError("sketches use different feature maps")
     counts = np.array([s.n_samples for s in sketches], dtype=float)
-    if counts.sum() <= 0:
-        raise ValueError("total count must be positive")
+    if counts.min() < 1:
+        i = np.argmin(counts) + 1
+        raise ValueError(f"sketch {i} of {len(sketches)} has sample count {counts.min():g}; merge weights sketches by count")
     vals = np.zeros(F.m, dtype=complex)
     for s, c in zip(sketches, counts):
         vals += c * s.values

@@ -19,7 +19,7 @@ from .measures import DiscreteMeasure, _scipy, _seed64, stream_rng
 from .sketch import _cos_sin, sketch_measure
 from .reporting import Report
 
-nnls = _scipy("optimize", "nnls")
+minimize, nnls = _scipy("optimize", "minimize"), _scipy("optimize", "nnls")
 
 __all__ = [
     "TaskSpec",
@@ -277,25 +277,57 @@ def _nnls_weights(F, s_vals, atoms):
     return w
 
 
-# Step caps of the per-atom ascent and of the joint refinement.
+def _refine(F, s_vals, thetas, w, center, radius):
+    """Joint L-BFGS-B descent of ||w Phi(thetas) - s||^2 from weights w on the simplex.
+
+    w = v / sum(v) with v >= _WEIGHT_FLOOR, and atoms stay in the ball's bounding box.
+    The term (sum(v) - 1)^2 pins the scale of v, which the residual ignores and
+    quasi-Newton steps would drive onto the floor, where the gradient (~1 / sum(v))
+    blows up.  Returns the atoms, weights and residual where L-BFGS-B's own test stops.
+    """
+    k, d = thetas.shape
+
+    def objective_grad(x):
+        th, v = x[: k * d].reshape(k, d), x[k * d :]
+        total = v.sum()
+        w = v / total
+        A = F.phi(th)  # (k, m)
+        r = w @ A - s_vals
+        rA = np.conj(r)[None, :] * A
+        # d obj / d theta_k = 2 w_k sum_j Im(conj(r_j) A_kj) omega_j
+        gth = 2.0 * w[:, None] * (rA.imag @ F.omega)
+        re_rA = rA.real.sum(axis=1)
+        gv = (2.0 / total) * (re_rA - w @ re_rA) + 2.0 * (total - 1.0)
+        return float(np.sum(np.abs(r) ** 2) + (total - 1.0) ** 2), np.concatenate([gth.ravel(), gv])
+
+    bounds = [(c - radius, c + radius) for c in center] * k + [(_WEIGHT_FLOOR, None)] * k
+    res = minimize(objective_grad, np.concatenate([thetas.ravel(), w]), jac=True, method="L-BFGS-B", bounds=bounds)
+    # after a failed line search res.x is the last good iterate but res.fun the last value tried
+    thetas, v = res.x[: k * d].reshape(k, d), res.x[k * d :]
+    w = v / v.sum()
+    return thetas, w, float(np.sum(np.abs(w @ F.phi(thetas) - s_vals) ** 2))
+
+
+# Step cap of the per-atom ascent; the floor of the unnormalised weights.
 _ATOM_ITERS = 200
-_REFINE_ITERS = 500
+_WEIGHT_FLOOR = 1e-12
 
 
 def decode_diracs(s, K, domain, opts=None):
     """Greedy decoding of a sketch into a K-atom probability measure.
 
-    domain: (center, radius) ball the atoms must lie in.
+    domain: (center, radius) ball the ascent searches.
     opts: dict with optional keys seed, an integer in [0, 2^64) (default 0),
-    and n_starts (default 16).
+    and n_starts (default 16); any other key is refused.
 
-    Each greedy stage runs `n_starts` seeded projected-gradient ascents
-    against the residual as one batch (see `_ascend_atom`) and adds the atom
-    of the best start, the first one on ties.  Nonnegative least squares
-    gives the weights, and joint projected-gradient refinement of atoms and
-    (normalized) weights follows every stage.  The returned measure is the
-    best stage overall, so the residual is non-increasing in K: stage k of a
-    K-atom run reproduces the full k-atom run exactly.
+    Each greedy stage runs `n_starts` seeded projected-gradient ascents in the
+    ball against the residual as one batch (see `_ascend_atom`) and adds the
+    atom of the best start, the first one on ties.  Nonnegative least squares
+    gives the weights, and joint L-BFGS-B refinement of atoms (kept in the
+    ball's bounding box) and normalised weights follows every stage, to its
+    own stopping test.  The returned measure is the best stage overall, so the
+    residual is non-increasing in K: stage k of a K-atom run reproduces the
+    full k-atom run exactly.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -304,6 +336,8 @@ def decode_diracs(s, K, domain, opts=None):
     if radius <= 0:
         raise ValueError("degenerate domain")
     opts = dict(opts or {})
+    if set(opts) - {"seed", "n_starts"}:
+        raise ValueError(f"unknown decoder option(s) {sorted(set(opts) - {'seed', 'n_starts'})}")
     seed = _seed64(opts.get("seed", 0))
     n_starts = int(opts.get("n_starts", 16))
     if n_starts < 1:
@@ -312,61 +346,23 @@ def decode_diracs(s, K, domain, opts=None):
     s_vals = s.values
     d = center.shape[0]
 
-    def objective(thetas, v):
-        w = v / v.sum()
-        A = F.phi(thetas)  # (k, m)
-        r = w @ A - s_vals
-        return float(np.sum(np.abs(r) ** 2)), r, w, A
-
-    def refine(thetas, v):
-        """Joint projected-gradient descent with simplex-normalized weights."""
-        obj, r, w, A = objective(thetas, v)
-        step = radius / 8.0
-        for _ in range(_REFINE_ITERS):
-            rA = np.conj(r)[None, :] * A
-            # d obj / d theta_k = 2 w_k sum_j Im(conj(r_j) A_kj) omega_j
-            gth = 2.0 * w[:, None] * (rA.imag @ F.omega)
-            re_rA = rA.real.sum(axis=1)
-            re_rAw = float(w @ re_rA)
-            gv = (2.0 / v.sum()) * (re_rA - re_rAw)
-            cand_t = _clamp_ball(thetas - step * gth, center, radius)
-            cand_v = np.maximum(v - step * gv, 0.0)
-            if cand_v.sum() <= 0:
-                cand_v = v
-            cobj, cr, cw, cA = objective(cand_t, cand_v)
-            if cobj < obj:
-                rel = (obj - cobj) / max(obj, 1e-300)
-                thetas, v, obj, r, w, A = cand_t, cand_v, cobj, cr, cw, cA
-                step *= 1.3
-                if rel < 1e-10:
-                    break
-            else:
-                step /= 2.0
-                if step < 1e-14 * radius:
-                    break
-        return thetas, v, obj, w
-
     atoms = []
     best = None  # (objective, thetas, weights)
     for stage in range(K):
-        w_cur = (
-            _nnls_weights(F, s_vals, atoms) if atoms else np.array([])
-        )
-        r = s_vals - (w_cur @ F.phi(atoms) if atoms else 0.0)
+        r = s_vals - (_nnls_weights(F, s_vals, atoms) @ F.phi(atoms) if atoms else 0.0)
         starts = np.array([
             center + stream_rng(seed, stage, j).uniform(-1, 1, size=d) * radius / np.sqrt(d)
             for j in range(n_starts)
         ])
         thetas, vals = _ascend_atom(F, r, starts, center, radius, _ATOM_ITERS)
         atoms.append(thetas[np.argmax(vals)])  # argmax: the first best start
-        v = np.maximum(_nnls_weights(F, s_vals, atoms), 1e-12)
-        thetas, v, obj, w = refine(np.array(atoms), v)
+        v = np.maximum(_nnls_weights(F, s_vals, atoms), _WEIGHT_FLOOR)
+        thetas, w, obj = _refine(F, s_vals, np.array(atoms), v / v.sum(), center, radius)
         if best is None or obj < best[0]:
             best = (obj, thetas, w)
         atoms = [th for th in thetas]
     _, thetas, w = best
-    keep = w > 0
-    return DiscreteMeasure(thetas[keep], w[keep])
+    return DiscreteMeasure(thetas, w)
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +427,24 @@ def excess_risk_report(pi_samples, task, sketch_opts):
     """End-to-end compressive K-means: sketch, decode, compare against Lloyd.
 
     pi_samples: n x d training array.  task: a kmeans TaskSpec.  sketch_opts:
-    dict with kernel, m and seed.  The decoder searches the ball around the
-    data mean of 1.5 times the largest distance from it; Lloyd takes the best
-    of 5 runs.  Reports both risks on the training measure, the sketch
-    distance between the decoded measure's sketch and the data sketch, and
-    the risk ratio, which passes at <= 1.2.
+    dict with exactly the keys kernel, m and seed.  The decoder's ascent
+    searches the ball around the data mean of 1.5 times the largest distance
+    from it; Lloyd takes the best of 5 runs.  Reports both risks on the
+    training measure, the sketch distance between the decoded measure's
+    sketch and the data sketch, and the risk ratio, which passes at <= 1.2.
     """
     from .sketch import draw_features, sketch_samples, sketch_distance
 
     if task.variant != "kmeans":
         raise ValueError("excess_risk_report supports the kmeans task")
+    given, keys = set(sketch_opts), {"kernel", "m", "seed"}
+    if given != keys:
+        raise ValueError(f"sketch_opts: missing {sorted(keys - given)}, unknown {sorted(given - keys)}")
     X = np.atleast_2d(np.asarray(pi_samples, dtype=float))
     n, d = X.shape
     emp = DiscreteMeasure(X, np.full(n, 1.0 / n))
-    kernel = sketch_opts["kernel"]
-    m = int(sketch_opts["m"])
     seed = int(sketch_opts["seed"])
-    F = draw_features(kernel, m, seed)
+    F = draw_features(sketch_opts["kernel"], int(sketch_opts["m"]), seed)
     s = sketch_samples(F, X)
     center = X.mean(axis=0)
     radius = float(1.5 * np.max(np.linalg.norm(X - center, axis=1)))

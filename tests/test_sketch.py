@@ -14,6 +14,7 @@ from wmmd.measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, str
 from wmmd.kernels import KernelSpec, kernel_to_dict
 from wmmd.sketch import (
     _BLOCK_ENTRIES,
+    Sketch,
     _cos_sin,
     draw_features,
     sketch_samples,
@@ -140,6 +141,19 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge([])
 
+    def test_measure_sketch_refused_by_position(self):
+        """A measure's sketch has no sample count to weight it by; merge names it rather than drop it."""
+        F = draw_features(K2, 16, 9)
+        samples = sketch_samples(F, stream_rng(10).standard_normal((5, 2)))
+        mix = sketch_measure(F, GaussianMixture([1.0], [[0.0, 0.0]], [1.0]))
+        assert sketch_distance(samples, mix) > 0.1
+        with pytest.raises(ValueError, match="sketch 2 of 2 has sample count 0"):
+            merge([samples, mix])
+        with pytest.raises(ValueError, match="sketch 1 of 2 has sample count 0"):
+            merge([mix, samples])
+        with pytest.raises(ValueError, match="sketch 1 of 2 has sample count 0"):
+            merge([mix, mix])
+
 
 @given(st.lists(st.integers(1, 40), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
@@ -251,10 +265,10 @@ def test_sketch_bounds_roundtrip_and_merge(tmp_path):
     save_sketch(m, tmp_path / "m.json")
     back = load_sketch(tmp_path / "m.json")
     assert np.array_equal(back.lo, m.lo) and np.array_equal(back.hi, m.hi)
-    # a sketch without bounds (here of a mixture) makes the merged bounds unknown
-    mix = sketch_measure(F, GaussianMixture([1.0], [[0.0, 0.0]], [1.0]))
-    unknown = merge([sx, mix])
+    # a sample sketch without bounds (as in a file written without them) makes the merged bounds unknown
+    unknown = merge([sx, Sketch(sy.values, F, sy.n_samples)])
     assert unknown.lo is None and unknown.hi is None
+    assert unknown.n_samples == 12
     point_box = sketch_measure(F, DiscreteMeasure(Y, np.full(7, 1 / 7)))
     assert np.array_equal(point_box.lo, Y.min(axis=0)) and np.array_equal(point_box.hi, Y.max(axis=0))
 

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wmmd import tasks
 from wmmd.measures import DiscreteMeasure, stream_rng
 from wmmd.kernels import KernelSpec
 from wmmd.sketch import _cos_sin, draw_features, sketch_measure, sketch_samples
@@ -18,6 +21,8 @@ from wmmd.tasks import (
     excess_risk_report,
     _ascend_atom,
     _atom_objective_grad,
+    _nnls_weights,
+    _refine,
 )
 
 
@@ -215,6 +220,12 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decode_diracs(s, 1, (np.zeros(2), 0.0))
 
+    def test_unknown_option_is_refused_by_name(self):
+        F = draw_features(self.kernel, 64, 0)
+        s = sketch_samples(F, stream_rng(54).standard_normal((200, 2)))
+        with pytest.raises(ValueError, match=r"unknown decoder option\(s\) \['nstarts', 'sead'\]"):
+            decode_diracs(s, 2, (np.zeros(2), 3.0), {"nstarts": 1, "sead": 5})
+
     @pytest.mark.parametrize("n_starts", [0, -3])
     def test_no_starts_is_refused_by_name(self, n_starts):
         F = draw_features(self.kernel, 64, 0)
@@ -311,6 +322,101 @@ def test_batched_ascent_matches_per_start_loop(d):
         assert np.linalg.norm(thetas[best] - ref_thetas[best_ref]) <= 1e-6 * radius
 
 
+def _objective(F, s_vals, thetas, v):
+    return float(np.sum(np.abs((v / v.sum()) @ F.phi(thetas) - s_vals) ** 2))
+
+
+def _projected_descent(F, s_vals, thetas, v, center, radius, iters=500):
+    """The decoder's former joint refinement, kept as L-BFGS-B's reference.
+
+    Projected gradient steps on the atoms (onto the ball) and the weights
+    (onto v >= 0), with a step of radius/8 that grows x1.3 on a gain and
+    halves otherwise; it stops at a relative gain below 1e-10, a step below
+    1e-14 * radius or after `iters` steps.  Returns the objective it ends at.
+    """
+    obj = _objective(F, s_vals, thetas, v)
+    step = radius / 8.0
+    for _ in range(iters):
+        w = v / v.sum()
+        A = F.phi(thetas)
+        rA = np.conj(w @ A - s_vals)[None, :] * A
+        gth = 2.0 * w[:, None] * (rA.imag @ F.omega)
+        re_rA = rA.real.sum(axis=1)
+        gv = (2.0 / v.sum()) * (re_rA - float(w @ re_rA))
+        cand_t = tasks._clamp_ball(thetas - step * gth, center, radius)
+        cand_v = np.maximum(v - step * gv, 0.0)
+        if cand_v.sum() <= 0:
+            cand_v = v
+        cobj = _objective(F, s_vals, cand_t, cand_v)
+        if cobj < obj:
+            rel = (obj - cobj) / max(obj, 1e-300)
+            thetas, v, obj = cand_t, cand_v, cobj
+            step *= 1.3
+            if rel < 1e-10:
+                break
+        else:
+            step /= 2.0
+            if step < 1e-14 * radius:
+                break
+    return obj
+
+
+def test_refinement_ends_no_higher_than_the_former_descent():
+    """From the same atoms and NNLS weights, L-BFGS-B ends at most 1e-5 above the
+    former 500-step projected descent in every case, and below it in the median."""
+    rng = stream_rng(0x5EF)
+    ratios = []
+    for case in range(24):
+        d, k = 1 + case % 3, 2 + case % 3
+        F = draw_features(KernelSpec.gaussian(rng.uniform(1.0, 3.0), d), 256, 60 + case)
+        pts = rng.uniform(-6.0, 6.0, size=(k + 1, d))
+        X = pts[rng.integers(0, k + 1, 400)] + 0.5 * rng.standard_normal((400, d))
+        s_vals = sketch_samples(F, X).values
+        center, radius = np.zeros(d), 10.0
+        # start near the generating centres, as the greedy ascent would leave them
+        thetas = pts[:k] + rng.normal(scale=0.5, size=(k, d))
+        v = np.maximum(_nnls_weights(F, s_vals, thetas), tasks._WEIGHT_FLOOR)
+        _, _, obj = _refine(F, s_vals, thetas, v / v.sum(), center, radius)
+        ratios.append(obj / _projected_descent(F, s_vals, thetas, v, center, radius))
+    assert max(ratios) <= 1 + 1e-5
+    assert np.median(ratios) < 1
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([16, 64, 256]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_refinement_keeps_atoms_in_the_box_and_lowers_each_stage(d, K, m, n_atoms, seed):
+    """Every stage's refinement keeps its atoms in the ball's bounding box and its
+    weights positive on the simplex, and ends no higher than its NNLS start."""
+    rng = stream_rng(seed)
+    F = draw_features(KernelSpec.gaussian(rng.uniform(0.5, 3.0), d), m, seed)
+    mu = DiscreteMeasure(rng.uniform(-5.0, 5.0, size=(n_atoms, d)), rng.uniform(0.1, 1.0, n_atoms))
+    s = sketch_measure(F, mu)
+    center, radius = rng.uniform(-1.0, 1.0, d), rng.uniform(2.0, 8.0)
+    stages = []
+
+    def spy(F, s_vals, thetas, w, center, radius):
+        out = _refine(F, s_vals, thetas, w, center, radius)
+        stages.append((_objective(F, s_vals, thetas, w), out))
+        return out
+
+    with mock.patch.object(tasks, "_refine", spy):
+        dec = decode_diracs(s, K, (center, radius), {"seed": seed, "n_starts": 4})
+    assert len(stages) == K
+    lo, hi = center - radius, center + radius
+    for start, (thetas, w, obj) in stages:
+        assert np.all((lo <= thetas) & (thetas <= hi))
+        assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12
+        # w Phi - s cancels, so the residual carries about eps * sqrt(residual) of round-off
+        assert obj <= start + 1e-14 * np.sqrt(start)
+    assert np.all((lo <= dec.points) & (dec.points <= hi)) and np.all(dec.weights > 0)
+
+
 def test_lloyd_separated_clusters():
     rng = stream_rng(21)
     centers = np.array([[0.0, 0.0], [20.0, 0.0]])
@@ -357,6 +463,23 @@ def test_excess_risk_report_smoke():
     )
     assert rep.summary["ratio"] <= 1.2
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "keys,message",
+    [
+        (("kernel", "m"), r"missing \['seed'\], unknown \[\]"),
+        (("m",), r"missing \['kernel', 'seed'\], unknown \[\]"),
+        (("kernel", "m", "seed", "n_starts"), r"missing \[\], unknown \['n_starts'\]"),
+    ],
+    ids=["no-seed", "no-kernel-no-seed", "unknown-key"],
+)
+def test_excess_risk_report_names_missing_and_unknown_options(keys, message):
+    X = stream_rng(31).standard_normal((40, 2))
+    full = {"kernel": KernelSpec.gaussian(3.0, 2), "m": 128, "seed": 0, "n_starts": 4}
+    opts = {k: full[k] for k in keys}
+    with pytest.raises(ValueError, match=message):
+        excess_risk_report(X, TaskSpec("kmeans", K=2), opts)
 
 
 def test_excess_risk_report_exact_atoms():
