@@ -335,7 +335,7 @@ def _tanh_sinh(f, cuts):
             x = np.where(b == np.inf, a + u / v, np.where(u < 0.5, a + (b - a) * u, b - (b - a) * v))
             dx = np.where(b == np.inf, w / v**2, (b - a) * w)
             keep = (u < 1.0) & (x > a) & (x < b)
-            acc += float(f(x[keep]) @ dx[keep])
+            acc += float((f(x[keep]) * dx[keep]).sum())  # a numpy sum: its bits do not depend on BLAS threads
             if not np.isfinite(acc):
                 raise RuntimeError(f"integral is not finite at step h = {h:g}")
             if abs(h * acc - total) <= _TS_RTOL * abs(h * acc):

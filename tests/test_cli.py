@@ -297,6 +297,25 @@ print(json.dumps([rc] + [m for m in {_LAZY!r} if m in sys.modules]))
     assert sorted(now) == loaded
 
 
+def test_spectral_mmd_loads_no_scipy_integrate(tmp_path):
+    """The spectral MMD of a Matern mixture against atoms and `lab fourier-bound` integrate by tanh-sinh alone."""
+    code = """
+import json, sys
+import wmmd.cli
+from wmmd.discrepancy import mmd_spectral_1d
+from wmmd.kernels import KernelSpec
+from wmmd.measures import DiscreteMeasure, GaussianMixture
+mix = GaussianMixture([0.4, 0.6], [[0.0], [1.0]], [0.3, 0.8])
+mmd_spectral_1d(KernelSpec.matern(0.5, 1.0, 1), mix, DiscreteMeasure([[0.2], [-0.7]], [0.5, 0.5]))
+seen = ["scipy.integrate" in sys.modules]
+rc = wmmd.cli.dispatch(["lab", "fourier-bound", "--trials", "1", "-o", "r.csv"])
+print(json.dumps([rc, *seen, "scipy.integrate" in sys.modules]))
+"""
+    rc, *loaded = _fresh_python(code, tmp_path)
+    assert rc in (0, 2)
+    assert loaded == [False, False]
+
+
 def test_threads_cap_the_blas_that_scipy_loads_during_the_command(tmp_path):
     """A 2-D wass loads scipy.optimize, and with it scipy's own OpenBLAS, after --threads has run."""
     rng = stream_rng(0x5D)

@@ -2,11 +2,12 @@ import contextlib
 import multiprocessing
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmmd import discrepancy, measures
+from wmmd import discrepancy, lab, measures
 from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
@@ -231,6 +232,88 @@ def test_spectral_route_on_mixtures_matches_closed_form():
     )
 
 
+def _matern_half_mmd_mpmath(sigma_k, mu, nu):
+    """40-digit MMD under kappa0(z) = exp(-|z| / sigma_k) between 1-D mixtures or discrete measures.
+
+    Each pair of components contributes E exp(-|Z| / sigma_k), Z ~ N(delta, v):
+    1/2 e^(v / 2 sigma_k^2) [e^(-delta / sigma_k) erfc((v / sigma_k - delta) / sqrt(2 v))
+    + e^(delta / sigma_k) erfc((v / sigma_k + delta) / sqrt(2 v))], and e^(-|delta| / sigma_k) at v = 0.
+    """
+
+    def components(g, sign):
+        widths = g.sigmas if isinstance(g, GaussianMixture) else np.zeros(g.n)
+        centres = g.means if isinstance(g, GaussianMixture) else g.points
+        return [(sign * mpmath.mpf(w), mpmath.mpf(m[0]), mpmath.mpf(s)) for w, m, s in zip(g.weights, centres, widths)]
+
+    with mpmath.workdps(40):
+        sig = mpmath.mpf(sigma_k)
+
+        def pair(delta, v):
+            if v == 0:
+                return mpmath.exp(-abs(delta) / sig)
+            r = mpmath.sqrt(2 * v)
+            return mpmath.exp(v / (2 * sig**2)) / 2 * (
+                mpmath.exp(-delta / sig) * mpmath.erfc((v / sig - delta) / r)
+                + mpmath.exp(delta / sig) * mpmath.erfc((v / sig + delta) / r)
+            )
+
+        comps = components(mu, 1) + components(nu, -1)
+        return mpmath.sqrt(mpmath.fsum(a * b * pair(m - n, s**2 + t**2) for a, m, s in comps for b, n, t in comps))
+
+
+def _mixture_and_atoms(rng):
+    """A 3-component mixture and a 4-atom measure, both with U(0.1, 1) weights."""
+    mu = GaussianMixture(rng.uniform(0.1, 1, 3), rng.normal(size=(3, 1)), rng.uniform(0.3, 1.5, 3))
+    return mu, DiscreteMeasure(rng.normal(size=(4, 1)), rng.uniform(0.1, 1, 4))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lab._same_mean_gmm_pair, _mixture_and_atoms],
+    ids=["same-mean-mixtures", "mixture-vs-atoms"],
+)
+def test_spectral_route_matches_mpmath_under_matern_half(draw):
+    """Ten pairs each against the erfc closed form: the atoms' block by `gram`, the rest in one integral."""
+    rng = stream_rng(0x5E)
+    for sigma_k in (0.7, 1.0, 1.6):
+        k = KernelSpec.matern(0.5, sigma_k, 1)
+        for _ in range(10):
+            mu, nu = draw(rng)
+            ref = _matern_half_mmd_mpmath(sigma_k, mu, nu)
+            assert abs(mmd_spectral_1d(k, mu, nu) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5])
+def test_spectral_route_takes_a_nearly_flat_component_as_an_atom(order):
+    """A component of width 1e-7 (2 s^2 <= 1e-12) joins the atoms' `gram` block, whose power-law tail the integral would not resolve."""
+    k = KernelSpec.matern(order, 1.0, 1)
+    mu = GaussianMixture([0.4, 0.6], [[0.0], [1.0]], [1e-7, 0.5])
+    nu = DiscreteMeasure([[0.3], [-0.5]], [0.5, 0.5])
+    val = mmd_spectral_1d(k, mu, nu)
+    assert np.isfinite(val) and val > 0
+    if order == 0.5:  # exp(-|z|)'s kink at 0 makes the width's own term O(s), not O(s^2)
+        assert val == pytest.approx(float(_matern_half_mmd_mpmath(1.0, mu, nu)), rel=1e-6)
+
+
+def test_spectral_route_raises_when_a_narrow_component_is_not_resolved():
+    """N(0, 0.01^2) against a Dirac at 1 under Matern 1/2: a cross term oscillates out to w ~ 1e2 and the rule says it did not converge."""
+    k = KernelSpec.matern(0.5, 1.0, 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        mmd_spectral_1d(k, GaussianMixture([1.0], [[0.0]], [1e-2]), DiscreteMeasure([[1.0]], [1.0]))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec.matern(0.5, 1.0, 1), KernelSpec.matern(1.5, 1.0, 1), KernelSpec.gaussian(1.0, 1)],
+    ids=repr,
+)
+def test_spectral_route_is_zero_on_equal_measures_in_any_order(kernel):
+    """Equal mixtures: a characteristic-function difference within the round-off of its own sum counts as zero."""
+    mu = GaussianMixture([0.3, 0.7], [[0.1], [1.2]], [0.5, 0.9])
+    swapped = GaussianMixture([0.7, 0.3], [[1.2], [0.1]], [0.9, 0.5])
+    assert mmd_spectral_1d(kernel, mu, mu) == mmd_spectral_1d(kernel, mu, swapped) == 0.0
+
+
 def test_smoothed_l2_equals_convroot_mmd():
     alpha = RegularizerSpec(0.45)
     k = KernelSpec.conv_root(alpha, 2)
@@ -241,6 +324,15 @@ def test_smoothed_l2_equals_convroot_mmd():
         assert smoothed_l2(alpha, mu, nu) == pytest.approx(
             mmd_gaussian_kernel(k, mu, nu), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("t", [37, 54])
+def test_smoothed_l2_clamps_round_off_on_the_scale_of_its_terms(t):
+    """Atoms moved by 1e-9 at sigma 0.01: a squared value of -1.5e-12 or -4.9e-12 against aa + bb of 20 or 24 is round-off, not a warning."""
+    rng = stream_rng(5, t)
+    X, a = rng.normal(size=(4, 1)), rng.uniform(0.1, 1, 4)
+    Y = X + 1e-9 * rng.normal(size=(4, 1))
+    assert smoothed_l2(RegularizerSpec(0.01), DiscreteMeasure(X, a), DiscreteMeasure(Y, a)) == 0.0
 
 
 def test_smoothed_l2_requires_regularizer():

@@ -122,6 +122,38 @@ Over 16 pairs of n and 64n uniform atoms (n = 512, 2048) the pairwise sum's
 worst error is 0.93 ulp, against 4.08 for `np.einsum` and 3.71 for the dot on
 one OpenBLAS thread.  `w_rate`'s pins kept their bits.
 
+Two reports are re-recorded since the 1-D spectral MMD is one tanh-sinh
+integral of kappa0_hat |mu_hat - nu_hat|^2, not a sum of per-pair integrals,
+and `_tanh_sinh` adds each level as a numpy sum, not a BLAS dot:
+`fourier-bound --trials 2` and `embeddability --trials 10`.  Their MMDs are
+under the Matern 1/2 kernel (sigma = 1) between same-mean mixtures; the
+reference is the 40-digit sum over component pairs of the erfc closed form
+of E exp(-|Z|), Z ~ N(delta, v).  As (value, old, new, reference, error in
+ulps old -> new):
+
+    fourier-bound pair 0   0.13179284420820958   0.13179284420820944   0.13179284420820941298   +6.0 -> +1.0
+    fourier-bound pair 1   0.07028094741990852   0.07028094741990805   0.070280947419908047185  +34 -> +0.2
+    embeddability mmd[0]   0.13179284420820958   0.13179284420820944   0.13179284420820941298   +6.0 -> +1.0
+    embeddability mmd[1]   0.18558661533852036   0.1855866153385205    0.18558661533852050448   -5.2 -> -0.2
+    embeddability mmd[3]   0.025365592195001837  0.025365592195003048  0.025365592195003047056  -349 -> +0.3
+    embeddability mmd[4]   0.037986039125374987  0.037986039125375584  0.037986039125375574963  -84 -> +1.3
+    embeddability mmd[5]   0.09831938699984126   0.098319386999840885  0.098319386999840884171  +27 -> +0.4
+    embeddability mmd[6]   0.093508947957631441  0.093508947957631608  0.093508947957631598849  -11 -> +0.8
+    embeddability mmd[7]   0.2224605761928172    0.22246057619281714   0.22246057619281715762   +1.5 -> -0.6
+    embeddability mmd[8]   0.12976997909378732   0.12976997909378793   0.12976997909378793195   -22 -> -0.1
+    embeddability mmd[9]   0.24361618134820473   0.24361618134820465   0.24361618134820465533   +2.7 -> -0.2
+
+`embeddability mmd[2]` kept its bits.  The `fourier-bound` rhs column moved
+with the square root of its MMD (0.12995467739931524 -> 0.12995467739931515,
+0.078745967526672303 -> 0.078745967526672039); its Fourier-quotient
+integral kept its bits.  Two `embeddability` W_2 values moved by one ulp
+through the numpy sum: w[3] 0.097093582516749585 -> 0.097093582516749571
+and w[6] 0.27501133180831927 -> 0.27501133180831921, against 30-digit
+mpmath integrals of the squared quantile gap, 0.097093582516749565685 and
+0.27501133180831928197 (+1.4 -> +0.4 and -0.2 -> -1.2 ulp).  The `ratio`
+column and the sidecar's `sup` (1.7646979779007208 -> 1.764697977900721)
+follow; every `pass`, `stable` and other sidecar field is unchanged.
+
 Two pins are dropped with the code they pinned: `RECORDED["lemma24"]`, the
 bootstrap estimate of `lab.lemma24_check` (criterion 13 and `wmmd lab
 smoothing` check its 2 sigma sqrt(d) term in closed form), and the
@@ -144,7 +176,7 @@ import numpy as np
 import pytest
 
 from wmmd.cli import dispatch
-from wmmd.measures import DiscreteMeasure, load_dataset, save_dataset, stream_rng
+from wmmd.measures import DiscreteMeasure, GaussianMixture, load_dataset, save_dataset, stream_rng
 from wmmd.sketch import draw_features, sketch_measure
 from wmmd.kernels import KernelSpec
 from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk, task_metric_probe
@@ -229,7 +261,7 @@ RECORDED = {
             "ec4fe84c6aee15534ab28f37819fe0152b6bdbd1b49bc4bdabbe59fd619de507",
         ),
         "fourier-bound --trials 2": (
-            "adbf694243bc6c0cfe978ffc620e9e9072bd4db6d53f659378e3e69374d14310",
+            "0fc39e0f26ba1c20553edbc9dcd439acc4a49cf726922504112d6c1f590dba5c",
             "34275bff23dd4afcb7db7c1b503d23c0324520b0363bdb3a182870e4b0c3485a",
         ),
         "smoothing": (
@@ -245,8 +277,8 @@ RECORDED = {
             "4b41f0d0606b2e48ac6193b59411a7ea0cfba1d77dfcb691053dc122db5a2488",
         ),
         "embeddability --trials 10": (
-            "3eff6653be78b36eaa142f14cd7a9f1c003ad92400695baeb1e278e2609fe3b0",
-            "bc01d86ab431db1211b7a8dc5053203259995f2967b653119fb700d9c96c713d",
+            "ad19c83d5dbab6e903affe029c3695e74ab067bb1ee6b892f29908772e897985",
+            "4bf3f44e286425a927c3b5645a66ab4b273e0828592cbea4fd84917ca14d2542",
         ),
         "learnability --trials 4": (
             "ffed8db36c002761fa7b012991d4b6d71cf4af04c72d3669541f8d0dee471c4a",
@@ -446,6 +478,13 @@ def _weighted_sketch_m1(d):
     return [_hex(s.values.real), _hex(s.values.imag)]
 
 
+def _w1d_mixture_pairs():
+    """Hex of W_1 over 100 pairs of 6-component mixtures, means spread by 5 and widths 0.01-2: many pieces in each integral."""
+    rng = np.random.default_rng(5)
+    g = lambda: GaussianMixture(rng.uniform(0.1, 1, 6), rng.normal(size=(6, 1)) * 5, rng.uniform(0.01, 2, 6))
+    return [float(w1d(1, g(), g())).hex() for _ in range(100)]
+
+
 def _blas_sensitive_outputs(directory):
     """`w_rate`'s pins, the 1-D `wass` lines, the `rates --which w --d 1` report and weighted sketches."""
     paths = _write_datasets(directory)
@@ -488,6 +527,12 @@ def _in_fresh_python(expr, cwd, blas):
 def test_sums_keep_their_bits_on_one_blas_thread(tmp_path, expr):
     """A 1-D W_1 of 2,048 vs 131,072 atoms and weighted m = 1 sketches: the same bits at OpenBLAS's default and on one thread."""
     assert _in_fresh_python(expr, tmp_path, None) == _in_fresh_python(expr, tmp_path, 1)
+
+
+def test_mixture_w1d_keeps_its_bits_on_one_and_two_blas_threads(tmp_path):
+    """`_tanh_sinh` adds each level as a numpy sum, so no mixture `w1d` depends on OpenBLAS's thread count."""
+    expr = "t._w1d_mixture_pairs()"
+    assert _in_fresh_python(expr, tmp_path, 1) == _in_fresh_python(expr, tmp_path, 2)
 
 
 def test_blas_sensitive_pins_hold_on_one_blas_thread(tmp_path):
