@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .measures import DiscreteMeasure, cap_threads, load_dataset
+from .measures import DiscreteMeasure, _seed64, cap_threads, load_dataset
 from .kernels import kernel_from_text
 from .discrepancy import mmd
 from .transport import wasserstein
@@ -24,9 +24,8 @@ from .sketch import (
     load_sketch,
     save_sketch,
 )
-from .tasks import TaskSpec, decode_diracs, excess_risk_report
+from .tasks import TaskSpec, decode_diracs
 from . import lab
-from .reporting import emit_report
 
 __all__ = ["main", "dispatch"]
 
@@ -52,7 +51,7 @@ def _decode_domain(s, center_text, radius):
     keeps atoms in the ball's bounding box.
 
     Defaults come from the data box [lo, hi] stored in the sketch: its midpoint
-    and 1.5 times its half diagonal, the margin `excess_risk_report` uses.
+    and 1.5 times its half diagonal, the margin `lab.excess_risk_report` uses.
     Sketch files without the box default to the origin and radius 10.
     """
     d = s.feature_map.d
@@ -204,14 +203,14 @@ def _run(args):
     if cmd == "ckmeans":
         X = load_dataset(args.input)
         opts = {"kernel": kernel_from_text(args.kernel, X.shape[1]), "m": args.m, "seed": args.seed}
-        rep = excess_risk_report(X, TaskSpec("kmeans", K=args.k), opts)
-        emit_report(rep, args.output)
+        rep = lab.excess_risk_report(X, TaskSpec("kmeans", K=args.k), opts)
+        lab.emit_report(rep, args.output)
         return 0 if rep.passed else 2
     if cmd == "lab":
         run, defaults = lab.EXPERIMENTS[args.experiment]
-        rep = run(args.seed, **_lab_settings(args, defaults))
+        rep = run(_seed64(args.seed), **_lab_settings(args, defaults))
         out = args.output or f"wmmd-lab-{args.experiment}.csv"
-        emit_report(rep, out)
+        lab.emit_report(rep, out)
         print(json.dumps(rep.summary, sort_keys=True, default=float))
         return 0 if rep.passed else 2
     raise UsageError(f"unknown command {cmd!r}")

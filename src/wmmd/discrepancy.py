@@ -11,9 +11,8 @@ import warnings
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _block_sum, _scipy, _tanh_sinh, project, sample
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _block_sum, _scipy, _tanh_sinh, project
 from .kernels import _sq_dists
-from .reporting import sampling_rate
 
 # No route integrates by QUADPACK; the name stays because bench/tracer.py counts its calls.
 quad = _scipy("integrate", "quad")
@@ -25,7 +24,6 @@ __all__ = [
     "mmd_spectral_1d",
     "smoothed_l2",
     "mmd_sliced",
-    "mmd_rate",
 ]
 
 
@@ -40,16 +38,19 @@ def _clamp_sq(sq, scale):
 
 
 def mmd_discrete(k, mu, nu):
-    """||mu - nu||_kappa by the three Gram double sums."""
+    """||mu - nu||_kappa as a.(K_aa a - K_ab b) - b.(K_ab^T a - K_bb b).
+
+    The signed weights meet the MMD witness (Gretton et al. 2012, JMLR 13) at
+    each atom, so the Gram sums cancel atom by atom, not after each is rounded.
+    """
     if mu.d != k.d or nu.d != k.d:
         raise ValueError("dimension mismatch")
     a, b = mu.weights, nu.weights
-    Kaa = k.gram(mu.points, mu.points)
-    Kbb = k.gram(nu.points, nu.points)
+    Ka = k.gram(mu.points, mu.points) @ a
+    Kb = k.gram(nu.points, nu.points) @ b
     Kab = k.gram(mu.points, nu.points)
-    scale = float(a @ Kaa @ a + b @ Kbb @ b)
-    sq = scale - 2.0 * float(a @ Kab @ b)
-    return np.sqrt(_clamp_sq(sq, scale))
+    sq = float(a @ (Ka - Kab @ b) - b @ (Kab.T @ a - Kb))
+    return np.sqrt(_clamp_sq(sq, float(a @ Ka + b @ Kb)))
 
 
 def _as_components(measure):
@@ -244,14 +245,3 @@ def mmd_sliced(base_k, theta_set, mu, nu):
         pn = project(nu, theta)
         acc += mmd_discrete(base_k, pm, pn) ** 2
     return np.sqrt(acc / theta_set.shape[0])
-
-
-def mmd_rate(measure, kernel, n_grid, trials, seed):
-    """Fitted slope of log E||pi - pi_n||_kappa against log n.
-
-    The population-vs-empirical MMD is computed in closed form (Gaussian
-    kernel), so the only randomness is the sample draw.
-    """
-    return sampling_rate(
-        lambda n, rng: mmd_gaussian_kernel(kernel, measure, sample(measure, n, rng)), n_grid, trials, seed
-    )

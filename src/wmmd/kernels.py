@@ -149,7 +149,11 @@ class KernelSpec:
             out = np.ones_like(t)
             nz = t > 0
             tt = t[nz]
-            out[nz] = (2.0 ** (1.0 - nu) / _gamma(nu)) * tt**nu * _kv(nu, tt)
+            c = 2.0 ** (1.0 - nu) / _gamma(nu)  # below the normal range from nu = 151 on
+            with np.errstate(over="ignore", invalid="ignore"):  # t^nu or K_nu(t) overflows at extreme t / nu
+                out[nz] = c * tt**nu * _kv(nu, tt)
+            if not (c >= np.finfo(float).tiny and np.isfinite(out).all()):
+                raise ValueError(f"the Matern kernel with nu = {nu:g} and sigma = {sig:g} leaves the float range")
             return out
         raise ValueError(f"kappa0 undefined for family {self.family}")
 

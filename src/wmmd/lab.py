@@ -1,38 +1,192 @@
-"""Constructions and experiments probing Wasserstein <-> MMD controls.
+"""The experiment layer: constructions and experiments probing Wasserstein <-> MMD controls.
 
 Each experiment returns a Report whose pass/fail is derivable from its rows
-alone.  Constants that the underlying bounds leave existential are treated as
+alone; `emit_report` writes it as CSV plus a JSON summary sidecar.
+Constants that the underlying bounds leave existential are treated as
 empirical sup-ratios with a stability criterion; exponents are checked by
-log-log slope fits.  `EXPERIMENTS` holds the `wmmd lab` experiments, each a
-function of a seed and the settings it reads.
+log-log slope fits (`scaling_exponent`), sampling rates among them
+(`sampling_rate`, `mmd_rate`, `w_rate`).  `excess_risk_report` runs
+compressive K-means end to end.  `EXPERIMENTS` holds the `wmmd lab`
+experiments, each a function of a seed and the settings it reads.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, stream_rng
+from . import __version__
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _tanh_sinh, sample, stream_rng
 from .kernels import KernelSpec, kernel_from_text, sphere_directions
-from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_rate, mmd_sliced, mmd_spectral_1d
-from .transport import w1d, w_exact, w_rate, wasserstein, _dist_matrix
-from .tasks import TaskSpec, task_constant, task_metric_probe
-from .reporting import Report, scaling_exponent
+from .discrepancy import mmd, mmd_discrete, mmd_gaussian_kernel, mmd_sliced, mmd_spectral_1d
+from .transport import w1d, w_exact, wasserstein, _dist_matrix
+from .sketch import draw_features, sketch_distance, sketch_measure, sketch_samples
+from .tasks import Hypothesis, TaskSpec, decode_diracs, lloyd, risk, task_constant, task_metric_probe
 
 __all__ = [
+    "SlopeFit",
+    "DegenerateZero",
+    "scaling_exponent",
+    "sampling_rate",
+    "mmd_rate",
+    "w_rate",
+    "Report",
+    "emit_report",
     "BinomialDiracs",
     "binomial_construction",
     "dirac_pair",
     "disjoint_segment",
-    "scaling_exponent",
     "embeddability_probe",
     "fourier_bound_1d",
     "smoothing_bound",
     "mmd_dominance_check",
+    "excess_risk_report",
     "EXPERIMENTS",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Slope fits, sampling rates and reports.
+
+
+class DegenerateZero(ValueError):
+    """All measurements vanish; a log-log slope is undefined."""
+
+
+@dataclass(frozen=True)
+class SlopeFit:
+    """Ordinary least squares fit of log(measurement) against log(scale)."""
+
+    slope: float
+    stderr: float
+    r2: float
+    grid: tuple  # ((log x, log y), ...) pairs the fit is recomputable from
+
+    def __post_init__(self):
+        assert self.stderr >= 0.0
+
+
+def scaling_exponent(values):
+    """Fit a power law y = c * x^slope through (scale, measurement) pairs.
+
+    values: iterable of (x, y), both strictly positive, at least 4 pairs.
+    Returns a SlopeFit with the OLS slope, its standard error and r^2.
+    """
+    pairs = [(float(x), float(y)) for x, y in values]
+    if len(pairs) < 4:
+        raise ValueError("need at least 4 (scale, measurement) pairs")
+    if all(abs(y) <= 1e-300 for _, y in pairs):
+        raise DegenerateZero("all measurements are zero")
+    if any(x <= 0 or y <= 0 for x, y in pairs):
+        raise ValueError("scales and measurements must be positive")
+    lx = np.log([x for x, _ in pairs])
+    ly = np.log([y for _, y in pairs])
+    n = len(pairs)
+    A = np.vstack([lx, np.ones(n)]).T
+    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    resid = ly - A @ coef
+    sxx = np.sum((lx - lx.mean()) ** 2)
+    dof = max(n - 2, 1)
+    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if sxx > 0 else 0.0
+    syy = np.sum((ly - ly.mean()) ** 2)
+    r2 = 1.0 - float(resid @ resid) / float(syy) if syy > 0 else 1.0
+    grid = tuple(zip(lx.tolist(), ly.tolist()))
+    return SlopeFit(slope=float(coef[0]), stderr=float(stderr), r2=float(r2), grid=grid)
+
+
+def sampling_rate(distance, n_grid, trials, seed):
+    """scaling_exponent of the mean of distance(n, rng) over `trials` draws, against n.
+
+    Trial t at grid point gi draws from stream_rng(seed, gi, t); the grid
+    needs at least 5 sizes.
+    """
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 5:
+        raise ValueError("n_grid needs at least 5 points")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = []
+    for gi, n in enumerate(n_grid):
+        acc = 0.0
+        for t in range(trials):
+            acc += distance(n, stream_rng(seed, gi, t))
+        pairs.append((n, acc / trials))
+    return scaling_exponent(pairs)
+
+
+def mmd_rate(measure, kernel, n_grid, trials, seed):
+    """Fitted slope of log E||pi - pi_n||_kappa against log n.
+
+    The population-vs-empirical MMD is computed in closed form (Gaussian
+    kernel), so the only randomness is the sample draw.
+    """
+    return sampling_rate(
+        lambda n, rng: mmd_gaussian_kernel(kernel, measure, sample(measure, n, rng)), n_grid, trials, seed
+    )
+
+
+def _uniform(points):
+    return DiscreteMeasure(points, np.full(points.shape[0], 1.0 / points.shape[0]))
+
+
+def w_rate(measure, p, n_grid, trials, seed):
+    """Fitted log-log slope of E W_p(pi, pi_n) against n.
+
+    `measure` is a measure object or a callable (n, rng) -> points sampler.
+    In 1-D the empirical measure is compared against a 64x oversampled
+    reference draw (upward-biased stand-in for the population measure; the
+    bias is negligible at this oversampling).  In higher dimension the
+    population distance is estimated by the distance between two fresh
+    same-size samples, which obeys the same n^(-1/d) law and keeps the exact
+    assignment solver applicable.  A discrete `measure` is compared with its
+    samples directly.  `wasserstein` picks the route.
+    """
+    draw = measure if callable(measure) else lambda n, rng: sample(measure, n, rng).points
+
+    def distance(n, rng):
+        emp = _uniform(draw(n, rng))
+        if isinstance(measure, DiscreteMeasure):
+            return wasserstein(p, measure, emp)
+        return wasserstein(p, emp, _uniform(draw(64 * n if emp.d == 1 else n, rng)))
+
+    return sampling_rate(distance, n_grid, trials, seed)
+
+
+@dataclass
+class Report:
+    """Tabular experiment output plus a machine-readable summary."""
+
+    name: str
+    columns: list
+    rows: list = field(default_factory=list)
+    summary: dict = field(default_factory=dict)
+
+    def add_row(self, *vals):
+        if len(vals) != len(self.columns):
+            raise ValueError("row width mismatch")
+        self.rows.append(list(vals))
+
+    @property
+    def passed(self):
+        return bool(self.summary.get("pass", True))
+
+
+def emit_report(report, path):
+    """Write the report as CSV, floats to 17 significant digits, plus a `<path>.summary.json` sidecar."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(report.columns)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in report.rows)
+    summary = dict(report.summary)
+    summary.setdefault("experiment", report.name)
+    summary.setdefault("version", f"wmmd-{__version__}")
+    with open(str(path) + ".summary.json", "w") as f:
+        json.dump(summary, f, indent=2, sort_keys=True, default=float)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +367,7 @@ def smoothing_bound(alpha, p, mu, nu, s, M):
     err = 2.0 * mp ** (1.0 / p)
     err_rbf = 2.0 * alpha.sigma * np.sqrt(d)
     rhs = main + err
-    rep = Report(
-        "smoothing-bound",
-        ["quantity", "value"],
-    )
+    rep = Report("smoothing-bound", ["quantity", "value"])
     rep.add_row("w_p", w)
     rep.add_row("mmd", mmd)
     rep.add_row("rhs_main", main)
@@ -262,6 +413,54 @@ def mmd_dominance_check(kernel, pairs, p=2):
         "worst_margin": float(worst),
         "grid_condition": bool(grid_ok),
         "pass": bool(worst <= 1e-9 and grid_ok),
+    }
+    return rep
+
+
+def excess_risk_report(pi_samples, task, sketch_opts):
+    """End-to-end compressive K-means: sketch, decode, compare against Lloyd.
+
+    pi_samples: n x d training array.  task: a kmeans TaskSpec.  sketch_opts:
+    dict with exactly the keys kernel, m and seed.  The decoder's ascent
+    searches the ball around the data mean of 1.5 times the largest distance
+    from it; Lloyd takes the best of 5 runs.  Reports both risks on the
+    training measure, the sketch distance between the decoded measure's
+    sketch and the data sketch, and the risk ratio, which passes at <= 1.2.
+    """
+    if task.variant != "kmeans":
+        raise ValueError("excess_risk_report supports the kmeans task")
+    given, keys = set(sketch_opts), {"kernel", "m", "seed"}
+    if given != keys:
+        raise ValueError(f"sketch_opts: missing {sorted(keys - given)}, unknown {sorted(given - keys)}")
+    X = np.atleast_2d(np.asarray(pi_samples, dtype=float))
+    n, d = X.shape
+    emp = DiscreteMeasure(X, np.full(n, 1.0 / n))
+    seed = int(sketch_opts["seed"])
+    F = draw_features(sketch_opts["kernel"], int(sketch_opts["m"]), seed)
+    s = sketch_samples(F, X)
+    center = X.mean(axis=0)
+    radius = float(1.5 * np.max(np.linalg.norm(X - center, axis=1)))
+    dec = decode_diracs(s, task.bound, (center, radius), {"seed": seed})
+    h_sketch = Hypothesis("kmeans", dec.points)
+    rng = stream_rng(seed, 0x11)
+    h_lloyd = lloyd(emp, task.bound, 5, rng)
+    r_sketch = risk(task, emp, h_sketch)
+    r_lloyd = risk(task, emp, h_lloyd)
+    dist = sketch_distance(sketch_measure(F, dec), s)
+    rep = Report("compressive-kmeans", ["quantity", "value"])
+    rep.add_row("risk_sketch", r_sketch)
+    rep.add_row("risk_lloyd", r_lloyd)
+    rep.add_row("sketch_residual", dist)
+    ratio = r_sketch / r_lloyd if r_lloyd > 0 else float("inf") if r_sketch > 0 else 1.0
+    rep.add_row("ratio", ratio)
+    rep.summary = {
+        "experiment": "compressive-kmeans",
+        "seed": seed,
+        "risk_sketch": r_sketch,
+        "risk_lloyd": r_lloyd,
+        "sketch_residual": dist,
+        "ratio": ratio,
+        "pass": bool(ratio <= 1.2),
     }
     return rep
 
@@ -393,7 +592,9 @@ def dominance(seed, trials, kernel, p):
 
 
 def sliced(seed, trials, d):
-    """The sliced kernel's MMD against the average of its 1-D MMDs (d >= 2)."""
+    """The sliced kernel's MMD against the average of its 1-D MMDs (d >= 2; d = 1 runs as 2)."""
+    if d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     rng = stream_rng(seed, 0)
     d = max(d, 2)
     theta = sphere_directions(32, d, seed=seed)

@@ -6,6 +6,8 @@ binary classification with a bounded-Lipschitz tanh classifier under the
 hinge loss (p=1).  Regression and classification share one norm-ball path
 for their draws, perturbations and checks.  Their measures live on the
 joint sample space: the last coordinate of each atom holds the response.
+The end-to-end compressive K-means report built from these parts is
+`lab.excess_risk_report`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 
 from .kernels import _sq_dists
 from .measures import DiscreteMeasure, _scipy, _seed64, stream_rng
-from .sketch import _cos_sin, sketch_measure
-from .reporting import Report
+from .sketch import _cos_sin
 
 minimize, nnls = _scipy("optimize", "minimize"), _scipy("optimize", "nnls")
 
@@ -29,7 +30,6 @@ __all__ = [
     "task_metric_probe",
     "decode_diracs",
     "lloyd",
-    "excess_risk_report",
     "task_constant",
 ]
 
@@ -49,6 +49,9 @@ class TaskSpec:
             raise ValueError(f"unknown task variant {variant!r}")
         self.variant = variant
         self.p, name = _VARIANTS[variant]
+        given = set(params)
+        if given != {name}:
+            raise ValueError(f"{variant} task: missing {sorted({name} - given)}, unknown {sorted(given - {name})}")
         self.bound = params[name]
         self.centroids = name == "K"
         if self.centroids and self.bound < 1:
@@ -421,56 +424,3 @@ def lloyd(measure, K, inits, rng):
         if rsk < best_r:
             best_h, best_r = h, rsk
     return best_h
-
-
-def excess_risk_report(pi_samples, task, sketch_opts):
-    """End-to-end compressive K-means: sketch, decode, compare against Lloyd.
-
-    pi_samples: n x d training array.  task: a kmeans TaskSpec.  sketch_opts:
-    dict with exactly the keys kernel, m and seed.  The decoder's ascent
-    searches the ball around the data mean of 1.5 times the largest distance
-    from it; Lloyd takes the best of 5 runs.  Reports both risks on the
-    training measure, the sketch distance between the decoded measure's
-    sketch and the data sketch, and the risk ratio, which passes at <= 1.2.
-    """
-    from .sketch import draw_features, sketch_samples, sketch_distance
-
-    if task.variant != "kmeans":
-        raise ValueError("excess_risk_report supports the kmeans task")
-    given, keys = set(sketch_opts), {"kernel", "m", "seed"}
-    if given != keys:
-        raise ValueError(f"sketch_opts: missing {sorted(keys - given)}, unknown {sorted(given - keys)}")
-    X = np.atleast_2d(np.asarray(pi_samples, dtype=float))
-    n, d = X.shape
-    emp = DiscreteMeasure(X, np.full(n, 1.0 / n))
-    seed = int(sketch_opts["seed"])
-    F = draw_features(sketch_opts["kernel"], int(sketch_opts["m"]), seed)
-    s = sketch_samples(F, X)
-    center = X.mean(axis=0)
-    radius = float(1.5 * np.max(np.linalg.norm(X - center, axis=1)))
-    dec = decode_diracs(s, task.bound, (center, radius), {"seed": seed})
-    h_sketch = Hypothesis("kmeans", dec.points)
-    rng = stream_rng(seed, 0x11)
-    h_lloyd = lloyd(emp, task.bound, 5, rng)
-    r_sketch = risk(task, emp, h_sketch)
-    r_lloyd = risk(task, emp, h_lloyd)
-    dist = sketch_distance(sketch_measure(F, dec), s)
-    rep = Report(
-        "compressive-kmeans",
-        ["quantity", "value"],
-    )
-    rep.add_row("risk_sketch", r_sketch)
-    rep.add_row("risk_lloyd", r_lloyd)
-    rep.add_row("sketch_residual", dist)
-    ratio = r_sketch / r_lloyd if r_lloyd > 0 else float("inf") if r_sketch > 0 else 1.0
-    rep.add_row("ratio", ratio)
-    rep.summary = {
-        "experiment": "compressive-kmeans",
-        "seed": seed,
-        "risk_sketch": r_sketch,
-        "risk_lloyd": r_lloyd,
-        "sketch_residual": dist,
-        "ratio": ratio,
-        "pass": bool(ratio <= 1.2),
-    }
-    return rep

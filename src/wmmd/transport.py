@@ -15,8 +15,7 @@ import itertools
 import numpy as np
 
 from .kernels import _sq_dists
-from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles, sample
-from .reporting import sampling_rate
+from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles
 
 linear_sum_assignment, linprog = _scipy("optimize", "linear_sum_assignment"), _scipy("optimize", "linprog")
 csr_matrix = _scipy("sparse", "csr_matrix")
@@ -28,7 +27,6 @@ __all__ = [
     "wasserstein",
     "w_brute",
     "translation_split",
-    "w_rate",
 ]
 
 _SIZE_GUARD = 10**6
@@ -460,30 +458,3 @@ def translation_split(mu, nu):
     centered_w2, _ = w_exact(2, mu.centered(), nu.centered())
     gap = mu.mean() - nu.mean()
     return centered_w2**2, float(gap @ gap)
-
-
-def _uniform(points):
-    return DiscreteMeasure(points, np.full(points.shape[0], 1.0 / points.shape[0]))
-
-
-def w_rate(measure, p, n_grid, trials, seed):
-    """Fitted log-log slope of E W_p(pi, pi_n) against n.
-
-    `measure` is a measure object or a callable (n, rng) -> points sampler.
-    In 1-D the empirical measure is compared against a 64x oversampled
-    reference draw (upward-biased stand-in for the population measure; the
-    bias is negligible at this oversampling).  In higher dimension the
-    population distance is estimated by the distance between two fresh
-    same-size samples, which obeys the same n^(-1/d) law and keeps the exact
-    assignment solver applicable.  A discrete `measure` is compared with its
-    samples directly.  `wasserstein` picks the route.
-    """
-    draw = measure if callable(measure) else lambda n, rng: sample(measure, n, rng).points
-
-    def distance(n, rng):
-        emp = _uniform(draw(n, rng))
-        if isinstance(measure, DiscreteMeasure):
-            return wasserstein(p, measure, emp)
-        return wasserstein(p, emp, _uniform(draw(64 * n if emp.d == 1 else n, rng)))
-
-    return sampling_rate(distance, n_grid, trials, seed)

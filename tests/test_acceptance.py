@@ -28,9 +28,8 @@ from wmmd.discrepancy import (
     mmd_spectral_1d,
     smoothed_l2,
     mmd_sliced,
-    mmd_rate,
 )
-from wmmd.transport import w1d, w_exact, w_brute, translation_split, w_rate
+from wmmd.transport import w1d, w_exact, w_brute, translation_split
 from wmmd.sketch import (
     draw_features,
     sketch_samples,
@@ -46,10 +45,9 @@ from wmmd.tasks import (
     kmeans_project,
     task_metric_probe,
     task_constant,
-    excess_risk_report,
 )
 from wmmd import lab
-from wmmd.reporting import scaling_exponent
+from wmmd.lab import excess_risk_report, mmd_rate, scaling_exponent, w_rate
 
 SEED = 20260823
 

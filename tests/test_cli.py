@@ -405,17 +405,17 @@ def test_mmd_rate_on_one_cpu_equals_every_cpu(monkeypatch):
     code = """
 import json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from wmmd import discrepancy, measures
+from wmmd import lab, measures
 from wmmd.kernels import KernelSpec
 from wmmd.measures import GaussianMixture
 pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
-fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
+fit = lab.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
 print(json.dumps([measures._workers, repr(fit)]))
 """
     monkeypatch.setattr(measures, "_workers", measures._CPUS)
     monkeypatch.setattr(discrepancy, "_MIN_PAIRS", 0)
     pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
-    fit = discrepancy.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
+    fit = lab.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
     assert _fresh_python(code, None) == [1, repr(fit)]
 
 
@@ -647,6 +647,24 @@ def test_kernel_parameters_must_be_finite(data, capsys, kernel, field):
     assert field in _fails_with_one_line(["mmd", str(p), str(p), "--kernel", json.dumps(kernel)], capsys)
 
 
+@pytest.mark.parametrize(
+    "nu, sigma, named",
+    [
+        (150.0, 1.0, "nu = 150 and sigma = 1 "),  # K_nu(t) overflows at small t
+        (170.0, 1.0, "nu = 170 and sigma = 1 "),  # 2^(1-nu) / Gamma(nu) underflows to 0
+        (2.5, 1e-160, "nu = 2.5 and sigma = 1e-160 "),  # t^nu overflows where K_nu(t) is 0
+        (2.5, 1e150, "nu = 2.5 and sigma = 1e+150 "),  # t^nu underflows where K_nu(t) overflows
+    ],
+)
+def test_matern_values_out_of_float_range_are_one_error_line(tmp_path, capsys, nu, sigma, named):
+    """Kernel values that would print as inf or nan end as one E: line naming nu and sigma."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(a, np.array([[0.0, 0.0], [0.01, 0.0], [1.0, 2.0]]))
+    save_dataset(b, np.array([[0.5, 0.5], [2.0, 1.0]]))
+    kernel = json.dumps({"family": "matern", "nu": nu, "sigma": sigma, "d": 2})
+    assert named in _fails_with_one_line(["mmd", str(a), str(b), "--kernel", kernel], capsys)
+
+
 @pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_wass_rejects_non_finite_p(tmp_path, capsys, p, d):
@@ -711,6 +729,23 @@ def test_decode_rejects_out_of_range_seed(data, tmp_path, capsys, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dispatch(["decode", str(sk), "-o", str(out), "--k", "1", "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_lab_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    """`stream_rng` reads seeds modulo 2^64, so -1 and 2^64 would write the reports of 2^64 - 1 and 0."""
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", "smoothing", "--seed", seed, "-o", str(out)], capsys)
+    assert "seed must be an integer in [0, 2^64)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_lab_sliced_rejects_dimension_below_one(tmp_path, capsys, d):
+    out = tmp_path / "r.csv"
+    err = _fails_with_one_line(["lab", "sliced", "--d", d, "--trials", "1", "-o", str(out)], capsys)
+    assert f"d must be an integer >= 1, got {d}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d", [1, 2])

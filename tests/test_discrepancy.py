@@ -23,7 +23,6 @@ from wmmd.discrepancy import (
     mmd_spectral_1d,
     smoothed_l2,
     mmd_sliced,
-    mmd_rate,
     _BLOCK,
     _gauss_cross,
     _gauss_self,
@@ -389,9 +388,20 @@ def test_mmd_rate_input_validation():
     pi = GaussianMixture([1.0], [[0.0]], [1.0])
     k = KernelSpec.gaussian(1.0, 1)
     with pytest.raises(ValueError):
-        mmd_rate(pi, k, [8, 16, 32], 5, 0)  # too few grid points
+        lab.mmd_rate(pi, k, [8, 16, 32], 5, 0)  # too few grid points
     with pytest.raises(ValueError):
-        mmd_rate(pi, k, [8, 16, 32, 64, 128], 0, 0)
+        lab.mmd_rate(pi, k, [8, 16, 32, 64, 128], 0, 0)
+
+
+def test_clamp_sq_clamps_warns_and_raises():
+    """A negative squared MMD is 0 within 1e-12 of the scale, 0 with a warning within 1e-10, and an error beyond."""
+    clamp = discrepancy._clamp_sq
+    assert clamp(0.25, 1.0) == 0.25
+    assert clamp(-1e-13, 1.0) == 0.0
+    with pytest.warns(UserWarning, match="clamping"):
+        assert clamp(-1e-11, 1.0) == 0.0
+    with pytest.raises(ValueError, match="non-p.s.d."):
+        clamp(-1e-9, 1.0)
 
 
 def test_1d_mmd_is_shift_invariant_far_from_zero():

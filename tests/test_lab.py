@@ -13,8 +13,8 @@ from wmmd.measures import (
 from wmmd.kernels import KernelSpec, sphere_directions
 from wmmd.discrepancy import mmd_discrete
 from wmmd.transport import w1d, w_exact
-from wmmd.reporting import DegenerateZero, scaling_exponent
 from wmmd import lab
+from wmmd.lab import DegenerateZero, scaling_exponent
 
 
 def _uniform(points):

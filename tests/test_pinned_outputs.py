@@ -160,6 +160,50 @@ smoothing` check its 2 sigma sqrt(d) term in closed form), and the
 `"embeddability path"` report of `lab.embeddability_probe`'s path mode
 (`wmmd lab counterexample` measures W/MMD growth along the same
 vanishing-moment path).
+
+One pin and five reports are re-recorded since `mmd_discrete` sums the
+signed weights against the MMD witness, a.(K_aa a - K_ab b) -
+b.(K_ab^T a - K_bb b), in place of aa + bb - 2 ab.  The reference is the
+40-digit mpmath double sum over the same float points and weights.
+- `RECORDED["cli"][2]`, `wmmd mmd --kernel matern`: 0.21484672236154242 ->
+  0.21484672236154262, mpmath 0.21484672236154268567 (-9.4 -> -2.4 ulp of
+  the value; the new square is 0.26 ulp of aa + bb below the reference's).
+- Reports: `counterexample`, `counterexample --k 2`, `counterexample --kernel
+  laplacian`, `dominance --trials 10` and `sliced --trials 5`.  Every moved
+  MMD is listed as (value, old, new, reference, error of the squared value
+  in ulps of sum_ij |w_i w_j K_ij| = aa + bb + 2 ab, old -> new):
+
+      counterexample mmd[0]      0.056221512671476924   0.056221512671477174   0.056221512671476608111   +0.08 -> +0.14
+      counterexample mmd[1]      0.0045620222145961965  0.0045620222146053229  0.0045620222146318433257  -0.73 -> -0.54
+      counterexample mmd[2]      0.00030549510912047299 0.00030549510898419144 0.00030549510902352574745 +0.13 -> -0.05
+      counterexample mmd[3]      1.9430428548429164e-05 1.943042926265878e-05  1.9430431182043535782e-5  -0.23 -> -0.17
+      counterexample mmd[4]      1.2197126108217909e-06 1.2197012328525761e-06 1.2197440992843141705e-6  -0.17 -> -0.24
+      counterexample mmd[5]      7.8849533530014477e-08 7.7069404965554188e-08 7.631778067985430491e-8   +0.88 -> +0.26
+      --k 2 mmd[0]               0.19563109335462478    0.19563109335462506    0.19563109335462475524    +0.02 -> +0.27
+      --kernel laplacian mmd[0]  0.55014774751146633    0.55014774751146656    0.55014774751146644087    -0.26 -> +0.29
+      --kernel laplacian mmd[1]  0.39365918155804436    0.39365918155804469    0.39365918155804472737    -0.66 -> -0.07
+      --kernel laplacian mmd[3]  0.19759092783784238    0.19759092783784252    0.19759092783784297058    -0.53 -> -0.40
+      --kernel laplacian mmd[4]  0.1397451519336152     0.13974515193361489    0.13974515193361537148    -0.11 -> -0.30
+      --kernel laplacian mmd[5]  0.098819568547734618   0.098819568547734202   0.098819568547734514017   +0.05 -> -0.14
+      dominance mmd[1]           0.50818316105488381    0.50818316105488393    0.5081831610548839392     -0.57 -> -0.06
+      dominance mmd[2]           0.45838658695784085    0.45838658695784096    0.45838658695784099688    -0.31 -> -0.08
+      dominance mmd[7]           0.96686111855714985    0.96686111855714973    0.96686111855714974868    +0.84 -> -0.12
+      dominance mmd[9]           0.65614298064348964    0.65614298064348975    0.6561429806434897851     -0.87 -> -0.22
+      sliced direct[1]           0.3346153227471334     0.33461532274713324    0.33461532274713319588    +0.31 -> +0.06
+      sliced direct[2]           0.37724094139103082    0.37724094139103109    0.37724094139103103803    -0.38 -> +0.09
+      sliced direct[3]           0.52184145810498184    0.52184145810498161    0.52184145810498154059    +0.70 -> +0.17
+      sliced direct[4]           0.31583110750056087    0.31583110750056109    0.3158311075005609736     -0.15 -> +0.17
+      sliced via_slices[0]       0.61116482612183465    0.61116482612183454    0.6111648261218345716     +0.21 -> -0.10
+      sliced via_slices[1]       0.33461532274713313    0.33461532274713324    0.33461532274713319588    -0.11 -> +0.06
+      sliced via_slices[3]       0.5218414581049815     0.52184145810498161    0.52184145810498154059    -0.09 -> +0.17
+
+  The counterexample pairs hold 2-3 atoms a side, where neither form is
+  better than half an ulp of the scale.  Their `ratio_delta1` columns and
+  the sidecars' `slope_mmd` and `divergence_ratio` follow (k = 4: slope
+  3.908555778521764 -> 3.9132632116583412), as do the dominance sidecar's
+  `worst_margin` and the sliced `gap` column and `worst_gap`
+  (3.3306690738754696e-16 -> 1.1102230246251565e-16).  Every `pass` field,
+  and every W_1, W_2 and bound, is the same bytes.
 """
 
 import contextlib
@@ -180,7 +224,8 @@ from wmmd.measures import DiscreteMeasure, GaussianMixture, load_dataset, save_d
 from wmmd.sketch import draw_features, sketch_measure
 from wmmd.kernels import KernelSpec
 from wmmd.tasks import Hypothesis, TaskSpec, kmeans_project, lloyd, risk, task_metric_probe
-from wmmd.transport import w1d, w_exact, w_rate
+from wmmd.lab import w_rate
+from wmmd.transport import w1d, w_exact
 
 RECORDED = {
     "lloyd_d2": [
@@ -222,7 +267,7 @@ RECORDED = {
         "-0x1.03cba6bd1fb8cp-1",
     ],
     "cli": [
-        "0.33179683462770093\n", "0.42172066810705283\n", "0.21484672236154242\n",
+        "0.33179683462770093\n", "0.42172066810705283\n", "0.21484672236154262\n",
         "1.1247349592121727\n", "0.81639413158038343\n", "0.87256574866923642\n",
         "1.5606234685757456\n", "0.61989984169433021\n",
     ],
@@ -237,16 +282,16 @@ RECORDED = {
     # inverse); their CSVs and every other summary field are unchanged.
     "lab_sha256": {
         "counterexample": (
-            "61e9b3362617687c00a67386692e022bcdc36918c6dcfb484f2c97f2f2ac3885",
-            "ca2be14ba6c69ecad74e4d056de283b8c6828c0870eb2f91ab80244bb58e5634",
+            "3433172f8cff9f591ad9a801ea488651882d416885703ad5c9365641a974705b",
+            "23340befa6e4dff5f4e82a8e1f5317d03a60042aac2767a941c902f1303ad07b",
         ),
         "counterexample --k 2": (
-            "46cb382fe6ea946898d87e29be843e171c29947d79ba7966c00fc38c2ff34f48",
-            "448d9843ff1b587c6c04e8c5cb394065b0e17d769d798f6ababfb28d1fca79b9",
+            "8bdf344dbcfe0e84d728873a41099ec2153548b270e1ca2bd9034864b73d0b91",
+            "070941e5c4c70f72dc1593398081a1dd3f5393022cd6a1eefca3a77a9f3e1b48",
         ),
         "counterexample --kernel laplacian": (
-            "8928c79e26136402508e89c4fe3324f0f279d98ae2537d896870541a27e73c58",
-            "2fcca5781d3799180d72e4fcf7eb39b35f634b5ba54acb3e81cddd42f23239e2",
+            "c3c5e99824fcb9fc3f8191fac6fd26472b34bb8cb2f2888a2233cf369fa36e99",
+            "0a5df6bf69bc9feeb09b603c9bf710a8b2f4e55a4887e3011cce06556f9a78d1",
         ),
         "rates --trials 2": (
             "7ceaaaed72fbf8bed7d2c867e93ffa7f3774922a35a4a594b609330f947dfa08",
@@ -269,12 +314,12 @@ RECORDED = {
             "124064b3157e116f42d96690aa03ca83c82828a55e3a6e99f8136cf675de925e",
         ),
         "dominance --trials 10": (
-            "4eb9749c1cb912653edd11a9ef82a38fc550b05f3b9d424851f061e7e0cd28bc",
-            "ac4d2a35fdc26ad0667e829e5a241e65ea12dad99347ab9d04d4f5c5c19cc43e",
+            "2858ae6e828a33366429491bf02daea94ea5b9456f22e0f40f2553e66e3ec490",
+            "a62117e51afc225808a676c8cf6e77258bdaf19d23de7e37be3073ef9d53e5de",
         ),
         "sliced --trials 5": (
-            "6ff1ffd324f3052a6f20ada82e8b0eb320ea53f2b0d810a4370512a6c4fa0cbf",
-            "4b41f0d0606b2e48ac6193b59411a7ea0cfba1d77dfcb691053dc122db5a2488",
+            "90e24e3fbf79322f23eb03bb8bab19ee2dfa86460990b0cd05b1525e47dc70a8",
+            "7f27dfe8c047d6d219112f15d8582b64b9c60b0a93395b0deead257ce827e056",
         ),
         "embeddability --trials 10": (
             "ad19c83d5dbab6e903affe029c3695e74ab067bb1ee6b892f29908772e897985",
@@ -426,13 +471,16 @@ def test_cli_mmd_lines_match_mpmath(datasets, capsys, a, b, kernel, profile):
     The printed value is the root of aa + bb - 2 ab, each sum rounded in
     floats, so its error is bounded on the square, in ulps of aa + bb: 4 of
     them.  Measured: at most 1.0 here, against 1.7e6 (Laplacian) and 2.6e5
-    (Matern) with the Gram-form squared distances.
+    (Matern) with the Gram-form squared distances.  The value itself lies
+    within 4 of its own ulps (measured: at most 2.4, the Matern line, which
+    read 9.4 before the witness form of `mmd_discrete`).
     """
     assert dispatch(["mmd", datasets[a], datasets[b], "--kernel", kernel]) == 0
     value = float(capsys.readouterr().out)
     ref, scale = _mmd_mpmath(load_dataset(datasets[a]), load_dataset(datasets[b]), profile)
     with mpmath.workdps(40):
         assert abs(mpmath.mpf(value) ** 2 - ref**2) <= 4 * np.spacing(float(scale))
+        assert abs(mpmath.mpf(value) - ref) <= 4 * np.spacing(float(ref))
 
 
 def test_sketch_file_bytes(datasets, tmp_path):

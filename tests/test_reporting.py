@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-from wmmd.discrepancy import mmd_rate
 from wmmd.kernels import KernelSpec
+from wmmd.lab import Report, SlopeFit, emit_report, mmd_rate, scaling_exponent, w_rate
 from wmmd.measures import GaussianMixture
-from wmmd.reporting import Report, SlopeFit, emit_report, scaling_exponent
-from wmmd.transport import w_rate
 
 
 def test_report_row_width_checked():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from wmmd import tasks
 from wmmd.measures import DiscreteMeasure, stream_rng
 from wmmd.kernels import KernelSpec
+from wmmd.lab import excess_risk_report
 from wmmd.sketch import _cos_sin, draw_features, sketch_measure, sketch_samples
 from wmmd.transport import w_exact
 from wmmd.tasks import (
@@ -18,7 +19,6 @@ from wmmd.tasks import (
     task_constant,
     decode_diracs,
     lloyd,
-    excess_risk_report,
     _ascend_atom,
     _atom_objective_grad,
     _nnls_weights,
@@ -42,6 +42,19 @@ def test_task_spec_exponents():
         TaskSpec("pca", K=1)
     with pytest.raises(ValueError, match="unknown task variant 'multireg'"):
         TaskSpec("multireg", R=1.0, K_out=2)
+
+
+@pytest.mark.parametrize(
+    "variant, params, message",
+    [
+        ("kmeans", {}, r"kmeans task: missing \['K'\], unknown \[\]"),
+        ("kmeans", {"K": 3, "R": 2.0}, r"kmeans task: missing \[\], unknown \['R'\]"),
+        ("binclass", {"R": 1.0}, r"binclass task: missing \['L'\], unknown \['R'\]"),
+    ],
+)
+def test_task_spec_names_missing_and_unknown_parameters(variant, params, message):
+    with pytest.raises(ValueError, match=message):
+        TaskSpec(variant, **params)
 
 
 def test_kmeans_risk_hand_example():

@@ -11,6 +11,7 @@ from scipy.sparse import block_diag, csr_matrix
 
 from wmmd import transport
 
+from wmmd.lab import w_rate
 from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
 from wmmd.transport import (
     TransportPlan,
@@ -18,7 +19,6 @@ from wmmd.transport import (
     w_exact,
     w_brute,
     translation_split,
-    w_rate,
     wasserstein,
     _dist_matrix,
     _quantile_cost_discrete,
