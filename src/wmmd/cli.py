@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _seed64, cap_threads, load_dataset
+from .measures import DiscreteMeasure, _seed64, load_dataset
+from .runtime import cap_threads
 from .kernels import kernel_from_text
 from .discrepancy import mmd
 from .transport import wasserstein
@@ -81,7 +82,7 @@ def _build_parser():
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS's threads, and those of the Gaussian MMD and sketch sums (by default one per CPU in the affinity mask), at N",
+        help="cap BLAS's threads, and those of the Gaussian MMD and sketch sums (by default one per CPU in the affinity mask), at N; N above the CPU count reads as the CPU count",
     )
     sub = ap.add_subparsers(dest="command")
 

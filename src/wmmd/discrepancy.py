@@ -11,7 +11,8 @@ import warnings
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _block_sum, _scipy, _tanh_sinh, project
+from .measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, _scipy, _tanh_sinh, project
+from .runtime import _block_sum
 from .kernels import _sq_dists
 
 # No route integrates by QUADPACK; the name stays because bench/tracer.py counts its calls.
@@ -66,7 +67,7 @@ def _as_components(measure):
 # passes, so it should stay in L2: a 64 x 8192 float64 block is 4 MiB.
 _BLOCK = 64
 
-# A sum goes to the block pool (`measures._block_sum`) only when its blocks
+# A sum goes to the block pool (`runtime._block_sum`) only when its blocks
 # average _MIN_PAIRS pairs (512 KiB): narrower blocks spend more CPU on
 # interpreter-lock hand-offs than they save.
 _MIN_PAIRS = 2**16

@@ -205,9 +205,13 @@ class KernelSpec:
             s = self.sigma
             return self.scale * (2.0 * np.pi) ** (d / 2) * s**d * np.exp(-s**2 * w2 / 2.0)
         if self.family == "matern":
-            nu, sig = self.nu, self.sigma
-            c = 2.0**d * np.pi ** (d / 2) * _gamma(nu + d / 2) * (2.0 * nu) ** nu
-            return c / (_gamma(nu) * sig ** (2.0 * nu)) * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
+            nu, sig = np.float64(self.nu), np.float64(self.sigma)  # numpy powers overflow to inf, not OverflowError
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                c = 2.0**d * np.pi ** (d / 2) * _gamma(nu + d / 2) * (2.0 * nu) ** nu / (_gamma(nu) * sig ** (2.0 * nu))
+                out = c * (2.0 * nu / sig**2 + w2) ** (-(nu + d / 2))
+            if not (0.0 < c < np.inf and np.isfinite(out).all()):
+                raise ValueError(f"the Matern transform with nu = {nu:g} and sigma = {sig:g} leaves the float range")
+            return out
         raise ValueError(f"no closed-form transform for family {self.family}")
 
     def hessian_constant(self):

@@ -8,10 +8,7 @@ onto directions and deterministic sampling.
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
 import importlib
-import os
 
 import numpy as np
 
@@ -344,100 +341,6 @@ def _tanh_sinh(f, cuts):
     raise RuntimeError(f"integral did not converge in {_TS_LEVELS} levels, down to step h = {h:g}")
 
 
-# ---------------------------------------------------------------------------
-# Row blocks on every CPU: the pool behind the Gaussian sums and the sketch sums.
-
-# Threads for the blocks: every CPU in the affinity mask, or `cap_threads`'
-# cap.  The pool starts at the first threaded sum; a forked child starts anew.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_workers, _pool = _CPUS, None
-os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
-
-# Blocks per wave of a threaded sum.  A wave's values are added before the
-# next wave starts, so at most this many block values (arrays, for a sketch)
-# are held at once.
-_WAVE = 32
-
-
-def _openblas_fns(name):
-    """OpenBLAS's `name` function from every OpenBLAS mapped into this process.
-
-    numpy and scipy may each load their own copy, and a copy reads the
-    environment variables only when it loads (scipy's at its first call), so
-    the copies already loaded are capped through these functions.
-    """
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted(
-                {ln.split()[-1] for ln in f if "openblas" in ln.lower() and ln.rstrip().endswith(".so")}
-            )
-    except OSError:
-        return []
-    fns = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_", f"openblas_{name}"):
-            if hasattr(lib, sym):
-                fns.append(getattr(lib, sym))
-                break
-    return fns
-
-
-def blas_threads():
-    """Thread count of every loaded OpenBLAS, read back from the library."""
-    counts = []
-    for fn in _openblas_fns("get_num_threads"):
-        fn.argtypes, fn.restype = [], ctypes.c_int
-        counts.append(int(fn()))
-    return counts
-
-
-def cap_threads(n):
-    """Compute on at most n threads: the block sums, and every OpenBLAS.
-
-    The OpenBLAS copies already loaded are capped at once; one that loads
-    later (scipy's, at its first call) reads the cap from OMP_NUM_THREADS,
-    OPENBLAS_NUM_THREADS and MKL_NUM_THREADS, which are set here.  The
-    OpenBLAS count is process-wide.
-    """
-    global _workers
-    n = max(1, int(n))
-    _workers = min(n, _CPUS)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    for fn in _openblas_fns("set_num_threads"):
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(n)
-
-
-def _block_sum(block_value, starts, threaded=True):
-    """Sum of block_value(i0) over the block starts, added in block order.
-
-    Values are floats or arrays.  Threaded, the blocks go out in waves of
-    _WAVE: block i of a wave goes to pool thread i mod W, which runs it in a
-    copy of the caller's context (numpy's error state included).
-    """
-    global _pool
-    w = min(_workers, len(starts)) if threaded else 1
-    total = 0.0
-    if w < 2:
-        for i0 in starts:
-            total += block_value(i0)
-        return total
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    _pool = _pool or ThreadPoolExecutor(_CPUS, thread_name_prefix="wmmd-blocks")
-    share = lambda part: [block_value(i0) for i0 in part]
-    for lo in range(0, len(starts), _WAVE):
-        wave = starts[lo : lo + _WAVE]
-        futures = [_pool.submit(contextvars.copy_context().run, share, wave[k::w]) for k in range(min(w, len(wave)))]
-        wait(futures)  # no block outlives the call, even when one raises
-        shares = [f.result() for f in futures]
-        for i in range(len(wave)):
-            total += shares[i % w][i // w]
-    return total
-
-
 def sample(measure, n, rng):
     """Empirical measure of n i.i.d. draws from the numpy Generator `rng`."""
     if n < 1:
@@ -462,18 +365,24 @@ _BINARY_MAGIC = b"WMMD1"
 
 
 def load_dataset(path):
-    """Load an n x d sample array from CSV or WMMD1 binary."""
+    """Load an n x d sample array from CSV or WMMD1 binary.
+
+    A WMMD1 file is the magic, n and d as 8-byte little-endian integers, then
+    exactly n*d little-endian float64 values; n and d must be at least 1.
+    """
     with open(path, "rb") as f:
-        head = f.read(5)
-    if head == _BINARY_MAGIC:
-        with open(path, "rb") as f:
-            f.read(5)
-            n = int.from_bytes(f.read(8), "little")
-            d = int.from_bytes(f.read(8), "little")
-            data = np.fromfile(f, dtype="<f8", count=n * d)
-        if data.size != n * d:
-            raise ValueError("truncated binary dataset")
-        return data.reshape(n, d)
+        if f.read(5) == _BINARY_MAGIC:
+            head = f.read(16)
+            if len(head) < 16:
+                raise ValueError(f"{path}: WMMD1 header is cut short ({len(head)} of 16 bytes)")
+            n, d = int.from_bytes(head[:8], "little"), int.from_bytes(head[8:], "little")
+            payload = f.seek(0, 2) - 21
+            if n < 1 or d < 1 or payload != 8 * n * d:
+                raise ValueError(
+                    f"{path}: WMMD1 header reads n = {n}, d = {d} with {payload} bytes after it; need n, d >= 1 and 8*n*d bytes"
+                )
+            f.seek(21)
+            return np.fromfile(f, dtype="<f8").reshape(n, d)
     # CSV path: auto-detect a header by a non-numeric first row.
     with open(path, "r") as f:
         first = f.readline()

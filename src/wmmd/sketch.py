@@ -13,7 +13,8 @@ import threading
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianMixture, _block_sum, _seed64
+from .measures import DiscreteMeasure, GaussianMixture, _seed64
+from .runtime import _block_sum
 from .kernels import kernel_to_dict, kernel_from_dict
 
 __all__ = [
@@ -153,7 +154,7 @@ def _feature_sum(F, X, weights=None):
 
     Rows are taken in blocks of about _BLOCK_ENTRIES feature entries, so the
     n x m feature matrix is never formed.  The blocks run on the block pool
-    (`measures._block_sum`); each thread keeps one scratch array for all of
+    (`runtime._block_sum`); each thread keeps one scratch array for all of
     its blocks, and each block's value is its sums of cos and of sin/2.
     """
     rows = max(1, _BLOCK_ENTRIES // F.m)

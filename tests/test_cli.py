@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from wmmd import discrepancy, lab, measures
+from wmmd import discrepancy, lab, runtime
 from wmmd.kernels import KernelSpec
-from wmmd.measures import GaussianMixture, blas_threads, cap_threads, save_dataset, stream_rng
+from wmmd.measures import GaussianMixture, save_dataset, stream_rng
+from wmmd.runtime import blas_threads, cap_threads
 from wmmd.cli import dispatch
 from wmmd.sketch import load_sketch
 
@@ -181,7 +182,7 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.fixture
 def blas_pool(monkeypatch):
     """The loaded OpenBLAS thread counts, restored after the test with the block pool's cap and the BLAS variables."""
-    monkeypatch.setattr(measures, "_workers", measures._workers)
+    monkeypatch.setattr(runtime, "_workers", runtime._workers)
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -316,6 +317,22 @@ print(json.dumps([rc, *seen, "scipy.integrate" in sys.modules]))
     assert loaded == [False, False]
 
 
+def test_threads_above_the_cpu_count_cap_blas_at_one_per_cpu(tmp_path):
+    """--threads past the CPU count, or past a C int, caps the pool, the BLAS variables and every loaded OpenBLAS at the CPU count."""
+    save_dataset(tmp_path / "a.csv", np.array([[0.0], [1.0]]))
+    code = """
+import json, os
+from wmmd import cli, runtime
+seen = []
+for n in (runtime._CPUS + 1, 2**32 + 1, 10**12):
+    rc = cli.dispatch(["--threads", str(n), "wass", "a.csv", "a.csv"])
+    seen.append([rc, runtime._workers, os.environ["OPENBLAS_NUM_THREADS"], runtime.blas_threads()])
+print(json.dumps([runtime._CPUS, len(runtime.blas_threads()), seen]))
+"""
+    cpus, loaded, seen = _fresh_python(code, tmp_path)
+    assert seen == [[0, cpus, str(cpus), [cpus] * loaded]] * 3
+
+
 def test_threads_cap_the_blas_that_scipy_loads_during_the_command(tmp_path):
     """A 2-D wass loads scipy.optimize, and with it scipy's own OpenBLAS, after --threads has run."""
     rng = stream_rng(0x5D)
@@ -323,11 +340,11 @@ def test_threads_cap_the_blas_that_scipy_loads_during_the_command(tmp_path):
     save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
     code = """
 import json, sys
-from wmmd import cli, measures
-before = measures.blas_threads()
+from wmmd import cli, runtime
+before = runtime.blas_threads()
 loaded = "scipy.optimize" in sys.modules
 rc = cli.dispatch(["--threads", "1", "wass", "a.csv", "b.csv"])
-print(json.dumps([before, loaded, rc, "scipy.optimize" in sys.modules, measures.blas_threads()]))
+print(json.dumps([before, loaded, rc, "scipy.optimize" in sys.modules, runtime.blas_threads()]))
 """
     before, loaded, rc, now, threads = _fresh_python(code, tmp_path)
     assert (loaded, rc, now) == (False, 0, True)
@@ -340,11 +357,11 @@ def test_library_cap_threads_caps_every_blas_before_and_after_scipy_loads(tmp_pa
     """`cap_threads(1)` caps numpy's OpenBLAS at once, and the one scipy.optimize loads later through the environment."""
     code = """
 import json
-from wmmd import measures
-measures.cap_threads(1)
-before = measures.blas_threads()
+from wmmd import runtime
+runtime.cap_threads(1)
+before = runtime.blas_threads()
 import scipy.optimize
-print(json.dumps([before, measures.blas_threads()]))
+print(json.dumps([before, runtime.blas_threads()]))
 """
     before, after = _fresh_python(code, tmp_path)
     if not after:
@@ -359,9 +376,9 @@ def test_openblas_env_alone_caps_every_loaded_blas(tmp_path):
     save_dataset(tmp_path / "b.csv", rng.standard_normal((5, 2)))
     code = """
 import json, sys
-from wmmd import cli, measures
+from wmmd import cli, runtime
 rc = cli.dispatch(["wass", "a.csv", "b.csv"])
-print(json.dumps([rc, "scipy.optimize" in sys.modules, measures.blas_threads()]))
+print(json.dumps([rc, "scipy.optimize" in sys.modules, runtime.blas_threads()]))
 """
     rc, loaded, threads = _fresh_python(code, tmp_path, OPENBLAS_NUM_THREADS="1")
     assert (rc, loaded) == (0, True)
@@ -394,7 +411,7 @@ print(json.dumps([rc, threading.active_count()]))
 """
         seen[name] = _fresh_python(code, tmp_path / name)
     assert seen["capped"][1] == 1
-    assert (seen["free"][1] > 1) == (measures._CPUS > 1)  # the pool started
+    assert (seen["free"][1] > 1) == (runtime._CPUS > 1)  # the pool started
     assert seen["capped"][0] == seen["free"][0] in (0, 2)
     for f in ("r.csv", "r.csv.summary.json"):
         assert (tmp_path / "capped" / f).read_bytes() == (tmp_path / "free" / f).read_bytes()
@@ -405,14 +422,14 @@ def test_mmd_rate_on_one_cpu_equals_every_cpu(monkeypatch):
     code = """
 import json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from wmmd import lab, measures
+from wmmd import lab, runtime
 from wmmd.kernels import KernelSpec
 from wmmd.measures import GaussianMixture
 pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
 fit = lab.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
-print(json.dumps([measures._workers, repr(fit)]))
+print(json.dumps([runtime._workers, repr(fit)]))
 """
-    monkeypatch.setattr(measures, "_workers", measures._CPUS)
+    monkeypatch.setattr(runtime, "_workers", runtime._CPUS)
     monkeypatch.setattr(discrepancy, "_MIN_PAIRS", 0)
     pi = GaussianMixture([0.3, 0.7], [[-1.0, 0.0], [1.0, 0.5]], [0.5, 1.0])
     fit = lab.mmd_rate(pi, KernelSpec.gaussian(1.0, 2), [128, 256, 512, 1024, 2048], 2, 11)
@@ -442,6 +459,36 @@ def test_bad_dataset_is_input_error(tmp_path, capsys, body, command):
         assert dispatch([command[0], str(a), str(b), *command[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("E:") and captured.out == ""
+
+
+def _wmmd1(n, d, values, cut=None):
+    """WMMD1 bytes: the magic, the header's n and d, then the values; `cut` keeps that many header bytes only."""
+    head = n.to_bytes(8, "little") + d.to_bytes(8, "little")
+    if cut is not None:
+        return b"WMMD1" + head[:cut]
+    return b"WMMD1" + head + np.asarray(values, dtype="<f8").tobytes()
+
+
+_WASS_BAD = ["wass", "bad.bin", "good.csv"]
+
+
+@pytest.mark.parametrize(
+    "raw, argv",
+    [
+        (_wmmd1(2**64 - 1, 1, [1.0, 2.0]), _WASS_BAD),  # n * d overflowed numpy's count
+        (_wmmd1(2**64 - 1, 1, [1.0, 2.0]), ["sketch", "bad.bin", "-o", "s.json", "--m", "4", "--seed", "1"]),
+        (_wmmd1(2, 1, [], cut=4), _WASS_BAD),  # read as 2 x 0
+        (_wmmd1(2, 0, []), _WASS_BAD),  # read as 2 x 0
+        (_wmmd1(2, 2, np.arange(10.0)), _WASS_BAD),  # the last 6 values were dropped
+    ],
+    ids=["n-2^64-1-wass", "n-2^64-1-sketch", "header-cut", "d-0", "extra-values"],
+)
+def test_malformed_binary_dataset_is_one_error_line(tmp_path, monkeypatch, capsys, raw, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.bin").write_bytes(raw)
+    save_dataset(tmp_path / "good.csv", np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert _fails_with_one_line(argv, capsys).startswith("E: bad.bin: WMMD1 header ")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_failed_lp_is_reported(data, tmp_path, capsys, monkeypatch):
@@ -663,6 +710,17 @@ def test_matern_values_out_of_float_range_are_one_error_line(tmp_path, capsys, n
     save_dataset(b, np.array([[0.5, 0.5], [2.0, 1.0]]))
     kernel = json.dumps({"family": "matern", "nu": nu, "sigma": sigma, "d": 2})
     assert named in _fails_with_one_line(["mmd", str(a), str(b), "--kernel", kernel], capsys)
+
+
+@pytest.mark.parametrize("experiment, trials", [("fourier-bound", "1"), ("embeddability", "10")])
+@pytest.mark.parametrize("nu", ["90", "150"])
+def test_matern_transform_out_of_float_range_is_one_error_line(tmp_path, capsys, experiment, trials, nu):
+    """From nu = 83 the Matern transform's constant overflows to inf, and from nu = 128 its float power raises."""
+    out = tmp_path / "r.csv"
+    kernel = json.dumps({"family": "matern", "nu": float(nu), "sigma": 1.0, "d": 1})
+    err = _fails_with_one_line(["lab", experiment, "--trials", trials, "--kernel", kernel, "-o", str(out)], capsys)
+    assert f"nu = {nu} and sigma = 1 leaves the float range" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p", ["nan", "inf", "0.5"])

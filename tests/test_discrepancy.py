@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmmd import discrepancy, lab, measures
+from wmmd import discrepancy, lab, runtime
 from wmmd.measures import (
     DiscreteMeasure,
     GaussianMixture,
@@ -439,7 +439,7 @@ def test_tanh_sinh_raises_at_cap_and_on_non_finite_sum():
 # ---------------------------------------------------------------------------
 # The Gaussian sums' row blocks on several threads
 
-several_cpus = pytest.mark.skipif(measures._CPUS < 2, reason="one CPU in the affinity mask: no pool")
+several_cpus = pytest.mark.skipif(runtime._CPUS < 2, reason="one CPU in the affinity mask: no pool")
 
 
 @contextlib.contextmanager
@@ -449,22 +449,22 @@ def _threads(n):
     The pool's cap, the OpenBLAS counts and the BLAS variables that
     `cap_threads` sets are restored afterwards.
     """
-    before = measures._workers, discrepancy._MIN_PAIRS
-    blas = measures.blas_threads()
+    before = runtime._workers, discrepancy._MIN_PAIRS
+    blas = runtime.blas_threads()
     env = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    measures.cap_threads(n)
+    runtime.cap_threads(n)
     discrepancy._MIN_PAIRS = 0
     try:
         yield
     finally:
         if blas:
-            measures.cap_threads(max(blas))
+            runtime.cap_threads(max(blas))
         for var, value in env.items():
             if value is None:
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
-        measures._workers, discrepancy._MIN_PAIRS = before
+        runtime._workers, discrepancy._MIN_PAIRS = before
 
 
 @st.composite
@@ -486,7 +486,7 @@ def test_gauss_sums_on_every_thread_equal_one_thread_bit_for_bit(pair, sigma_k):
     k = KernelSpec.gaussian(sigma_k, mu.d, scale=1.3)
     with _threads(1):
         one = mmd_gaussian_kernel(k, mu, nu)
-    with _threads(measures._CPUS):
+    with _threads(runtime._CPUS):
         every = mmd_gaussian_kernel(k, mu, nu)
     assert every.hex() == one.hex()
 
@@ -524,7 +524,7 @@ def _child_mmd(queue, mu, nu):
 def test_forked_child_builds_its_own_pool():
     """The parent's pool threads do not exist in a forked child; it must not wait on them."""
     mu, nu = _split_far_pair()
-    with _threads(measures._CPUS):
+    with _threads(runtime._CPUS):
         parent = mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu)  # the pool now exists
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()

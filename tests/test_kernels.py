@@ -325,6 +325,13 @@ def test_conv_root_refuses_a_scale_outside_the_float_range(s, d):
         KernelSpec.conv_root(RegularizerSpec(s), d)
 
 
+@pytest.mark.parametrize("nu", [90.0, 150.0])  # the constant overflows to inf at 90; a float power overflows at 150
+def test_matern_transform_out_of_float_range_names_nu_and_sigma(nu):
+    k = KernelSpec.matern(nu, 1.0, 1)
+    with pytest.raises(ValueError, match=f"nu = {nu:g} and sigma = 1 leaves the float range"):
+        k.fourier_kappa0(np.array([0.0, 1.0]))
+
+
 def test_1d_sq_dists_are_exact_differences():
     X = stream_rng(12).normal(size=(300, 1)) * 1e4 + 1e8
     sq = _sq_dists(X, X)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmmd import measures
+from wmmd import runtime
 from wmmd.measures import DiscreteMeasure, GaussianMixture, RegularizerSpec, stream_rng
 from wmmd.kernels import KernelSpec, kernel_to_dict
 from wmmd.sketch import (
@@ -325,12 +325,12 @@ def test_phi_matches_dense():
 @contextlib.contextmanager
 def _workers(n):
     """Sums on n pool threads, forced past `cap_threads`' CPU count: a pool even on one CPU."""
-    before = measures._workers
-    measures._workers = n
+    before = runtime._workers
+    runtime._workers = n
     try:
         yield
     finally:
-        measures._workers = before
+        runtime._workers = before
 
 
 def test_sketch_samples_memory_is_bounded():
@@ -352,7 +352,7 @@ def _sketch_case(draw):
     """m, and n rows of d <= 3 coordinates up to 1e6 around 1 row, 1 block, or more than a wave of blocks."""
     m = draw(st.sampled_from([1, 7, 1024, 4096, 2**15 + 1]))
     rows = max(1, _BLOCK_ENTRIES // m)
-    n = draw(st.sampled_from([1, rows - 1, rows, rows + 1, (measures._WAVE + 3) * rows + 5]).filter(lambda n: n >= 1))
+    n = draw(st.sampled_from([1, rows - 1, rows, rows + 1, (runtime._WAVE + 3) * rows + 5]).filter(lambda n: n >= 1))
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.uniform(-3.0, 6.0, (1, d))
@@ -367,7 +367,7 @@ def test_sketch_sums_on_every_thread_equal_one_thread_bit_for_bit(case, seed):
     mu = DiscreteMeasure(X, w)
     with _workers(1):
         one = sketch_samples(F, X).values, sketch_measure(F, mu).values
-    with _workers(max(2, measures._CPUS)):
+    with _workers(max(2, runtime._CPUS)):
         every = sketch_samples(F, X).values, sketch_measure(F, mu).values
     for a, b in zip(one, every):
         assert a.tobytes() == b.tobytes()
@@ -384,7 +384,7 @@ def test_concurrent_sketches_keep_their_bits():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _workers(2 * measures._CPUS + 1), ThreadPoolExecutor(4) as callers:
+        with _workers(2 * runtime._CPUS + 1), ThreadPoolExecutor(4) as callers:
             got = list(callers.map(lambda X: sketch_samples(F, X).values.tobytes(), Xs * 3, timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -422,7 +422,7 @@ def test_forked_child_sketches_on_its_own_pool():
     """The parent's pool threads do not exist in a forked child; its sketch must not wait on them."""
     F = draw_features(K2, 1024, 51)
     X = stream_rng(52).standard_normal((5_000, 2))
-    with _workers(max(2, measures._CPUS)):
+    with _workers(max(2, runtime._CPUS)):
         parent = sketch_samples(F, X).values.tobytes()  # the pool now exists
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
