@@ -9,7 +9,8 @@ import pytest
 
 from wmmd import discrepancy, lab, runtime
 from wmmd.kernels import KernelSpec
-from wmmd.measures import GaussianMixture, save_dataset, stream_rng
+from wmmd.measures import DiscreteMeasure, GaussianMixture, save_dataset, stream_rng
+from wmmd.transport import wasserstein
 from wmmd.runtime import blas_threads, cap_threads
 from wmmd.cli import dispatch
 from wmmd.sketch import load_sketch
@@ -819,6 +820,36 @@ def test_wass_large_p_prints_a_finite_value(tmp_path, capsys, d, spread):
     out = capsys.readouterr()
     assert caught == [] and out.err == ""
     assert 0.0 < float(out.out) < np.inf
+
+
+def test_wass_p_whose_costs_underflow_is_one_error_line(tmp_path, capsys):
+    """At p = 1e5 every distance's p-th power below the largest underflows, and `wass` printed 0."""
+    rng = stream_rng(0xA1)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(a, rng.normal(size=(40, 2)))
+    save_dataset(b, rng.normal(size=(30, 2)))
+    assert "p = 100000 is too large" in _fails_with_one_line(["wass", str(a), str(b), "--p", "100000"], capsys)
+    assert dispatch(["wass", str(a), str(b), "--p", "1000"]) == 0
+    assert 0.0 < float(capsys.readouterr().out) < np.inf
+
+
+@pytest.mark.parametrize("m", [40, 30])
+@pytest.mark.parametrize("d", [1, 2])
+def test_wass_coordinates_beyond_1e154_print_their_value(tmp_path, capsys, d, m):
+    """Squared coordinate differences overflowed in d >= 2: three warnings, then a scipy error line."""
+    rng = stream_rng(0xA2)
+    X, Y = rng.normal(size=(40, d)) * 1e300, rng.normal(size=(m, d))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(a, X)
+    save_dataset(b, Y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["wass", str(a), str(b), "--p", "2"]) == 0
+    out = capsys.readouterr()
+    assert caught == [] and out.err == ""
+    uniform = lambda P: DiscreteMeasure(P, np.ones(len(P)))
+    assert float(out.out) == pytest.approx(wasserstein(2, uniform(X), uniform(Y)), rel=1e-15)
+    assert 1e299 < float(out.out) < np.inf
 
 
 def test_lab_counterexample_cancelled_mmd_is_one_line(tmp_path, capsys):

@@ -691,7 +691,11 @@ def test_pair_at_the_default_dual_tolerance_is_optimal():
 
 
 def _zero_mass_case(p, d, seeded):
-    """The zero-weight pair of `test_seeded_lp_matches_full_lp`, or a larger one whose massive atoms still get a seed."""
+    """The zero-weight pair of `test_seeded_lp_matches_full_lp`, or a larger one whose massive atoms get a seed.
+
+    From a 2^10-entry threshold on, the first pair's massive atoms get a seed too,
+    so the test raises the threshold above it to keep one unseeded case.
+    """
     if not seeded:
         return _large_pair(stream_rng(0x5EED, p, d, _KINDS.index("zero weights")), d, "zero weights")
     rng = stream_rng(0xB16, p, d)
@@ -708,6 +712,8 @@ def _zero_mass_case(p, d, seeded):
 def test_zero_mass_atoms_cost_no_extra_solve(monkeypatch, p, d, seeded):
     """A pair with zero-weight atoms takes as many LP solves as the pair without them, to the same value."""
     mu, nu = _zero_mass_case(p, d, seeded)
+    if not seeded:
+        monkeypatch.setattr(transport, "_SEED_MIN_ENTRIES", mu.n * nu.n + 1)
     mu0 = DiscreteMeasure(mu.points[mu.weights > 0], mu.weights[mu.weights > 0])
     nu0 = DiscreteMeasure(nu.points[nu.weights > 0], nu.weights[nu.weights > 0])
     calls = _count_linprog(monkeypatch)
@@ -726,8 +732,6 @@ def test_restricted_lp_grows_to_the_full_optimum(monkeypatch):
     refs = [_reference_cost(2, mu, nu)[0] ** 0.5 for mu, nu in pairs]
     sizes = _count_linprog(monkeypatch)
     monkeypatch.setattr(transport, "_sinkhorn_support", lambda C, a, b: np.zeros(C.shape, dtype=bool))
-    # without its zero-mass atoms, the second pair's block falls below the default threshold
-    monkeypatch.setattr(transport, "_SEED_MIN_ENTRIES", 64)
     got = w_exact(2, [mu for mu, _ in pairs], [nu for _, nu in pairs])
     assert len(sizes) > 2
     # the first solve holds both corners (at most n + m - 1 entries each) and all 20 of the small pair's
@@ -738,7 +742,7 @@ def test_restricted_lp_grows_to_the_full_optimum(monkeypatch):
 
 
 def test_workload_sized_pairs_need_one_solve_each(monkeypatch):
-    """The 2-D pairs of the benchmark's `exact` workload, drawn as it draws them, are optimal on their seed."""
+    """The LP pairs of the benchmark's `exact` workload, drawn as it draws them, are optimal on their seed."""
     rng = np.random.default_rng([0, 8])
     shapes = ((1, 60, 50), (1, 50, 60)) + ((2, 100, 120), (2, 120, 100), (2, 140, 140), (2, 160, 150)) * 2
     calls = _count_linprog(monkeypatch)
@@ -746,10 +750,37 @@ def test_workload_sized_pairs_need_one_solve_each(monkeypatch):
         X = rng.normal(size=(n, d))
         Y = rng.normal(size=(m, d)) * rng.uniform(0.5, 1.5) + rng.uniform(-1.0, 1.0, size=d)
         a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
-        if d == 2:
-            calls.clear()
-            w_exact(2, DiscreteMeasure(X, a), DiscreteMeasure(Y, b))
-            assert len(calls) == 1 and calls[0] < n * m, (n, m)
+        calls.clear()
+        w_exact(2, DiscreteMeasure(X, a), DiscreteMeasure(Y, b))
+        assert len(calls) == 1 and calls[0] < n * m, (d, n, m)
+
+
+def test_seed_holds_fewer_columns_on_held_out_pairs(monkeypatch):
+    """On pairs from a stream the seed constants were not chosen on, the seeded LP
+    reaches the full LP's optimum with at most 80% of the columns that a 2^12-entry
+    threshold and a 1e-3 keep needed (measured: 75,436 against 99,269)."""
+    rng = stream_rng(0x4E1D)
+    pairs = []
+    for _ in range(20):
+        d, (n, m), p = int(rng.integers(1, 4)), rng.integers(40, 201, size=2), int(rng.integers(1, 4))
+        X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) * rng.uniform(0.5, 1.5) + rng.uniform(-1, 1, d)
+        pairs.append((p, DiscreteMeasure(X, rng.uniform(0.1, 1, n)), DiscreteMeasure(Y, rng.uniform(0.1, 1, m))))
+    calls = _count_linprog(monkeypatch)
+    vals = [w_exact(p, mu, nu)[0] for p, mu, nu in pairs]
+    columns = sum(calls)
+    calls.clear()
+    monkeypatch.setattr(transport, "_SEED_MIN_ENTRIES", 2**12)
+    monkeypatch.setattr(transport, "_SEED_KEEP", 1e-3)
+    for p, mu, nu in pairs:
+        w_exact(p, mu, nu)
+    assert columns <= 0.8 * sum(calls)
+    monkeypatch.setattr(transport, "_SEED_MIN_ENTRIES", np.inf)  # every entry: the full LP
+    for val, (p, mu, nu) in zip(vals, pairs):
+        ref = w_exact(p, mu, nu)[0]
+        top = np.max(_dist_matrix(mu.points, nu.points)) ** p
+        assert abs(val**p - ref**p) <= 2e-7 * top
+        if p <= 2:
+            assert val == pytest.approx(ref, rel=1e-9)
 
 
 def test_seed_ignores_the_callers_floating_point_traps():
@@ -774,6 +805,68 @@ def test_seed_leaves_non_finite_entries_out():
     points = np.eye(64) * (0.99 / np.sqrt(2))  # pairwise distances 0.99, the same seed
     val, plan = w_exact(1, DiscreteMeasure(points, a), DiscreteMeasure(points, b))
     assert val == pytest.approx(63 / 64 * 0.99, rel=1e-12)
+
+
+def test_near_uniform_weights_take_the_lp_route():
+    """Weights within numpy's default 1e-5 relative of 1/n took the assignment route,
+    whose plan of exact 1/n marginals `validate` refused; `w_brute` took them as uniform."""
+    rng = np.random.default_rng(0)
+    X, Y, z = rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), rng.normal(size=10)
+    a = 0.1 * (1.0 + 1e-6 * z)
+    mu, nu = DiscreteMeasure(X, a / a.sum()), _uniform(Y)
+    ref = _reference_cost(2, mu, nu)[0] ** 0.5
+    val, plan = w_exact(2, mu, nu)
+    _check_marginals(plan, mu, nu)
+    assert val == pytest.approx(ref, rel=1e-9)
+    assert wasserstein(2, mu, nu) == val
+    with pytest.raises(ValueError, match="uniform weights"):
+        w_brute(2, DiscreteMeasure(X[:7], a[:7]), _uniform(Y[:7]))
+    for w in (np.ones(7), np.full(7, 1 / 7)):  # still uniform, still the assignment
+        assert w_brute(2, DiscreteMeasure(X[:7], w), _uniform(Y[:7])) == w_brute(2, _uniform(X[:7]), _uniform(Y[:7]))
+        assert transport._is_uniform(DiscreteMeasure(X[:7], w), _uniform(Y[:7]))
+
+
+def test_optimum_underflowing_to_zero_at_large_p_raises():
+    """Every (D / M)^p below the largest distance M underflows to 0 at p = 1e5, and the
+    optimum read 0.0; the same atoms moved by (0.5, 0.5) are sqrt(1/2) apart at every p."""
+    P = np.random.default_rng(0).normal(size=(7, 2))
+    w = np.arange(1.0, 8.0)
+    pairs = [(_uniform(P), _uniform(P + 0.5)), (DiscreteMeasure(P, w), DiscreteMeasure(P + 0.5, w))]
+    for p in (1, 2, 100):  # (the LP is not certified at p = 100; see `w_exact`)
+        assert w_brute(p, *pairs[0]) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        for mu, nu in pairs[: 1 if p > 2 else 2]:
+            assert w_exact(p, mu, nu)[0] == pytest.approx(np.sqrt(0.5), rel=1e-9)
+    with pytest.raises(ValueError, match="p = 100000 is too large"):
+        w_brute(1e5, *pairs[0])
+    for mu, nu in pairs:  # the assignment route and the LP route
+        with pytest.raises(ValueError, match="p = 100000 is too large"):
+            w_exact(1e5, mu, nu)
+    mu = pairs[0][0]
+    assert w_exact(1e5, mu, mu)[0] == 0.0  # an optimum of 0 that moves nothing stands
+
+
+@pytest.mark.parametrize("m", [40, 30], ids=["assignment", "lp"])
+def test_coordinates_whose_squares_overflow_are_rescaled(m):
+    """Squared differences of coordinates beyond 1e154 overflow; scaling by 2^1000 scales W_p by 2^1000."""
+    rng = stream_rng(0xB16E)
+    X, Y = rng.normal(size=(40, 2)), rng.normal(size=(m, 2))
+    big, tiny = np.ldexp(X, 1000), np.ldexp(Y, -1000)
+    for p in (1, 2, 3):
+        val, plan = w_exact(p, _uniform(big), _uniform(Y))
+        plan.validate()
+        assert val == pytest.approx(np.ldexp(w_exact(p, _uniform(X), _uniform(tiny))[0], 1000), rel=1e-12)
+    assert wasserstein(2, _uniform(big), _uniform(Y)) == w_exact(2, _uniform(big), _uniform(Y))[0]
+    assert w_brute(2, _uniform(big[:6]), _uniform(Y[:6])) == np.ldexp(w_brute(2, _uniform(X[:6]), _uniform(tiny[:6])), 1000)
+    # an atom without mass beyond 1e154 changes nothing
+    a = rng.uniform(0.1, 1, 40)
+    far = DiscreteMeasure(np.vstack([[1e300, -1e300], X]), np.r_[0.0, a])
+    val, plan = w_exact(2, far, _uniform(Y))
+    plan.validate()
+    assert val == pytest.approx(w_exact(2, DiscreteMeasure(X, a), _uniform(Y))[0], rel=1e-14)
+    # distances beyond the float range are refused by name
+    target = [[-1.5e308, 0.0], [0.0, 1.0], [3.0, 3.0]][: 2 if m == 40 else 3]
+    with pytest.raises(ValueError, match="exceed the float range"):
+        w_exact(1, _uniform([[1.5e308, 0.0], [0.0, 0.0]]), _uniform(target))
 
 
 def _brute_loop(p, mu, nu):
