@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -43,6 +44,7 @@ _UNDERFLOW = "p = {:g} is too large: the distances the plan moves mass over have
 # atoms a side, d 1-3, p 1-3): keeps of 5e-2 and above need more solves.
 _SEED_MIN_ENTRIES, _SEED_ITERS, _SEED_EPS, _SEED_KEEP = 2**10, 500, 1e-3, 3e-2
 _REDUCED_COST_TOL = 1e-10
+_DIST_BLOCK_ENTRIES = 2**15  # entries per `_sq_dists` call of `_dist_matrix` (256 KiB)
 
 
 class TransportPlan:
@@ -81,7 +83,17 @@ class TransportPlan:
 
 
 def _dist_matrix(X, Y):
-    return np.sqrt(_sq_dists(X, Y))
+    """Euclidean distances between the rows of (n, d) X and (m, d) Y, as np.sqrt(_sq_dists(X, Y)).
+
+    The rows go through `_sq_dists` in blocks of about `_DIST_BLOCK_ENTRIES`
+    entries, each root written into the output: every entry has the same
+    bits, without a full-size squared matrix beside the result.
+    """
+    D = np.empty((X.shape[0], Y.shape[0]))
+    rows = max(1, _DIST_BLOCK_ENTRIES // Y.shape[0])
+    for r in range(0, X.shape[0], rows):
+        np.sqrt(_sq_dists(X[r : r + rows], Y), out=D[r : r + rows])
+    return D
 
 
 def _atom_dists(mu, nu):
@@ -108,47 +120,60 @@ def _atom_dists(mu, nu):
 
 
 def _pth_power(D, p, M):
-    """((D / s)^p, s): s is 1 unless M^p leaves the normal float range, else M.
+    """((D / s)^p, s), computed in D's own memory: s is 1 unless M^p leaves the normal float range, else M.
 
     Raising distances to a large p overflows (or underflows to 0) before the
     root is taken; dividing by M, the largest distance that carries mass,
     keeps the largest term at 1, and W_p is s times the p-th root of the
-    rescaled cost.
+    rescaled cost.  `D **= p` takes numpy's scalar-power path, as `D ** p` does.
     """
     with np.errstate(over="ignore", under="ignore"):
         Mp = np.power(M, p)
     with np.errstate(under="ignore"):  # terms far below the largest underflow to 0 by design
-        if M > 0 and not _TINY <= Mp <= _HUGE:
-            return (D / M) ** p, float(M)
-        return D**p, 1.0
+        rescale = M > 0 and not _TINY <= Mp <= _HUGE
+        if rescale:
+            D /= M
+        D **= p
+    return D, float(M) if rescale else 1.0
 
 
 def _monotone_support(a, b):
     """(q, i, j): the monotone (north-west-corner) coupling of weights a and b in their given order.
 
     It moves q[k] - q[k-1] (q[-1] = 0) from atom i[k] to atom j[k].  The q are
-    the merged cumulative-weight breakpoints.  One stable argsort of the two
-    sorted cumulative runs merges them (timsort finds the runs, so the merge
-    is linear); the first entry of each run of equal values gives the
-    breakpoints, and the counts of each side's entries before it give both
-    atom indices.
+    the merged cumulative-weight breakpoints.  Both cumulative runs are
+    sorted, so they merge by position: a's entry k lands after k entries of
+    its own and after the b entries below it (a's entries first among equal
+    values), and b's entries fill the other places in order.  The first entry
+    of each run of equal values gives a breakpoint.  On (q[k-1], q[k]] both
+    sides sit on the first atom whose cumulative weight reaches q[k], so i[k]
+    and j[k] count each side's entries before that breakpoint.  Each
+    full-length temporary is freed before the next is built: at most three
+    are alive at once.
     """
     # Clip before pinning the last entry: a cumsum that overshoots 1 early
     # would otherwise leave the run unsorted.
     ca = np.minimum(np.cumsum(a), 1.0)
     cb = np.minimum(np.cumsum(b), 1.0)
     ca[-1] = cb[-1] = 1.0
-    c = np.concatenate([ca, cb])
-    order = np.argsort(c, kind="stable")
-    merged = c[order]
-    first = np.empty(merged.size, dtype=bool)
+    at = np.searchsorted(cb, ca)
+    at += np.arange(ca.size)
+    merged = np.empty(ca.size + cb.size)
+    merged[at] = ca
+    first = np.ones(merged.size, dtype=bool)
+    first[at] = False
+    merged[first] = cb
+    del cb
     first[0] = merged[0] > 0  # a leading zero-weight atom spans no interval
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    # On (q[k-1], q[k]] both sides sit on the first atom whose cumulative
-    # weight reaches q[k]: the count of entries below q[k].
-    from_a = order < ca.size
-    i = (np.cumsum(from_a) - from_a)[first]
-    return merged[first], i, np.flatnonzero(first) - i
+    q = merged[first]
+    del merged
+    # The a-entries before place k: r on (at[r-1], at[r]] and ca.size after at[-1].
+    runs = np.diff(at, prepend=-1, append=first.size - 1)
+    i = np.repeat(np.arange(ca.size + 1), runs)[first]
+    j = np.flatnonzero(first)
+    j -= i
+    return q, i, j
 
 
 def _quantile_cost_discrete(p, x, a, y, b):
@@ -157,7 +182,8 @@ def _quantile_cost_discrete(p, x, a, y, b):
     The integral is exact over the breakpoints of the monotone coupling of
     the sorted atoms (`_monotone_support`).  Each side is sorted unstably
     (atoms at equal positions cost the same in any order), by `np.sort` alone
-    when its weights are all equal.
+    when its weights are all equal.  The gaps and the breakpoint differences
+    are formed in place, and each index array is freed once read.
     """
 
     def ordered(v, w):
@@ -168,11 +194,16 @@ def _quantile_cost_discrete(p, x, a, y, b):
 
     (x, a), (y, b) = ordered(x, a), ordered(y, b)
     q, i, j = _monotone_support(a, b)
-    gap = np.abs(x[i] - y[j])
+    gap = x[i]
+    del i
+    gap -= y[j]
+    del j
+    np.abs(gap, out=gap)
     gap, s = _pth_power(gap, p, gap.max())
+    q[1:] -= q[:-1]  # np.diff(q, prepend=0.0): q[0] - 0.0 is q[0]
     # numpy's pairwise sum, not a BLAS dot, whose bits depend on OpenBLAS's
     # thread count; einsum's running sum strays up to 13 ulp at 64n atoms
-    return float(np.multiply(np.diff(q, prepend=0.0), gap, out=gap).sum()), s
+    return float(np.multiply(q, gap, out=gap).sum()), s
 
 
 def w1d(p, mu, nu):
@@ -253,7 +284,9 @@ def w_exact(p, mu, nu):
     leave the float range they are rescaled first (see `_atom_dists` and
     `_pth_power`), and the plan's `scale` holds the factor.  An optimum of cost
     0 that moves mass over a positive distance raises `ValueError`: at such a
-    p every scaled cost below the largest has underflowed to 0.
+    p every scaled cost below the largest has underflowed to 0.  It stands
+    where W_p is within round-off of 0 or mu and nu are equal measures (see
+    `_zero_cost_plan`).
 
     `mu` and `nu` may also be equal-length lists of measures; the result is
     then the list of `(value, plan)` pairs in input order.  Consecutive LP
@@ -295,11 +328,38 @@ def w_exact(p, mu, nu):
             out[k] = (g, cost, C, s)
     results = []
     for x, y, (g, cost, C, s) in zip(mu, nu, out):
-        plan = TransportPlan(g, cost, p, x, y, cost_matrix=C, scale=s)
-        if cost == 0 and g[_atom_dists(x, y)[0] > 0].any():
-            raise ValueError(_UNDERFLOW.format(p))
-        results.append((s * cost ** (1.0 / p), plan))
+        if cost == 0:
+            g = _zero_cost_plan(p, g, x, y)
+        results.append((s * cost ** (1.0 / p), TransportPlan(g, cost, p, x, y, cost_matrix=C, scale=s)))
     return results
+
+
+def _zero_cost_plan(p, g, mu, nu):
+    """The plan an optimum g of cost 0 stands with, or `ValueError` naming p.
+
+    At a large p every scaled cost below the largest underflows to 0, so such
+    an optimum may move mass over any distance.  g stands when the distances
+    it moves mass over are at most 2^-52 times the largest distance between
+    atoms with mass (W_p is then below the pair's round-off).  Otherwise W_p is 0
+    only if mu and nu put the same mass on every point: each point's signed
+    weights must sum exactly to 0 (`math.fsum`, so no order of summation
+    matters), and the plan then moves each point's mass onto itself, in
+    proportion to the weights on both sides.  At p = 1e5 a mass gap of one ulp
+    still costs about the full distance, so every other case raises.
+    """
+    D = _atom_dists(mu, nu)[0]
+    a, b = mu.weights, nu.weights
+    if D[g > 0].max(initial=0.0) <= np.finfo(float).eps * D[np.ix_(a > 0, b > 0)].max():
+        return g
+    _, point = np.unique(np.vstack([mu.points, nu.points]), axis=0, return_inverse=True)
+    point = point.ravel()
+    w = np.concatenate([a, -b])
+    order = np.argsort(point, kind="stable")
+    if any(math.fsum(s) for s in np.split(w[order], np.flatnonzero(np.diff(point[order])) + 1)):
+        raise ValueError(_UNDERFLOW.format(p))
+    pa, pb = point[: mu.n], point[mu.n :]
+    mass = np.bincount(pa, a)[pa]
+    return np.where(pa[:, None] == pb, np.outer(a / np.where(mass > 0, mass, 1.0), b), 0.0)
 
 
 def wasserstein(p, mu, nu):
@@ -485,8 +545,10 @@ def w_brute(p, mu, nu):
     for i in range(n):
         total += C[i, P[:, i]]
     k = total.argmin()
-    if total[k] == 0 and D[np.arange(n), P[k]].any():
-        raise ValueError(_UNDERFLOW.format(p))
+    if total[k] == 0:
+        g = np.zeros((n, n))
+        g[np.arange(n), P[k]] = 1.0 / n
+        _zero_cost_plan(p, g, mu, nu)
     return s / t * (total[k] / n) ** (1.0 / p)
 
 

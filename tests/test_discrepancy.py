@@ -15,7 +15,7 @@ from wmmd.measures import (
     _tanh_sinh,
     stream_rng,
 )
-from wmmd.kernels import KernelSpec, sphere_directions
+from wmmd.kernels import KernelSpec, _sq_dists, sphere_directions
 from wmmd.discrepancy import (
     mmd,
     mmd_discrete,
@@ -107,6 +107,27 @@ def test_blocked_gauss_sums_match_double_sum(n, d, widths):
     assert abs(_gauss_self(*B, sigma_k, scale, d) - scale * bb) <= tol
     assert abs(_gauss_cross(*A, *B, sigma_k, scale, d) - scale * ab) <= tol
     assert abs(_gauss_cross(*B, *A, sigma_k, scale, d) - scale * ab) <= tol
+
+
+@pytest.mark.parametrize("sigma_k", [1.0, 2.0, 0.5, np.sqrt(2.0), 3.0])
+def test_gauss_block_keeps_the_bits_of_the_division(monkeypatch, sigma_k):
+    """Atom blocks scale the squared distances by 1 / (-2 sigma^2) only where that gives the
+    quotient's bits: -2 sigma^2 a power of two, subnormal scaled squares included.  sigma = sqrt(2)
+    (sigma^2 is 2 + 2^-51) and sigma = 3 still divide; at sigma = 3 the product would move bits."""
+    rng = stream_rng(0x6B1, int(sigma_k * 8))
+    X, Y = rng.normal(size=(64, 2)), rng.normal(size=(300, 2))
+    X[:8], Y[:8] = rng.uniform(-1, 1, (2, 8, 2)) * 1e-155  # squares near and below 2^-1022
+    sq, c = _sq_dists(X, Y), -2.0 * sigma_k**2
+    assert np.any((sq / c != 0.0) & (np.abs(sq / c) < np.finfo(float).tiny))
+    zero_x, zero_y = np.zeros(64), np.zeros(300)
+    block = discrepancy._gauss_block(X, zero_x, Y, zero_y, sigma_k**2, 2)
+    assert block.tobytes() == np.exp(sq / c).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(np, "exp", lambda x, out: out)  # the scaled squares themselves
+        scaled = discrepancy._gauss_block(X, zero_x, Y, zero_y, sigma_k**2, 2)
+    assert scaled.tobytes() == (sq / c).tobytes()
+    if sigma_k == 3.0:
+        assert np.any(sq * (1.0 / c) != sq / c)
 
 
 # Coordinates from a small grid (ties and repeated atoms) or arbitrary ones.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import block_diag, csr_matrix
 
 from wmmd import transport
+from wmmd.kernels import _sq_dists
 
 from wmmd.lab import w_rate
 from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
@@ -156,11 +158,15 @@ def test_quantile_coupling_matches_searchsorted_form_exactly():
         assert _quantile_cost_discrete(p, x, a, y, b) == (_union_searchsorted_cost(p, x, a, y, b), 1.0)
 
 
-def _argsort_cost(p, x, a, y, b):
-    """Reference: the coupling with both sides argsorted and their weights gathered."""
-    ix, iy = np.argsort(x), np.argsort(y)
-    ca = np.minimum(np.cumsum(a[ix]), 1.0)
-    cb = np.minimum(np.cumsum(b[iy]), 1.0)
+def _argsort_merge(a, b):
+    """Reference (q, i, j) of `_monotone_support`: one stable argsort of both cumulative runs.
+
+    Equal values keep a's entries first; the first entry of each run of
+    equal values is a breakpoint, and a bool cumsum counts a's entries
+    before it.
+    """
+    ca = np.minimum(np.cumsum(a), 1.0)
+    cb = np.minimum(np.cumsum(b), 1.0)
     ca[-1] = cb[-1] = 1.0
     c = np.concatenate([ca, cb])
     order = np.argsort(c, kind="stable")
@@ -170,10 +176,44 @@ def _argsort_cost(p, x, a, y, b):
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
     from_a = order < ca.size
     i = (np.cumsum(from_a) - from_a)[first]
-    j = np.flatnonzero(first) - i
+    return merged[first], i, np.flatnonzero(first) - i
+
+
+def _argsort_cost(p, x, a, y, b):
+    """Reference: the coupling with both sides argsorted and their weights gathered."""
+    ix, iy = np.argsort(x), np.argsort(y)
+    q, i, j = _argsort_merge(a[ix], b[iy])
     gap = np.abs(x[ix[i]] - y[iy[j]])
     gap, s = transport._pth_power(gap, p, gap.max())
-    return float((np.diff(merged[first], prepend=0.0) * gap).sum()), s
+    return float((np.diff(q, prepend=0.0) * gap).sum()), s
+
+
+@st.composite
+def _support_weights(draw):
+    """A side's weights: 1/n, or drawn with zeros among them, also as its first or last atoms."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        return np.full(n, 1.0 / n)
+    w = draw(st.lists(_masses, min_size=1, max_size=30))
+    w = [0.0] * draw(st.integers(0, 2)) + w + [0.0] * draw(st.integers(0, 2))
+    assume(sum(w) > 0)
+    return np.array(w) / sum(w)
+
+
+_OVERSHOOT_WEIGHTS = _split(_OVERSHOOT)[1]
+
+
+@given(_support_weights(), _support_weights() | st.integers(1, 5).map(lambda n: np.full(64 * n, 1.0 / (64 * n))))
+@example(_OVERSHOOT_WEIGHTS, _OVERSHOOT_WEIGHTS[::-1])
+@example(_OVERSHOOT_WEIGHTS, np.array([0.0, 0.25, 0.5, 0.25, 0.0]))
+@example(np.full(3, 1 / 3), np.full(6, 1 / 6))  # ties where the cumulative sums meet
+@example(np.full(7, 1 / 7), np.full(7 * 64, 1 / (7 * 64)))  # n << N, sums that round apart
+@example(np.full(8, 1 / 8), np.full(8 * 64, 1 / (8 * 64)))  # n << N, every a-entry tied
+@settings(max_examples=300, deadline=None)
+def test_monotone_support_equals_the_argsort_merge(a, b):
+    """The positional merge gives the stable argsort's (q, i, j): same dtypes, same bits."""
+    for got, ref in zip(transport._monotone_support(a, b), _argsort_merge(a, b)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 _signed = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
@@ -620,6 +660,42 @@ def test_monotone_support_is_a_coupling():
         assert np.abs(g.sum(axis=0) - b).max() <= 1e-14
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_dist_matrix_blocks_keep_the_bits_of_one_call(d):
+    """Row blocks of about 2^15 entries give np.sqrt(_sq_dists(X, Y)) bit for bit: 1 x N, N x 1,
+    and one row short of, at and past a block, for 1,000 columns (32 rows a block)."""
+    rng = stream_rng(0xD15, d)
+    budget = transport._DIST_BLOCK_ENTRIES // 1000
+    shapes = [(1, 2**15 + 3), (2**15 + 3, 1), (budget - 1, 1000), (budget, 1000), (budget + 1, 1000)]
+    for n, m in shapes:
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, (1, d))
+        Y = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3, (1, d))
+        D = _dist_matrix(X, Y)
+        assert D.shape == (n, m) and D.tobytes() == np.sqrt(_sq_dists(X, Y)).tobytes()
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_w1d_and_atom_distances_stay_within_their_memory():
+    """Peaks, traced after the inputs exist: the 1-D coupling of 8,192 against 64 x 8,192 uniform
+    atoms below 6 x 8(n + N) bytes (it was 9.2x), and 1,024^2 distances in d = 3 below
+    1.5 x 8nm bytes (it was 3.0x).  scipy.optimize is imported by this module, so its first-call
+    import (about 24 MiB) is not traced."""
+    rng = stream_rng(0x3E3)
+    n, N = 8192, 64 * 8192
+    mu, nu = _uniform(rng.uniform(size=(n, 1))), _uniform(rng.uniform(size=(N, 1)))
+    assert _traced_peak(w1d, 1, mu, nu) < 6 * 8 * (n + N)
+    X, Y = _uniform(rng.uniform(size=(1024, 3))), _uniform(rng.uniform(size=(1024, 3)))
+    assert _traced_peak(transport._atom_dists, X, Y) < 1.5 * 8 * 1024**2
+
+
 def _reference_cost(p, mu, nu):
     """(optimal cost, largest cost) of the transport LP over every plan entry.
 
@@ -843,6 +919,36 @@ def test_optimum_underflowing_to_zero_at_large_p_raises():
             w_exact(1e5, mu, nu)
     mu = pairs[0][0]
     assert w_exact(1e5, mu, mu)[0] == 0.0  # an optimum of 0 that moves nothing stands
+
+
+def test_equal_measures_at_large_p_read_zero_on_the_lp_route():
+    """At p = 1e5 every scaled cost below the largest underflows, so the LP may pick any plan of
+    cost 0; equal measures, also with their atoms permuted or one atom split in two halves, read
+    0.0 with a plan that moves nothing.  A mass gap of one ulp at a point still raises."""
+    P = np.random.default_rng(0).normal(size=(7, 2))
+    w = np.arange(1.0, 8.0)
+    m = DiscreteMeasure(P, w)
+    perm = np.random.default_rng(1).permutation(7)
+    split = DiscreteMeasure(np.vstack([P, P[:1]]), np.r_[w[0] / 2, w[1:], w[0] / 2])
+    for nu in (m, DiscreteMeasure(P[perm], w[perm]), split):
+        val, plan = w_exact(1e5, m, nu)
+        assert val == 0.0 and plan.cost == 0.0
+        moved = plan.coupling > 0
+        assert np.all(transport._dist_matrix(m.points, nu.points)[moved] == 0.0)
+        _check_marginals(plan, m, nu)
+    gap = w.copy()
+    gap[3] = np.nextafter(gap[3], np.inf)
+    with pytest.raises(ValueError, match="p = 100000 is too large"):
+        w_exact(1e5, m, DiscreteMeasure(P, gap))
+
+
+def test_zero_optimum_within_round_off_stands():
+    """A cost that underflows only where the distances moved over are below 2^-52 of the largest
+    (here 1.4e-146 against 1 at p = 3) stands as 0.0, on the assignment and permutation routes."""
+    X, Y = np.array([[-1.0], [0.0]]), np.array([[-1.0], [1.4e-146]])
+    assert w_brute(3, _uniform(X), _uniform(Y)) == 0.0
+    assert w_exact(3, _uniform(np.c_[X, X]), _uniform(np.c_[Y, Y]))[0] == 0.0
+    assert w1d(3, _uniform(X), _uniform(Y)) == pytest.approx(1.4e-146 * 0.5 ** (1 / 3), rel=1e-15)
 
 
 @pytest.mark.parametrize("m", [40, 30], ids=["assignment", "lp"])
