@@ -41,6 +41,19 @@ def _scipy(module, name):
 
 
 _gamma, ndtr = _scipy("special", "gamma"), _scipy("special", "ndtr")
+_bell = lambda z: np.exp(z * z * -0.5)
+
+
+def _component_sum(x, w, m, s, term):
+    """sum_k w[k] term((x - m[k]) / s[k]), one component at a time in order (rows broadcast against x).
+
+    No BLAS product and no numpy sum (whose pairwise blocks regroup at 8 terms):
+    a value's bits depend on its own x alone, not on the batch or BLAS threads.
+    """
+    acc = 0.0
+    for k in range(len(w)):
+        acc = acc + w[k] * term((x - m[k]) / s[k])
+    return acc
 
 
 def stream_rng(seed, *stream):
@@ -128,7 +141,7 @@ class DiscreteMeasure:
 class GaussianMixture:
     """Isotropic-component Gaussian mixture sum_k alpha_k N(c_k, sigma_k^2 I)."""
 
-    __slots__ = ("weights", "means", "sigmas")
+    __slots__ = ("weights", "means", "sigmas", "_table")
 
     def __init__(self, weights, means, sigmas):
         weights = np.asarray(weights, dtype=float).ravel()
@@ -148,6 +161,7 @@ class GaussianMixture:
         self.sigmas = sigmas
         for a in (self.weights, self.means, self.sigmas):
             a.setflags(write=False)
+        self._table = None  # `gmm_quantiles`' start table, built at its first call
         assert abs(self.weights.sum() - 1.0) <= _MASS_TOL
 
     @property
@@ -170,24 +184,17 @@ class GaussianMixture:
         return vals @ self.weights
 
     def cdf(self, x):
-        """CDF, d=1 only."""
+        """CDF, d=1 only; a value's bits depend on x alone (see `_component_sum`)."""
         if self.d != 1:
             raise ValueError("cdf defined for d=1 only")
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.means[:, 0]) / self.sigmas
-        return ndtr(z) @ self.weights
+        return _component_sum(np.asarray(x, dtype=float), self.weights, self.means[:, 0], self.sigmas, ndtr)
 
     def pdf(self, x):
-        """Density, d=1 only."""
+        """Density, d=1 only; a value's bits depend on x alone (see `_component_sum`)."""
         if self.d != 1:
             raise ValueError("pdf defined for d=1 only")
-        x = np.asarray(x, dtype=float)
-        e = x[..., None] - self.means[:, 0]
-        e /= self.sigmas
-        e *= e
-        e *= -0.5
-        np.exp(e, out=e)
-        return e @ (self.weights / (_SQRT_2PI * self.sigmas))
+        w = self.weights / (_SQRT_2PI * self.sigmas)
+        return _component_sum(np.asarray(x, dtype=float), w, self.means[:, 0], self.sigmas, _bell)
 
     def moment_s(self, s):
         """E |x|^s, d=1 only: 201-node Gauss-Hermite per component."""
@@ -241,50 +248,64 @@ _NEWTON_CAP = 200
 def gmm_quantiles(g, qs):
     """Quantiles of a 1-D Gaussian mixture at every level in `qs` (all in (0, 1)).
 
-    A CDF table on a span that covers every level gives each point a bracket
-    and a linearly interpolated start; safeguarded Newton with the closed-form
-    density then finishes each point.  A point stops when |F(x) - q| reaches
-    F's rounding level 4 eps q, or when its step or bracket shrinks to 2 ulp of
-    max(1, |x|).  A Newton step that leaves the bracket, is not finite, or
+    `g` may also be a sequence of mixtures that share `qs`; the result then
+    has shape `(len(g),) + qs.shape`.  A CDF table, built once per mixture on
+    257 points from min(m - 40 sigma), where every ndtr reads 0, to
+    max(m + 10 sigma), where every ndtr reads 1, gives each point a bracket
+    and a linearly interpolated start; safeguarded Newton with the
+    closed-form density then finishes every point of every mixture in one
+    loop, the mixtures padded to one component count with zero weights (a
+    term of +0.0 leaves each sum's bits as they are).  Every step is
+    elementwise, so a point's bits depend on its mixture and level alone.
+    A point stops when |F(x) - q| reaches F's rounding level 4 eps q, or when
+    its step or bracket shrinks to 2 ulp of max(1, |x|).  A Newton step that leaves the bracket, is not finite, or
     fails to halve the step before last is replaced by the bracket midpoint.
     Raises RuntimeError if a point is still running after `_NEWTON_CAP` steps,
     and ValueError for a level above F's largest value (weights summing below 1).
     """
-    if g.d != 1:
+    single = isinstance(g, GaussianMixture)
+    gs = [g] if single else list(g)
+    if any(m.d != 1 for m in gs):
         raise ValueError("gmm_quantiles needs d=1")
     qs = np.asarray(qs, dtype=float)
+    shape = qs.shape if single else (len(gs),) + qs.shape
     flat = qs.ravel()
-    if flat.size == 0:
-        return np.empty(qs.shape)
+    if flat.size == 0 or not gs:
+        return np.empty(shape)
     if not (np.all(flat > 0.0) and np.all(flat < 1.0)):
         raise ValueError("q must lie in (0,1)")
-    span = 12.0 * float(np.max(g.sigmas)) + float(np.max(np.abs(g.means)))
-    lo, hi = -span, span
-    while g.cdf(np.array(lo)) > flat.min():
-        lo *= 2.0
-    while (top := g.cdf(np.array(hi))) < flat.max():
-        if hi > np.max(g.means) + 40.0 * np.max(g.sigmas):  # every ndtr reads exactly 1
-            raise ValueError(f"q = {float(flat.max())!r} lies above the mixture's largest CDF value {float(top)!r}")
-        hi *= 2.0
-    t = np.linspace(lo, hi, _TABLE_POINTS)
-    F = np.maximum.accumulate(g.cdf(t))
-    # F[k-1] < q <= F[k]; the clip covers q == F[0] exactly.
-    k = np.clip(np.searchsorted(F, flat, side="left"), 1, _TABLE_POINTS - 1)
-    a, b = t[k - 1], t[k]
-    x = a + (flat - F[k - 1]) / (F[k] - F[k - 1]) * (b - a)
-    out = np.empty_like(flat)
-    idx = np.arange(flat.size)
-    q = flat
+    # Per component and mixture: weight, mean, sigma and density factor; padding has weight 0, sigma 1.
+    par = np.zeros((4, max(m.K for m in gs), len(gs)))
+    par[2] = 1.0
+    starts = []
+    for i, m in enumerate(gs):
+        if m._table is None:
+            c, s = m.means[:, 0], m.sigmas
+            t = np.linspace(np.min(c - 40.0 * s), np.max(c + 10.0 * s), _TABLE_POINTS)
+            m._table = t, np.maximum.accumulate(m.cdf(t))
+        t, F = m._table
+        if flat.max() > F[-1]:
+            raise ValueError(f"q = {float(flat.max())!r} lies above the mixture's largest CDF value {float(F[-1])!r}")
+        # F[k-1] < q <= F[k], with F[0] = 0 < q.
+        k = np.searchsorted(F, flat, side="left")
+        a, b = t[k - 1], t[k]
+        starts.append((a, b, a + (flat - F[k - 1]) / (F[k] - F[k - 1]) * (b - a)))
+        par[:, : m.K, i] = m.weights, m.means[:, 0], m.sigmas, m.weights / (_SQRT_2PI * m.sigmas)
+    a, b, x = (np.concatenate(v) for v in zip(*starts))
+    par = np.repeat(par, flat.size, axis=2)
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    q = np.tile(flat, len(gs))
     fit_tol = 4.0 * np.finfo(float).eps * q
     step_old = b - a  # the step before last, for the halving test
     step = step_old
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_CAP):
-            f = g.cdf(x) - q
+            f = _component_sum(x, *par[:3], ndtr) - q
             below = f < 0.0
             np.copyto(a, x, where=below)
             np.copyto(b, x, where=~below)
-            dx = f / g.pdf(x)
+            dx = f / _component_sum(x, par[3], par[1], par[2], _bell)
             # nan and inf steps fail both bracket comparisons.
             xn = x - dx
             newton = (xn >= a) & (xn <= b) & (np.abs(dx) <= 0.5 * np.abs(step_old))
@@ -298,12 +319,12 @@ def gmm_quantiles(g, qs):
             out[idx[done]] = xn[done]
             keep = ~done
             if not keep.any():
-                return out.reshape(qs.shape)
+                return out.reshape(shape)
             idx, q, fit_tol, x, a, b = idx[keep], q[keep], fit_tol[keep], xn[keep], a[keep], b[keep]
-            step_old, step = step_old[keep], step[keep]
+            step_old, step, par = step_old[keep], step[keep], par[..., keep]
     raise RuntimeError(
         f"gmm_quantiles did not converge in {_NEWTON_CAP} steps "
-        f"({idx.size} of {flat.size} points left)"
+        f"({idx.size} of {out.size} points left)"
     )
 
 

@@ -212,11 +212,13 @@ def w1d(p, mu, nu):
     Takes two discrete measures or two Gaussian mixtures.  Discrete pairs are
     exact.  Mixture pairs integrate |F^-1 - G^-1|^p by `_tanh_sinh` over
     q in (0, 1/2], the upper half as the mirrored mixtures' lower half, so
-    that both tails are resolved at levels near 0.  The integral is cut where
-    F - G changes sign (a kink; bisected) and at each density's valleys (a
-    steep quantile function), found on a grid of +-12 sigma around every
-    component.  The gaps are scaled (see `_pth_power`) by one M fixed first:
-    the largest gap at q = 1/2 and 1e-300, below the rule's smallest node.
+    that both tails are resolved at levels near 0; each level's four
+    quantile functions are one `gmm_quantiles` call.  The integral is cut
+    where F - G changes sign (a kink; bisected up to 64 times, stopping at a
+    fixed point) and at each density's valleys (a steep quantile function),
+    found on a grid of +-12 sigma around every component.  The gaps are scaled
+    (see `_pth_power`) by one M fixed first: the largest gap at q = 1/2 and
+    1e-300, below the rule's smallest node.
     """
     _check_p(p)
     if mu.d != 1 or nu.d != 1:
@@ -227,9 +229,9 @@ def w1d(p, mu, nu):
     if not (isinstance(mu, GaussianMixture) and isinstance(nu, GaussianMixture)):
         raise ValueError("w1d takes two discrete measures or two Gaussian mixtures")
 
-    mirror = lambda g: GaussianMixture(g.weights, -g.means, g.sigmas)
-    halves = ((mu, nu), (mirror(mu), mirror(nu)))  # F^-1(1 - q) = -(mirrored F)^-1(q)
-    gaps = lambda q: [np.abs(gmm_quantiles(f, q) - gmm_quantiles(g, q)) for f, g in halves]
+    # F^-1(1 - q) = -(mirrored F)^-1(q); a level's four quantiles are one solve.
+    mus = [h for g in (mu, nu) for h in (g, GaussianMixture(g.weights, -g.means, g.sigmas))]
+    gaps = lambda q: np.abs(np.subtract(*np.split(gmm_quantiles(mus, q), 2)))  # rows: pair, mirrored pair
     cdf_gap = lambda x: mu.cdf(x) - nu.cdf(x)
     z = np.linspace(-12.0, 12.0, 129)
     x = np.unique(np.concatenate([g.means + g.sigmas[:, None] * z for g in (mu, nu)]))
@@ -239,12 +241,15 @@ def w1d(p, mu, nu):
     a, b = xs[i], xs[i + 1]
     for _ in range(64):  # bisect every sign change at once
         mid = 0.5 * (a + b)
-        a, b = np.where(np.sign(cdf_gap(mid)) == sign[i], [mid, b], [a, mid])
+        ab = np.where(np.sign(cdf_gap(mid)) == sign[i], [mid, b], [a, mid])
+        if np.array_equal(ab, [a, b]):  # a fixed point: every later halving repeats it
+            break
+        a, b = ab
     valleys = lambda d: (d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])
-    marks = [(mu, a)] + [(g, x[1:-1][valleys(g.pdf(x))]) for g in (mu, nu)]
-    levels = np.concatenate([np.r_[g.cdf(y), mirror(g).cdf(-y)] for g, y in marks])
-    M = max(d.max() for d in gaps(np.array([1e-300, 0.5])))
-    f = lambda q: sum(_pth_power(d, p, M)[0] for d in gaps(q))
+    marks = [(0, a)] + [(k, x[1:-1][valleys(mus[k].pdf(x))]) for k in (0, 2)]
+    levels = np.concatenate([np.r_[mus[k].cdf(y), mus[k + 1].cdf(-y)] for k, y in marks])
+    M = gaps(np.array([1e-300, 0.5])).max()
+    f = lambda q: _pth_power(gaps(q), p, M)[0].sum(axis=0)
     cuts = np.unique(np.r_[0.0, 0.5, levels[levels < 0.5]])
     return _pth_power(M, p, M)[1] * _tanh_sinh(f, cuts) ** (1.0 / p)
 
@@ -467,6 +472,9 @@ def _solve_transport_lp(blocks):
     `_REDUCED_COST_TOL` joins it, and the blocks that grew are solved again.
     A block is done when no such entry is left, so its plan is optimal for
     the full LP; a block that keeps every entry is done after one pass.
+    Each pass that does not finish a block adds at least one entry to its
+    support, which has n·m entries over the atoms with mass, so a block is
+    done within n·m − |seed| + 1 passes: the loop needs no cap.
 
     Atoms without mass are left out of the LP: their plan rows and columns
     are 0.  Kept in, they would give empty constraint rows, whose arbitrary

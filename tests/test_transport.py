@@ -389,6 +389,53 @@ def test_w1d_p1_mixtures_match_cdf_l1():
         assert w1d(1, a, b) == pytest.approx(ref, rel=1e-12)
 
 
+def _recording_w1d(monkeypatch, p, mu, nu):
+    """(sizes of the mixture lists given to `gmm_quantiles`, level sizes `_tanh_sinh` evaluated, its cuts) in a `w1d`."""
+    calls, levels, cuts = [], [], []
+    quantiles, tanh_sinh = transport.gmm_quantiles, transport._tanh_sinh
+    monkeypatch.setattr(transport, "gmm_quantiles", lambda g, q: calls.append(len(g)) or quantiles(g, q))
+    monkeypatch.setattr(
+        transport, "_tanh_sinh", lambda f, c: cuts.append(c) or tanh_sinh(lambda q: levels.append(q.size) or f(q), c)
+    )
+    w1d(p, mu, nu)
+    return calls, levels, cuts[0]
+
+
+_CROSSING_PAIRS = [
+    # F - G changes sign three times
+    (GaussianMixture([0.3, 0.7], [[-1.0], [2.0]], [0.5, 1.5]), GaussianMixture([0.6, 0.4], [[0.0], [1.0]], [1.0, 0.3])),
+    # F - G changes sign at x = -1e-6: 64 halvings from the grid's bracket stop short of a fixed point
+    (GaussianMixture([1.0], [[0.0]], [1.0]), GaussianMixture([1.0], [[1e-6]], [2.0])),
+]
+
+
+@pytest.mark.parametrize("mu, nu", _CROSSING_PAIRS)
+def test_mixture_w1d_solves_each_quadrature_level_once(monkeypatch, mu, nu):
+    """One `gmm_quantiles` call of all four quantile functions per tanh-sinh level, plus one for the scale M."""
+    calls, levels, _ = _recording_w1d(monkeypatch, 2, mu, nu)
+    assert len(levels) >= 3
+    assert calls == [4] * (len(levels) + 1)
+
+
+@pytest.mark.parametrize("mu, nu", _CROSSING_PAIRS)
+def test_mixture_w1d_sign_change_cuts_match_64_halvings(monkeypatch, mu, nu):
+    """The bisection stops at a fixed point of its halvings; its cuts equal 64 fixed halvings' bit for bit."""
+    cdf_gap = lambda x: mu.cdf(x) - nu.cdf(x)
+    z = np.linspace(-12.0, 12.0, 129)
+    x = np.unique(np.concatenate([g.means + g.sigmas[:, None] * z for g in (mu, nu)]))
+    sign = np.sign(cdf_gap(x))
+    xs, sign = x[sign != 0], sign[sign != 0]
+    i = np.flatnonzero(sign[:-1] != sign[1:])
+    a, b = xs[i], xs[i + 1]
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        a, b = np.where(np.sign(cdf_gap(mid)) == sign[i], [mid, b], [a, mid])
+    mirrored = GaussianMixture(mu.weights, -mu.means, mu.sigmas)
+    expected = np.r_[mu.cdf(a), mirrored.cdf(-a)]
+    cuts = _recording_w1d(monkeypatch, 1, mu, nu)[2]
+    assert np.count_nonzero(expected < 0.5) >= 1 and np.isin(expected[expected < 0.5], cuts).all()
+
+
 class TestExact:
     def test_matches_brute_force(self):
         rng = stream_rng(55)
