@@ -1,8 +1,10 @@
 """Maximum mean discrepancy by double sums, closed forms, quadrature, slicing.
 
-All routines return the MMD itself (not its square).  Tiny negative squared
-values coming from round-off are clamped to zero; anything materially negative
-signals a non-p.s.d. kernel and raises.
+The double sum, the closed form and the spectral integral sum over the signed
+measure mu - nu; `smoothed_l2` keeps aa + bb - 2 ab.  All routines return the
+MMD itself (not its square).  Tiny negative squared values coming from
+round-off are clamped to zero; anything materially negative signals a
+non-p.s.d. kernel and raises.
 """
 
 from __future__ import annotations
@@ -64,23 +66,17 @@ def _as_components(measure):
     raise TypeError("unsupported measure type")
 
 
-# Rows per block of the Gaussian sums.  The row count fixes how each sum is
+# Rows per block of the Gaussian sum.  The row count fixes how the sum is
 # grouped, and so its bits; 64 rows amortise the per-block call overhead.
 # A 64 x 8192 float64 block is 4 MiB, twice a 2 MiB L2, yet column tiles
 # that fit L2 were slower: `mmd_gaussian_kernel` of N(0, 1) against 8,192
 # atoms took 47-56 ms untiled and 65-107 ms in tiles of 1,024-4,096 columns.
 _BLOCK = 64
 
-# A sum goes to the block pool (`runtime._block_sum`) only when its blocks
-# average _MIN_PAIRS pairs (512 KiB): narrower blocks spend more CPU on
-# interpreter-lock hand-offs than they save.
+# A sum goes to the block pool (`runtime._block_sum`) only when its rows
+# average _MIN_PAIRS / _BLOCK pairs (a block of 512 KiB): narrower blocks
+# spend more CPU on interpreter-lock hand-offs than they save.
 _MIN_PAIRS = 2**16
-
-
-def _gauss_sum(block_value, n, pairs):
-    """Sum of block_value(i0) over the row blocks i0 < n of a sum of `pairs` pairs."""
-    starts = range(0, n, _BLOCK)
-    return _block_sum(block_value, starts, pairs >= _MIN_PAIRS * len(starts))
 
 
 def _gauss_block(m1, s1, m2, s2, sig2, d):
@@ -103,25 +99,33 @@ def _gauss_block(m1, s1, m2, s2, sig2, d):
     return sq
 
 
-def _gauss_cross(w1, m1, s1, w2, m2, s2, sigma_k, scale, d):
-    """sum_ij w1_i w2_j E[kappa(X_i, Y_j)] for kernel scale*exp(-||z||^2/(2 sigma_k^2))."""
+def _gauss_signed_sum(w, m, s, sig2, d):
+    """sum_ij w_i w_j E[exp(-||X_i - X_j||^2 / (2 sig2))] for X_i ~ N(m_i, s_i^2 I), in any order.
+
+    Positive widths go first (a stable partition).  Row blocks start at 0 and
+    at the first zero width, and meet the columns from their first row on, so
+    atoms meet only atoms and keep `_gauss_block`'s atom path.
+    """
+    order = np.argsort(s == 0.0, kind="stable")
+    w, m, s = w[order], m[order], s[order]
+    n, n_pos = w.size, int(np.count_nonzero(s))
+
     def block_value(i0):
-        rows = slice(i0, i0 + _BLOCK)
-        return w1[rows] @ _gauss_block(m1[rows], s1[rows], m2, s2, sigma_k**2, d) @ w2
-
-    return scale * float(_gauss_sum(block_value, m1.shape[0], m1.shape[0] * m2.shape[0]))
-
-
-def _gauss_self(w, m, s, sigma_k, scale, d):
-    """_gauss_cross of one mixture with itself, summed over the upper block triangle."""
-    def block_value(i0):
-        i1 = i0 + _BLOCK
-        block = _gauss_block(m[i0:i1], s[i0:i1], m[i0:], s[i0:], sigma_k**2, d)
+        i1 = min(i0 + _BLOCK, n_pos if i0 < n_pos else n)
+        block = _gauss_block(m[i0:i1], s[i0:i1], m[i0:], s[i0:], sig2, d)
         wb = w[i0:i1]
-        b = wb.shape[0]
+        b = i1 - i0
         return wb @ block[:, :b] @ wb + 2.0 * (wb @ block[:, b:] @ w[i1:])
 
-    return scale * float(_gauss_sum(block_value, m.shape[0], m.shape[0] * (m.shape[0] + 1) // 2))
+    starts = [*range(0, n_pos, _BLOCK), *range(n_pos, n, _BLOCK)]
+    return float(_block_sum(block_value, starts, n * (n + 1) // 2 * _BLOCK >= _MIN_PAIRS * n))
+
+
+def _signed_components(mu, nu):
+    """Signed (weight, mean, sigma) components of mu - nu; sigma=0 for atoms."""
+    w1, m1, s1 = _as_components(mu)
+    w2, m2, s2 = _as_components(nu)
+    return np.concatenate([w1, -w2]), np.concatenate([m1, m2]), np.concatenate([s1, s2])
 
 
 def mmd_gaussian_kernel(k, mu, nu):
@@ -129,30 +133,15 @@ def mmd_gaussian_kernel(k, mu, nu):
 
     Inputs may be isotropic Gaussian mixtures or discrete measures (treated
     as mixtures of zero-width components); every pairwise expectation is a
-    Gaussian integral with an explicit value.
+    Gaussian integral with an explicit value.  The square is one sum over the
+    signed components c of mu - nu, clamped against scale (sum_i |c_i|)^2 = 4 scale.
     """
     if k.family != "gaussian":
         raise ValueError("kernel must be Gaussian")
     if mu.d != k.d or nu.d != k.d:
         raise ValueError("dimension mismatch")
-    w1, m1, s1 = _as_components(mu)
-    w2, m2, s2 = _as_components(nu)
-    d = k.d
-    aa = _gauss_self(w1, m1, s1, k.sigma, k.scale, d)
-    bb = _gauss_self(w2, m2, s2, k.sigma, k.scale, d)
-    ab = _gauss_cross(w1, m1, s1, w2, m2, s2, k.sigma, k.scale, d)
-    sq = aa + bb - 2.0 * ab
-    return np.sqrt(_clamp_sq(sq, aa + bb))
-
-
-def _signed_components_1d(mu, nu):
-    """Signed (weight, mean, sigma) components of mu - nu; sigma=0 for atoms."""
-    w1, m1, s1 = _as_components(mu)
-    w2, m2, s2 = _as_components(nu)
-    w = np.concatenate([w1, -w2])
-    m = np.concatenate([m1[:, 0], m2[:, 0]])
-    s = np.concatenate([s1, s2])
-    return w, m, s
+    sq = k.scale * _gauss_signed_sum(*_signed_components(mu, nu), k.sigma**2, k.d)
+    return np.sqrt(_clamp_sq(sq, 4.0 * k.scale))
 
 
 def mmd_spectral_1d(k, mu, nu):
@@ -172,19 +161,19 @@ def mmd_spectral_1d(k, mu, nu):
         raise ValueError("spectral route implemented for d=1")
     if mu.d != 1 or nu.d != 1:
         raise ValueError("dimension mismatch")
-    w, m, s = _signed_components_1d(mu, nu)
+    w, m, s = _signed_components(mu, nu)
     atom = (2.0 * s**2 <= 1e-12) & (k.family != "gaussian")
     s = np.where(atom, 0.0, s)
 
     def f(om):
-        t = w * np.exp(np.multiply.outer(om, 1j * m) - 0.5 * np.multiply.outer(om**2, s**2))
+        t = w * np.exp(np.multiply.outer(om, 1j * m[:, 0]) - 0.5 * np.multiply.outer(om**2, s**2))
         mix = t[:, ~atom]
         diff = mix.sum(axis=1)
         diff[np.abs(diff) <= w.size * np.finfo(float).eps * np.abs(mix).sum(axis=1)] = 0.0
         return k.fourier_kappa0(om) * ((diff + 2.0 * t[:, atom].sum(axis=1)) * diff.conj()).real
 
     integral = _tanh_sinh(f, [0.0, np.inf]) / np.pi  # the doubled half-line over 2 pi
-    wa, K = w[atom], k.gram(m[atom, None], m[atom, None])
+    wa, K = w[atom], k.gram(m[atom], m[atom])
     return np.sqrt(_clamp_sq(integral + wa @ K @ wa, abs(integral) + np.abs(wa) @ K @ np.abs(wa)))
 
 

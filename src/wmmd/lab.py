@@ -64,7 +64,7 @@ class SlopeFit:
     slope: float
     stderr: float
     r2: float
-    grid: tuple  # ((log x, log y), ...) pairs the fit is recomputable from
+    grid: tuple  # the (scale, measurement) pairs as given: the fit is recomputable from them
 
     def __post_init__(self):
         assert self.stderr >= 0.0
@@ -94,8 +94,7 @@ def scaling_exponent(values):
     stderr = math.sqrt(float(resid @ resid) / dof / sxx) if sxx > 0 else 0.0
     syy = np.sum((ly - ly.mean()) ** 2)
     r2 = 1.0 - float(resid @ resid) / float(syy) if syy > 0 else 1.0
-    grid = tuple(zip(lx.tolist(), ly.tolist()))
-    return SlopeFit(slope=float(coef[0]), stderr=float(stderr), r2=float(r2), grid=grid)
+    return SlopeFit(slope=float(coef[0]), stderr=float(stderr), r2=float(r2), grid=tuple(pairs))
 
 
 def sampling_rate(distance, n_grid, trials, seed):
@@ -531,8 +530,8 @@ def rates(seed, trials, which, d):
         grid = [2**j for j in range(6, 12)] if d == 1 else [2**j for j in range(5, 11)]
         fit = w_rate(lambda n, rng: rng.uniform(0.0, 1.0, size=(n, d)), 1, grid, trials, seed)
         target, tol = -1.0 / d, 0.07
-    for lx, ly in fit.grid:
-        rep.add_row(float(np.exp(lx)), float(np.exp(ly)))
+    for n, value in fit.grid:
+        rep.add_row(n, value)
     rep.summary = {
         "experiment": "rates",
         "seed": seed,

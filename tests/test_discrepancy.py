@@ -1,6 +1,7 @@
 import contextlib
 import multiprocessing
 import os
+import threading
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from wmmd.measures import (
     stream_rng,
 )
 from wmmd.kernels import KernelSpec, _sq_dists, sphere_directions
+from test_acceptance import SEED, _rand_discrete
 from wmmd.discrepancy import (
     mmd,
     mmd_discrete,
@@ -24,8 +26,8 @@ from wmmd.discrepancy import (
     smoothed_l2,
     mmd_sliced,
     _BLOCK,
-    _gauss_cross,
-    _gauss_self,
+    _gauss_signed_sum,
+    _signed_components,
 )
 
 
@@ -83,30 +85,44 @@ def _gauss_double_sum(w1, m1, s1, w2, m2, s2, sigma_k, d):
     return float(np.sum(w1[:, None] * w2[None, :] * terms))
 
 
-# 1 and 100 rows, whole blocks only, and a last block of one row.
-@pytest.mark.parametrize("n", [1, 100, 4 * _BLOCK, 8 * _BLOCK + 1])
+# n positive widths: none, one, and 63 to 513 of them, so the first zero width
+# starts a row block after a short, a whole, and a one-row last block.
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100, 129, 4 * _BLOCK, 8 * _BLOCK + 1])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("widths", ["zero", "mixed"])
-def test_blocked_gauss_sums_match_double_sum(n, d, widths):
-    rng = stream_rng(31, n, d)
-    sigma_k, scale = 0.9, 1.7
+def test_blocked_gauss_sums_match_double_sum(monkeypatch, n, d, widths):
+    """The one sum over the signed components of mu - nu and of nu - mu, against the float double sum.
 
-    def components(size):
-        w = rng.uniform(0.1, 1.0, size)
-        s = rng.uniform(0.2, 1.5, size) * (rng.uniform(size=size) < 0.5)
-        if widths == "zero":
-            s[:] = 0.0
-        return w / w.sum(), rng.normal(size=(size, d)), s
+    "zero": mu holds all n positive widths and nu only atoms; "mixed": the n
+    positive widths are spread over both sides, between atoms.  The row
+    blocks restart at the first zero width, and atom rows meet only atoms.
+    """
+    rng = stream_rng(31, n, d, widths == "mixed")
+    sigma_k, n_mu, n_nu = 0.9, n + 40, 37
+    s = np.zeros(n_mu + n_nu)
+    s[rng.permutation(n_mu + n_nu if widths == "mixed" else n_mu)[:n]] = rng.uniform(0.2, 1.5, n)
+    w, m = rng.uniform(0.1, 1.0, n_mu + n_nu), rng.normal(size=(n_mu + n_nu, d))
+    A = w[:n_mu] / w[:n_mu].sum(), m[:n_mu], s[:n_mu]
+    B = w[n_mu:] / w[n_mu:].sum(), m[n_mu:], s[n_mu:]
+    rows = []
 
-    A, B = components(n), components(37)
-    aa = _gauss_double_sum(*A, *A, sigma_k, d)
-    bb = _gauss_double_sum(*B, *B, sigma_k, d)
-    ab = _gauss_double_sum(*A, *B, sigma_k, d)
-    tol = 1e-12 * scale * (aa + bb)
-    assert abs(_gauss_self(*A, sigma_k, scale, d) - scale * aa) <= tol
-    assert abs(_gauss_self(*B, sigma_k, scale, d) - scale * bb) <= tol
-    assert abs(_gauss_cross(*A, *B, sigma_k, scale, d) - scale * ab) <= tol
-    assert abs(_gauss_cross(*B, *A, sigma_k, scale, d) - scale * ab) <= tol
+    def block(m1, s1, m2, s2, sig2, d):
+        assert s1.all() or not (s1.any() or s2.any())
+        rows.append(s1.size)
+        return gauss_block(m1, s1, m2, s2, sig2, d)
+
+    gauss_block = discrepancy._gauss_block
+    monkeypatch.setattr(discrepancy, "_gauss_block", block)
+    for X, Y in ((A, B), (B, A)):
+        c = np.concatenate([X[0], -Y[0]]), np.concatenate([X[1], Y[1]]), np.concatenate([X[2], Y[2]])
+        rows.clear()
+        got = _gauss_signed_sum(*c, sigma_k**2, d)
+        mass = _gauss_double_sum(np.abs(c[0]), *c[1:], np.abs(c[0]), *c[1:], sigma_k, d)
+        assert abs(got - _gauss_double_sum(*c, *c, sigma_k, d)) <= 1e-12 * mass
+        n_zero = n_mu + n_nu - n
+        assert rows == [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)] + [
+            min(_BLOCK, n_zero - i) for i in range(0, n_zero, _BLOCK)
+        ]
 
 
 @pytest.mark.parametrize("sigma_k", [1.0, 2.0, 0.5, np.sqrt(2.0), 3.0])
@@ -184,6 +200,78 @@ def test_mmd_chooser_matches_the_closed_form_on_mixtures(pair, sigma_k):
     assert val == mmd_gaussian_kernel(k, mu, nu)
     sq, mass = _closed_form_sq(sigma_k, 0.7, mu, nu)
     assert abs(val**2 - sq) <= 1e-12 * mass
+
+
+def _closed_form_sq_mpmath(k, mu, nu):
+    """scale * sum_ij c_i c_j E[exp(-||X_i - X_j||^2 / (2 sigma^2))] over the signed components of mu - nu, to 50 digits.
+
+    The weights, means, widths, sigma and scale are the same floats the closed form reads.
+    """
+    w, m, s = _signed_components(mu, nu)
+    with mpmath.workdps(50):
+        sig2, c, v = mpmath.mpf(k.sigma) ** 2, [mpmath.mpf(x) for x in w], [mpmath.mpf(x) ** 2 for x in s]
+        pts = [[mpmath.mpf(x) for x in row] for row in m]
+
+        def term(i, j):
+            den = sig2 + v[i] + v[j]
+            sq = mpmath.fsum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
+            return c[i] * c[j] * (sig2 / den) ** (mpmath.mpf(k.d) / 2) * mpmath.exp(-sq / (2 * den))
+
+        n = len(c)
+        diag = mpmath.fsum(term(i, i) for i in range(n))
+        return mpmath.mpf(k.scale) * (diag + 2 * mpmath.fsum(term(i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def _closed_form_cases():
+    """Criterion 2's 200 (kernel, mu, nu) triples, drawn in its order, then 40 mixture pairs and one of 70 + 30 components."""
+    rng = stream_rng(SEED, 2)
+    cases = []
+    for _ in range(200):
+        kernel = KernelSpec.conv_root(RegularizerSpec(float(rng.uniform(0.3, 1.2))), 1)
+        n1, n2 = rng.integers(2, 5, size=2)
+        cases.append((kernel, _rand_discrete(rng, int(n1), 1), _rand_discrete(rng, int(n2), 1)))
+    rng = stream_rng(0xC1, 0)
+    for t in range(40):
+        d, (n1, n2) = 1 + t % 3, rng.integers(1, 7, size=2)
+        mu = GaussianMixture(rng.uniform(0.1, 1, n1), rng.normal(size=(n1, d)), rng.uniform(0.05, 2.0, n1))
+        nu = GaussianMixture(rng.uniform(0.1, 1, n2), rng.normal(size=(n2, d)), rng.uniform(0.05, 2.0, n2))
+        nu = nu if t % 2 else _rand_discrete(rng, int(n2), d)
+        cases.append((KernelSpec.gaussian(float(rng.uniform(0.3, 2.5)), d, scale=1.3), mu, nu))
+    mu = GaussianMixture(rng.uniform(0.1, 1, 70), rng.normal(size=(70, 2)), rng.uniform(0.05, 2.0, 70))
+    cases.append((KernelSpec.gaussian(0.8, 2), mu, _rand_discrete(rng, 30, 2)))
+    return cases
+
+
+def test_closed_form_square_is_within_its_round_off_bound():
+    """The closed form's square against a 50-digit sum, within (N + 15) eps 4 scale for N signed components.
+
+    First order in u = eps / 2, each term c_i c_j E kappa(X_i, X_j) of the
+    sum carries its own round-off and that of the additions it passes:
+    - its exponent -||m_i - m_j||^2 / (2 (sigma^2 + s_i^2 + s_j^2)) is off
+      by at most (d + 8) u of itself (the squared distance d + 2, sigma^2
+      and the width sum 5, the quotient 1); as |a| exp(-|a|) <= 1 / e this
+      is (d + 8) u / e of scale |c_i c_j|;
+    - the exp and the power (sigma^2 / den)^(d / 2) are within 2 ulps, and
+      the power's base within 7 u: at most (3.5 d + 9) u more;
+    - the two weight products, the scale and the root's rounding (2 u on the
+      square): 5 u more.  For d <= 3, R <= 29 u of scale |c_i c_j| a term;
+    - a row block of b <= 64 rows adds a term in two nested dots, at most
+      max(2b - 1, N - 1) additions, and the block values at most
+      N / 64 + 1 more: under 2N for every N.
+    So |m^2 - m_ref^2| <= (2N + 29) u scale (sum_i |c_i|)^2, and
+    sum_i |c_i| = 2 for two probability measures.  The worst relative
+    error of the value over criterion 2's pairs is also pinned: 4.02e-14
+    when the square was aa + bb - 2 ab, 1.86e-14 as one signed sum.
+    """
+    eps, worst = np.finfo(float).eps, 0.0
+    with mpmath.workdps(50):
+        for i, (k, mu, nu) in enumerate(_closed_form_cases()):
+            val, ref = mpmath.mpf(mmd_gaussian_kernel(k, mu, nu)), _closed_form_sq_mpmath(k, mu, nu)
+            n = _signed_components(mu, nu)[0].size
+            assert abs(val**2 - ref) <= (n + 15) * eps * 4 * k.scale
+            if i < 200:
+                worst = max(worst, float(abs(val - mpmath.sqrt(ref)) / mpmath.sqrt(ref)))
+    assert worst <= 1.9e-14
 
 
 def test_gmm_closed_form_two_gaussians():
@@ -513,27 +601,55 @@ def test_gauss_sums_on_every_thread_equal_one_thread_bit_for_bit(pair, sigma_k):
 
 
 def _split_far_pair():
-    """Rows 64-127 of mu sit far from everything else: only the cross sum's second block underflows."""
+    """mu's rows 64-127 sit at +30 and nu's atoms at -30: only the one sum's second row block meets a pair 60 apart and underflows."""
     near = stream_rng(0x7A).normal(size=(64, 1))
-    mu = DiscreteMeasure(np.vstack([near, near + 100.0]), np.ones(128))
-    return mu, DiscreteMeasure(near, np.ones(64))
+    mu = DiscreteMeasure(np.vstack([near, near + 30.0]), np.ones(128))
+    return mu, DiscreteMeasure(near - 30.0, np.ones(64))
 
 
 @several_cpus
 @pytest.mark.parametrize("threads", [1, 2])
-def test_error_state_reaches_every_thread(threads):
+def test_error_state_reaches_every_thread(monkeypatch, threads):
     """np.errstate is a context variable: a block on a pool thread raises in the caller, as on one thread."""
     mu, nu = _split_far_pair()
-    A, B = (mu.weights, mu.points, np.zeros(mu.n)), (nu.weights, nu.points, np.zeros(nu.n))
+    k = KernelSpec.gaussian(1.0, 1)
+    raised_on = []
+
+    def block(*args):
+        try:
+            return gauss_block(*args)
+        except FloatingPointError:
+            raised_on.append(threading.current_thread().name)
+            raise
+
+    gauss_block = discrepancy._gauss_block
+    monkeypatch.setattr(discrepancy, "_gauss_block", block)
     with _threads(threads):
-        assert _gauss_cross(*A, *B, 1.0, 1.0, 1) > 0  # numpy ignores underflow by default
+        assert mmd_gaussian_kernel(k, mu, nu) > 0  # numpy ignores underflow by default
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            _gauss_cross(*A, *B, 1.0, 1.0, 1)
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            mmd_gaussian_kernel(KernelSpec.gaussian(1.0, 1), mu, nu)
+            mmd_gaussian_kernel(k, mu, nu)
         # under `filterwarnings = ["error"]` a worker's warning is an exception in the caller
         with np.errstate(under="warn"), pytest.raises(RuntimeWarning, match="underflow"):
-            _gauss_cross(*A, *B, 1.0, 1.0, 1)
+            mmd_gaussian_kernel(k, mu, nu)
+    assert len(raised_on) == 1
+    assert raised_on[0].startswith("wmmd-blocks") == (threads > 1)
+
+
+@pytest.mark.parametrize("order", ["mixture first", "sample first"])
+def test_rates_sums_pool_from_2048_atoms(monkeypatch, order):
+    """N(0, 1) against n atoms: its rows average (n + 2) / 2 pairs, so the sum is pooled from n = 2,048 on."""
+    flags = []
+
+    def block_sum(block_value, starts, threaded=True):
+        flags.append(threaded)
+        return runtime._block_sum(block_value, starts, False)
+
+    monkeypatch.setattr(discrepancy, "_block_sum", block_sum)
+    normal, k = GaussianMixture([1.0], [[0.0]], [1.0]), KernelSpec.gaussian(1.0, 1)
+    for n in (512, 1024, 2048, 4096, 8192):
+        emp = DiscreteMeasure(stream_rng(0x9A, n).normal(size=(n, 1)), np.ones(n))
+        mmd_gaussian_kernel(k, *((normal, emp) if order == "mixture first" else (emp, normal)))
+    assert flags == [False, False, True, True, True]
 
 
 def _child_mmd(queue, mu, nu):

@@ -227,6 +227,45 @@ Over all twelve W_2 values of the two reports the absolute errors sum to
 10.4 ulp before and 13.9 after.  The `ratio` column follows its W_2; every
 MMD, the `fourier-bound` rhs column, and both summary sidecars are the same
 bytes.
+
+Two reports are re-recorded since the Gaussian closed form is one sum over
+the signed components of mu - nu, in place of aa + bb - 2 ab, and three
+since `SlopeFit.grid` holds the (n, mean) pairs themselves, so the `rates`
+CSVs print n as 64, not 63.999999999999979, and each mean as computed, not
+as exp(log(mean)).  The reference is `test_discrepancy._closed_form_sq_mpmath`,
+the 50-digit sum over the same floats.
+- `rates --trials 2` (N(0, 1) against two samples of n atoms): as (n, old
+  CSV, new CSV, reference mean, relative error old -> new, and the two
+  squares' errors in ulps of 4 = scale (sum_i |c_i|)^2, old -> new):
+
+      64     0.044185234659054259   0.044185234659054259  0.04418523465905524086    -2.22e-14 -> -2.22e-14   -0.07 -> -0.07, -0.08 -> -0.08
+      128    0.097725226822156244   0.097725226822156813  0.097725226822157383703   -1.17e-14 -> -5.84e-15   -0.22 -> -0.13, -0.23 -> -0.11
+      256    0.037681778887469167   0.03768177888746975   0.037681778887473455049   -1.14e-13 -> -9.83e-14   -0.48 -> -0.31, -0.20 -> -0.21
+      512    0.02158626820650178    0.021586268206506401  0.02158626820650599624    -1.95e-13 -> +1.88e-14   -0.08 -> +0.08, -0.37 -> -0.07
+      1024   0.011659609038345221   0.011659609038348749  0.011659609038352808718   -6.51e-13 -> -3.48e-13   -0.13 -> -0.03, -0.19 -> -0.12
+      2048   0.0079673396845500403  0.0079673396845553329 0.0079673396845610846706  -1.39e-12 -> -7.22e-13   -0.18 -> -0.18, -0.22 -> -0.03
+
+  A small MMD is the root of a square that cancels to about 1e-4 of 4, so
+  an error well under one ulp of 4 on the square is 1e-14 to 1e-12 of the
+  value.  The sidecar's slope moved -0.638924566883492 ->
+  -0.6389245668833102; the slope through the reference means is
+  -0.63892456688312887364.  `pass` is unchanged.
+- `smoothing`: the rhs column at sigma = 0.2 and 0.4 moved with its MMD (a
+  root of the closed form under the convolution-root kernel, d = 3, 8 atoms
+  a side).  As (sigma, old, new, reference, error in ulps old -> new):
+
+      mmd 0.2   0.707080719534353     0.7070807195343533    0.70708071953435318385   -1.38 -> +0.62
+      mmd 0.4   0.17617238680530714   0.176172386805307     0.17617238680530701738   +4.44 -> -0.56
+      rhs 0.2   9.6880801398249634    9.6880801398249652    9.6880801398249645615    -0.65 -> +0.35
+      rhs 0.4   5.6857529182106035    5.6857529182106017    5.6857529182106018366    +1.84 -> -0.16
+
+  The rhs reference takes the reference MMD through the same float
+  constant and exponents.  The sigma = 0.1 row and the sidecar are the same
+  bytes.
+- `rates --which w --d 1 --trials 2` and `--d 2`: only the CSVs, whose n
+  column and means lose the log round trip (d = 1, n = 1024:
+  0.0068113202708521489 -> 0.0068113202708521507, against the exact
+  0.0068113202708521514929).  Both sidecars are the same bytes.
 """
 
 import contextlib
@@ -317,15 +356,15 @@ RECORDED = {
             "0a5df6bf69bc9feeb09b603c9bf710a8b2f4e55a4887e3011cce06556f9a78d1",
         ),
         "rates --trials 2": (
-            "7ceaaaed72fbf8bed7d2c867e93ffa7f3774922a35a4a594b609330f947dfa08",
-            "c1a13ba1f9a05febdb1e86a2475902c04e0cd3ce9f63a3a46efb7ddc30a81d15",
+            "7f4f75ad953082599d86edfb04fc26e24b857957f88a90ca58a64c9011a6657f",
+            "1057c4d6912c8d159c43ea3f2c37ed8355781a655f3be1887d4846d088ac27c3",
         ),
         "rates --which w --d 1 --trials 2": (
-            "5b1e899d62cb72c3d7207d26f61391f7d73d33a4d0ceca1f4916217aa8effb70",
+            "8cb078344f22fae31d85c7ae8753b58b74095674e2e7897de8d24d283fe5f444",
             "62f8213e8735a3db60edf0bc33b3359b0e8b960ff3df08f60145d56ecc18c082",
         ),
         "rates --which w --d 2 --trials 2": (
-            "bd1cd1cbc58c801d7551a2d67a9fe678aae203a884c2bb4b742d57f7ffc703cb",
+            "08bb11658ee6a2984f1fa69b58994bffb9a119e34766483a361626046909ce28",
             "ec4fe84c6aee15534ab28f37819fe0152b6bdbd1b49bc4bdabbe59fd619de507",
         ),
         "fourier-bound --trials 2": (
@@ -333,7 +372,7 @@ RECORDED = {
             "34275bff23dd4afcb7db7c1b503d23c0324520b0363bdb3a182870e4b0c3485a",
         ),
         "smoothing": (
-            "0e053a7453f227b38b8e6f8f86ba3f52c5ca2cbc1da7fad189937bc9c85765a5",
+            "e3ed5598c313f4616ef9f32b3c63eb7110c2d9cd719c72c67ffad9c2a450bef2",
             "124064b3157e116f42d96690aa03ca83c82828a55e3a6e99f8136cf675de925e",
         ),
         "dominance --trials 10": (
