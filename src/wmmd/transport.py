@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
 from .kernels import _sq_dists
 from .measures import DiscreteMeasure, GaussianMixture, _scipy, _tanh_sinh, gmm_quantiles
 
-linear_sum_assignment, linprog = _scipy("optimize", "linear_sum_assignment"), _scipy("optimize", "linprog")
-csr_matrix = _scipy("sparse", "csr_matrix")
+linear_sum_assignment = _scipy("optimize", "linear_sum_assignment")
 
 __all__ = [
     "TransportPlan",
@@ -265,12 +265,8 @@ def _check_lists(mu, nu):
 
 
 def _is_uniform(mu, nu):
-    n = mu.n
-    return (
-        n == nu.n
-        and np.allclose(mu.weights, 1.0 / n, rtol=0.0, atol=1e-14)
-        and np.allclose(nu.weights, 1.0 / n, rtol=0.0, atol=1e-14)
-    )
+    """Equal sizes n and every weight within 1e-14 of 1/n, absolutely (never for nan or inf weights)."""
+    return mu.n == nu.n and all(np.abs(w - 1.0 / mu.n).max() <= 1e-14 for w in (mu.weights, nu.weights))
 
 
 def w_exact(p, mu, nu):
@@ -296,7 +292,7 @@ def w_exact(p, mu, nu):
     `mu` and `nu` may also be equal-length lists of measures; the result is
     then the list of `(value, plan)` pairs in input order.  Consecutive LP
     pairs are solved together as one block-diagonal LP of at most 10^6 plan
-    entries, which saves the per-call set-up of many small solves.
+    entries: many small pairs share one HiGHS solve (`linprog`) and its set-up.
     """
     if not isinstance(mu, list) and not isinstance(nu, list):
         return w_exact(p, [mu], [nu])[0]
@@ -396,26 +392,23 @@ def wasserstein(p, mu, nu):
 
 
 def _transport_constraints(supports):
-    """Block-diagonal equality matrix over the plan entries each block keeps.
+    """Column-wise (start, index) of the block-diagonal equality matrix of ones over the entries each block keeps.
 
     `supports` holds one boolean (n, m) mask per block; a block's columns are
     its kept entries in row-major order.  Each block has row sums for every
-    source atom and column sums for all but the last target atom (the
-    dropped constraint is implied by total mass).
+    source atom and column sums for all but the last target atom (the dropped
+    constraint is implied by total mass): entry (i, j) of a block whose rows
+    start at r0 has its 1s in row r0 + i and, unless j = m - 1, row r0 + n + j.
     """
-    rows, cols = [], []
-    r0 = c0 = 0
-    for keep in supports:
-        (n, m), idx = keep.shape, np.flatnonzero(keep)
-        k = np.arange(idx.size)
-        j = idx % m
-        in_col = j < m - 1
-        rows += [r0 + idx // m, r0 + n + j[in_col]]
-        cols += [c0 + k, c0 + k[in_col]]
-        r0 += n + m - 1
-        c0 += idx.size
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(r0, c0))
+    shape = np.array([keep.shape for keep in supports])
+    idx = [np.flatnonzero(keep) for keep in supports]
+    block = np.repeat(np.arange(len(supports)), [k.size for k in idx])
+    rows = shape.sum(axis=1) - 1
+    n, m, r0 = shape[block, 0], shape[block, 1], (np.cumsum(rows) - rows)[block]
+    i, j = np.divmod(np.concatenate(idx), m)
+    in_col = j < m - 1
+    index = np.stack([r0 + i, r0 + n + j], axis=1)[np.stack([np.ones_like(in_col), in_col], axis=1)]
+    return np.concatenate([[0], np.cumsum(1 + in_col)]), index
 
 
 def _sinkhorn_support(C, a, b):
@@ -456,6 +449,42 @@ def _lp_seed(C, a, b):
     return keep
 
 
+# `scipy.optimize.linprog(method="highs")`'s options (simplex strategy 1: dual).  At HiGHS's default 1e-7 feasibility
+# tolerances, entries near -1e-7 clip to plans that fail validate's 1e-9, and W_2 was 9e-9 off on an 83 x 71 pair.
+_HIGHS_OPTIONS = dict(presolve="on", simplex_strategy=1, output_flag=False, log_to_console=False,
+                      primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=_REDUCED_COST_TOL)
+
+
+def linprog(c, start, index, rhs):
+    """min c @ x over x >= 0 with A x = rhs, for A column-wise (start, index) with coefficients 1.
+
+    Hands HiGHS, through scipy's binding, the model and options `scipy.optimize.linprog(method="highs")`
+    would, without linprog's checks and result assembly.  The result holds `success`, `message` (the
+    model status), `nit` (simplex iterations), `x` and the row duals `row_dual`, the last two valid on success.
+    """
+    try:
+        from scipy.optimize._highspy import _core as h
+    except ImportError:
+        from scipy import __version__
+        raise RuntimeError(f"scipy {__version__} lacks the HiGHS binding scipy.optimize._highspy._core") from None
+    lp, A = h.HighsLp(), h.HighsSparseMatrix()
+    lp.num_col_, lp.num_row_ = A.num_col_, A.num_row_ = c.size, rhs.size
+    # lists convert into the binding's int and double vectors faster than arrays do
+    A.format_, A.start_, A.index_, A.value_ = h.MatrixFormat.kColwise, start.tolist(), index.tolist(), [1.0] * index.size
+    lp.a_matrix_, lp.col_cost_, lp.col_lower_, lp.col_upper_ = A, c, np.zeros(c.size), np.full(c.size, np.inf)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    highs = h._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(name, value)
+    passed = highs.passModel(lp) != h.HighsStatus.kError
+    ran = passed and highs.run() != h.HighsStatus.kError
+    status = highs.getModelStatus() if passed else h.HighsModelStatus.kModelError
+    ok, solution = ran and status == h.HighsModelStatus.kOptimal, highs.getSolution()
+    x, y = np.array(solution.col_value), np.array(solution.row_dual)
+    nit = highs.getInfo().simplex_iteration_count
+    return types.SimpleNamespace(success=ok, message=highs.modelStatusToString(status), nit=nit, x=x, row_dual=y)
+
+
 def _solve_transport_lp(blocks):
     """Optimal plans and costs for a list of (C, a, b) blocks, from restricted LPs.
 
@@ -463,7 +492,8 @@ def _solve_transport_lp(blocks):
     optimum of every block.  HiGHS's optimality tolerance is absolute, so
     each block's costs are first scaled by a power of two to a largest entry
     in [1/2, 1): the scaling is exact, and a block of tiny costs beside one of
-    large costs still gets an optimal vertex.  Costs are summed unscaled.
+    large costs still gets an optimal vertex.  Costs are summed unscaled.  Each
+    pass is one `linprog` call on the column-wise model of `_transport_constraints`.
 
     Each block is solved on a candidate support (`_lp_seed`; every entry for
     small blocks), and the answer is certified over the whole block: with the
@@ -490,20 +520,10 @@ def _solve_transport_lp(blocks):
     while todo:
         c = np.concatenate([scaled[k][supports[k]] for k in todo])
         rhs = np.concatenate([np.concatenate([subs[k][1], subs[k][2][:-1]]) for k in todo])
-        # HiGHS's default 1e-7 feasibility tolerances leave entries down to about -1e-7,
-        # whose clipping below breaks the marginals by more than validate's 1e-9, and
-        # accept vertices up to 1e-7 suboptimal (W_2 off by 9e-9 on an 83 x 71 pair).
-        res = linprog(
-            c,
-            A_eq=_transport_constraints([supports[k] for k in todo]),
-            b_eq=rhs,
-            bounds=(0, None),
-            method="highs",
-            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": _REDUCED_COST_TOL},
-        )
+        res = linprog(c, *_transport_constraints([supports[k] for k in todo]), rhs)
         if not res.success:
             raise RuntimeError(f"transport LP failed: {res.message}")
-        x, y = np.maximum(res.x, 0.0), res.eqlin.marginals
+        x, y = np.maximum(res.x, 0.0), res.row_dual
         grown, start, r0 = [], 0, 0
         for k in todo:
             keep, (n, m) = supports[k], scaled[k].shape

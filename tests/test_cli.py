@@ -505,6 +505,20 @@ def test_failed_lp_is_reported(data, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("E: transport LP failed: solver gave up")
 
 
+def test_missing_highs_binding_is_one_error_line(data, tmp_path, capsys, monkeypatch):
+    """A scipy without the HiGHS binding the LP is solved through ends as one E: line naming its version."""
+    import scipy
+    import scipy.optimize._highspy
+
+    monkeypatch.delattr(scipy.optimize._highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)  # import fails
+    p, X = data
+    q = tmp_path / "y.csv"
+    save_dataset(q, X[:7])
+    err = _fails_with_one_line(["wass", str(p), str(q)], capsys)
+    assert err == f"E: scipy {scipy.__version__} lacks the HiGHS binding scipy.optimize._highspy._core\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_sketch_rejects_non_finite_rows(tmp_path, capsys, bad):
     src = tmp_path / "x.csv"

@@ -43,6 +43,10 @@ def test_tracer_installs_and_counts():
         assert tracer.counts["kernels.spectral_sample_calls"] == 8
         assert tracer.self_s["transport.w_exact_s"] > 0
         assert tracer.self_s["discrepancy.mmd_discrete_s"] > 0
+        # the pair's one LP goes through the wrapped `transport.linprog`
+        assert tracer.counts["transport.lp_calls"] == 1
+        assert tracer.counts["transport.lp_iterations"] > 0
+        assert tracer.self_s["transport.lp_solve_s"] > 0
     finally:
         tracer.restore()
     assert not hasattr(wmmd.transport.w_exact, "__wrapped__")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse import block_diag, csc_matrix, csr_matrix
 
 from wmmd import transport
-from wmmd.kernels import _sq_dists
+from wmmd.kernels import KernelSpec, _sq_dists
 
-from wmmd.lab import w_rate
+from wmmd.lab import mmd_dominance_check, w_rate
 from wmmd.measures import DiscreteMeasure, GaussianMixture, stream_rng
 from wmmd.transport import (
     TransportPlan,
@@ -26,6 +27,13 @@ from wmmd.transport import (
     _quantile_cost_discrete,
     _transport_constraints,
 )
+
+
+def _constraint_matrix(supports):
+    """`_transport_constraints`' column-wise arrays as a CSC matrix of ones, with a block's n + m - 1 rows each."""
+    start, index = _transport_constraints(supports)
+    rows = sum(n + m - 1 for n, m in (keep.shape for keep in supports))
+    return csc_matrix((np.ones(index.size), index, start), shape=(rows, start.size - 1))
 
 
 def _uniform(points):
@@ -508,8 +516,8 @@ class TestExact:
             for i in range(n):
                 rows.append(n + j)
                 cols.append(i * m + j)
-        ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
-        A = _transport_constraints([np.ones((n, m), dtype=bool)])
+        ref = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m)).tocsc()
+        A = _constraint_matrix([np.ones((n, m), dtype=bool)])
         assert A.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, attr), getattr(ref, attr))
@@ -517,19 +525,13 @@ class TestExact:
     def test_lp_plan_within_validation_tolerance(self):
         """A pair whose HiGHS plan, at HiGHS's default 1e-7 feasibility
         tolerance, held entries near -7.7e-8; clipping them broke the row
-        marginals by more than `validate`'s 1e-9 (pair 112 of 400 drawn in
-        this order)."""
-        rng = np.random.default_rng([100, 6])
-        for _ in range(113):
-            X = rng.standard_normal((120, 2))
-            Y = rng.standard_normal((120, 2)) * rng.uniform(0.5, 1.5) + rng.uniform(-1, 1)
-            a, b = rng.uniform(0.1, 1, 120), rng.uniform(0.1, 1, 120)
-        mu, nu = DiscreteMeasure(X, a), DiscreteMeasure(Y, b)
+        marginals by more than `validate`'s 1e-9 (`_pair_112`)."""
+        mu, nu = _pair_112()
         val, plan = w_exact(2, mu, nu)
         assert plan.coupling.min() >= 0.0
         ref = linprog(
-            (_dist_matrix(X, Y) ** 2).ravel(),
-            A_eq=_transport_constraints([np.ones((120, 120), dtype=bool)]),
+            (_dist_matrix(mu.points, nu.points) ** 2).ravel(),
+            A_eq=_constraint_matrix([np.ones((120, 120), dtype=bool)]),
             b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
             bounds=(0, None),
             method="highs",
@@ -670,8 +672,8 @@ def test_constraint_blocks_are_block_diagonal():
     rng = stream_rng(0xB10C)
     shapes = [(1, 1), (2, 3), (5, 2), (4, 4)]
     for supports in ([np.ones(s, dtype=bool) for s in shapes], [rng.uniform(size=s) < 0.6 for s in shapes]):
-        A = _transport_constraints(supports)
-        ref = block_diag([_transport_constraints([keep]) for keep in supports], format="csr")
+        A = _constraint_matrix(supports)
+        ref = block_diag([_constraint_matrix([keep]) for keep in supports], format="csc")
         assert A.shape == ref.shape
         assert np.array_equal(A.toarray(), ref.toarray())
 
@@ -680,12 +682,128 @@ def test_constraint_blocks_are_block_diagonal():
 def test_constraint_columns_are_the_kept_entries(n, m):
     """A support keeps the full matrix's columns of its entries, in row-major order."""
     rng = stream_rng(0x5CC, n, m)
-    full = _transport_constraints([np.ones((n, m), dtype=bool)])
+    full = _constraint_matrix([np.ones((n, m), dtype=bool)])
     for density in (0.0, 0.1, 0.5, 1.0):
         keep = rng.uniform(size=(n, m)) < density
-        A = _transport_constraints([keep])
+        A = _constraint_matrix([keep])
         assert A.shape == (n + m - 1, np.count_nonzero(keep))
         assert np.array_equal(A.toarray(), full.toarray()[:, keep.ravel()])
+
+
+def _pair_112():
+    """Pair 112 of 400 weighted 120 x 120 pairs drawn in this order."""
+    rng = np.random.default_rng([100, 6])
+    for _ in range(113):
+        X = rng.standard_normal((120, 2))
+        Y = rng.standard_normal((120, 2)) * rng.uniform(0.5, 1.5) + rng.uniform(-1, 1)
+        a, b = rng.uniform(0.1, 1, 120), rng.uniform(0.1, 1, 120)
+    return DiscreteMeasure(X, a), DiscreteMeasure(Y, b)
+
+
+def _full_block(n, m):
+    rng = stream_rng(0xF011, n, m)
+    C, a, b = rng.uniform(size=(n, m)), rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+    return lambda: transport._solve_transport_lp([(C, a / a.sum(), b / b.sum())])
+
+
+def _dominance_batch():
+    """16 weighted pairs of 2-5 atoms a side in the plane, one of each size combination."""
+    rng = stream_rng(0xD0B)
+    pairs = [_weighted_pair(rng, n1, n2, 2) for n1 in range(2, 6) for n2 in range(2, 6)]
+    return lambda: mmd_dominance_check(KernelSpec.gaussian(1.0, 2), pairs, p=2)
+
+
+@pytest.mark.parametrize(
+    "solve, entries, seeded",
+    [
+        (_full_block(1, 1), 1, False),
+        (_full_block(2, 3), 6, False),
+        (_full_block(60, 50), 3000, False),
+        (lambda: w_exact(2, *_weighted_pair(stream_rng(0x140), 140, 140, 2)), 140 * 140, True),
+        (_dominance_batch(), (2 + 3 + 4 + 5) ** 2, False),
+        (lambda: w_exact(2, *_pair_112()), 120 * 120, True),
+    ],
+    ids=["1x1", "2x3", "60x50", "140x140-seeded", "dominance-batch", "pair-112"],
+)
+def test_direct_highs_solve_matches_linprog_bit_for_bit(monkeypatch, solve, entries, seeded):
+    """Every LP `transport` solves gives the x, row duals and simplex iterations of
+    `scipy.optimize.linprog(method="highs")` at the same tolerances, to the bit.
+
+    `transport.linprog` drives scipy's private HiGHS binding itself; this catches
+    a scipy release whose binding no longer solves as `linprog` does.  The
+    dominance batch is one block-diagonal LP of its 16 pairs' 196 plan entries.
+    """
+    if not seeded:
+        monkeypatch.setattr(transport, "_SEED_MIN_ENTRIES", np.inf)
+    calls, real = [], transport.linprog
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    solve()
+    first = calls[0][0][0].size
+    assert first < entries if seeded else (first == entries and len(calls) == 1)
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": transport._REDUCED_COST_TOL}
+    for (c, start, index, rhs), got in calls:
+        A = csc_matrix((np.ones(index.size), index, start), shape=(rhs.size, c.size))
+        ref = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs", options=tol)
+        assert ref.success and got.success
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.row_dual.tobytes() == ref.eqlin.marginals.tobytes()
+        assert got.nit == ref.nit
+
+
+def test_infeasible_lp_names_the_highs_status():
+    """Row masses of 1 against column masses of 2 on the kept target: HiGHS's status ends the solve."""
+    C = np.array([[0.5, 1.0], [0.25, 0.75]])
+    with pytest.raises(RuntimeError, match=r"^transport LP failed: Infeasible$"):
+        transport._solve_transport_lp([(C, np.array([0.5, 0.5]), np.array([2.0, 1.0]))])
+
+
+def test_highs_errors_are_failed_solves(monkeypatch):
+    """A model HiGHS refuses to load, or a run that returns kError, is a failed solve named by the model status."""
+    rejected = transport.linprog(np.ones(2), np.array([0, 1, 2]), np.array([0, 5]), np.ones(2))  # row 5 of 2
+    assert not rejected.success and rejected.message == "Model error"
+    from scipy.optimize._highspy import _core as h
+
+    class RunError(h._Highs):
+        def run(self):
+            return h.HighsStatus.kError
+
+    monkeypatch.setattr(h, "_Highs", RunError)
+    with pytest.raises(RuntimeError, match=r"^transport LP failed: Not Set$"):
+        transport._solve_transport_lp([(np.eye(2), np.array([0.5, 0.5]), np.array([0.25, 0.75]))])
+
+
+def test_uniform_check_is_absolute_at_1e_14():
+    """`_is_uniform` gives np.allclose(w, 1/n, rtol=0, atol=1e-14)'s answers on both sides of
+    the 1e-14 boundary, for nan and +-inf weights, and at n = 1."""
+
+    def measure(w):
+        return types.SimpleNamespace(n=len(w), weights=np.array(w, dtype=float))
+
+    def edge(u, toward):  # the last float from u toward +-inf within 1e-14 of u
+        w = u + np.copysign(1e-14 - 1e-17, toward)
+        while abs(np.nextafter(w, toward) - u) <= 1e-14:
+            w = np.nextafter(w, toward)
+        return w
+
+    cases = []
+    for n in (1, 3, 4):
+        u = 1.0 / n
+        for toward in (np.inf, -np.inf):
+            w = edge(u, toward)
+            cases += [[u] * (n - 1) + [w], [u] * (n - 1) + [np.nextafter(w, toward)]]
+        cases += [[u] * (n - 1) + [x] for x in (np.nan, np.inf, -np.inf)]
+    for w in cases:
+        expected = bool(np.allclose(w, 1.0 / len(w), rtol=0.0, atol=1e-14))
+        for a, b in ((w, [1.0 / len(w)] * len(w)), ([1.0 / len(w)] * len(w), w)):
+            assert bool(transport._is_uniform(measure(a), measure(b))) is expected, (a, b)
+    per_n = [True, False, True, False, False, False, False]  # each edge, one float past it, nan, inf, -inf
+    assert [bool(np.allclose(w, 1.0 / len(w), rtol=0.0, atol=1e-14)) for w in cases] == per_n * 3
+    assert not transport._is_uniform(measure([0.5, 0.5]), measure([1 / 3] * 3))
 
 
 def test_monotone_support_is_a_coupling():
