@@ -176,14 +176,56 @@ def _monotone_support(a, b):
     return q, i, j
 
 
+def _grid_cost(p, x, y):
+    """`_quantile_cost_discrete` for sorted x and y whose atoms carry equal masses 1/n and 1/N.
+
+    Every breakpoint k/n and l/N is an integer multiple of 1/L, L = lcm(n, N),
+    so the pieces and their masses are exact integers (int64: L < 2^63, which
+    n·N < 2^63 ensures).  When the smaller size divides the larger (N = r·n),
+    the k-th smallest x meets the r consecutive y from rank r·k on, each piece
+    of mass 1/N: one broadcast subtraction, done in the larger side's memory
+    (x and y are the caller's own sorted copies).  Otherwise the pieces end at
+    the merged multiples pos of L/n and L/N; the piece ending at pos meets
+    x[(pos - 1) // (L/n)] and y[(pos - 1) // (L/N)] with mass diff(pos) / L.
+    The terms are added by numpy's pairwise sum and divided by L once.
+    """
+    if x.size > y.size:  # |x - y| = |y - x|: let y be the larger side
+        x, y = y, x
+    n, N = x.size, y.size
+    if N % n == 0:
+        rows = y.reshape(n, -1)  # a view: the gaps overwrite y
+        rows -= x[:, None]
+        gap, L, mass = y, N, None
+    else:
+        L = math.lcm(n, N)
+        u, v = L // n, L // N  # coprime: the common multiples are those of u·v, every u-th of v's
+        pos = np.concatenate([np.arange(u, L + 1, u), np.arange(v, L + 1, v).reshape(-1, u)[:, :-1].ravel()])
+        pos.sort(kind="stable")  # two sorted runs: timsort merges them in one pass
+        mass = np.empty_like(pos)  # np.diff(pos, prepend=0), without its concatenated copy
+        mass[0] = pos[0]
+        np.subtract(pos[1:], pos[:-1], out=mass[1:])
+        pos -= 1
+        gap = x[pos // u]
+        gap -= y[pos // v]
+    np.abs(gap, out=gap)
+    gap, s = _pth_power(gap, p, gap.max())
+    if mass is not None:
+        gap *= mass
+    # numpy's pairwise sum, not a BLAS dot, whose bits depend on OpenBLAS's thread count
+    return float(gap.sum() / L), s
+
+
 def _quantile_cost_discrete(p, x, a, y, b):
     """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
 
     The integral is exact over the breakpoints of the monotone coupling of
-    the sorted atoms (`_monotone_support`).  Each side is sorted unstably
-    (atoms at equal positions cost the same in any order), by `np.sort` alone
-    when its weights are all equal.  The gaps and the breakpoint differences
-    are formed in place, and each index array is freed once read.
+    the sorted atoms.  Each side is sorted unstably (atoms at equal positions
+    cost the same in any order), by `np.sort` alone when its weights are all
+    equal.  When both sides have equal weights (empirical measures), the
+    breakpoints are the exact grid of `_grid_cost`: no cumulative sum, no
+    merge of floats.  Otherwise they are the merged cumulative weights of
+    `_monotone_support`; the gaps and the breakpoint differences are formed
+    in place, and each index array is freed once read.
     """
 
     def ordered(v, w):
@@ -192,6 +234,8 @@ def _quantile_cost_discrete(p, x, a, y, b):
         i = np.argsort(v)
         return v[i], w[i]
 
+    if a.min() == a.max() and b.min() == b.max():
+        return _grid_cost(p, np.sort(x), np.sort(y))
     (x, a), (y, b) = ordered(x, a), ordered(y, b)
     q, i, j = _monotone_support(a, b)
     gap = x[i]
@@ -210,15 +254,18 @@ def w1d(p, mu, nu):
     """W_p on the real line via the quantile coupling.
 
     Takes two discrete measures or two Gaussian mixtures.  Discrete pairs are
-    exact.  Mixture pairs integrate |F^-1 - G^-1|^p by `_tanh_sinh` over
-    q in (0, 1/2], the upper half as the mirrored mixtures' lower half, so
-    that both tails are resolved at levels near 0; each level's four
-    quantile functions are one `gmm_quantiles` call.  The integral is cut
-    where F - G changes sign (a kink; bisected up to 64 times, stopping at a
-    fixed point) and at each density's valleys (a steep quantile function),
-    found on a grid of +-12 sigma around every component.  The gaps are scaled
-    (see `_pth_power`) by one M fixed first: the largest gap at q = 1/2 and
-    1e-300, below the rule's smallest node.
+    exact.  When both have equal weights (empirical measures of n and N
+    atoms), the coupling's breakpoints are integers on the grid 1/L,
+    L = lcm(n, N) < 2^63, so no cumulative weight is rounded; a weighted side
+    merges the two cumulative-weight runs.  Mixture pairs integrate
+    |F^-1 - G^-1|^p by `_tanh_sinh` over q in (0, 1/2], the upper half as the
+    mirrored mixtures' lower half, so that both tails are resolved at levels
+    near 0; each level's four quantile functions are one `gmm_quantiles` call.
+    The integral is cut where F - G changes sign (a kink; bisected up to 64
+    times, stopping at a fixed point) and at each density's valleys (a steep
+    quantile function), found on a grid of +-12 sigma around every component.
+    The gaps are scaled (see `_pth_power`) by one M fixed first: the largest
+    gap at q = 1/2 and 1e-300, below the rule's smallest node.
     """
     _check_p(p)
     if mu.d != 1 or nu.d != 1:
@@ -481,7 +528,7 @@ def linprog(c, start, index, rhs):
     status = highs.getModelStatus() if passed else h.HighsModelStatus.kModelError
     ok, solution = ran and status == h.HighsModelStatus.kOptimal, highs.getSolution()
     x, y = np.array(solution.col_value), np.array(solution.row_dual)
-    nit = highs.getInfo().simplex_iteration_count
+    nit = max(highs.getInfo().simplex_iteration_count, 0)  # HiGHS reads -1 when no simplex ran
     return types.SimpleNamespace(success=ok, message=highs.modelStatusToString(status), nit=nit, x=x, row_dual=y)
 
 

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,9 +153,11 @@ def test_quantile_coupling_matches_merge_loop(atoms_a, atoms_b, p):
 
 
 def test_quantile_coupling_matches_searchsorted_form_exactly():
-    """Tie-free positions give the same breakpoints, atoms and sum, bit for bit."""
+    """Tie-free positions give the same breakpoints, atoms and sum, bit for bit: weighted pairs, and
+    uniform pairs on C09's grid (n = 2^7 ... 2^13 against 64n), whose cumulative sums of 1/n and
+    1/(64n) are exact, so the exact grid of `_grid_cost` keeps their bits."""
     rng = stream_rng(404)
-    cases = [(8192, 64 * 8192, 1), (512, 64 * 512, 2)]
+    cases = [(2**k, 64 * 2**k, 1) for k in range(7, 14)] + [(512, 64 * 512, 2)]
     cases += [(int(n), int(m), p) for n, m in rng.integers(1, 60, (40, 2)) for p in (1, 2, 3)]
     for n, m, p in cases:
         x, y = rng.uniform(size=n), rng.normal(size=m)
@@ -243,13 +246,179 @@ _ZEROS = np.array([-0.0, 0.0, 0.0, -0.0])
 
 @given(_side(), _side(), st.sampled_from([1, 2, 3, 200]))
 @example((_ZEROS, np.full(4, 0.25)), (_ZEROS[::-1], np.array([0.5, 0.0, 0.25, 0.25])), 2)
-@example((_ZEROS, np.full(4, 0.25)), (np.array([0.0, -0.0, 1.0]), np.full(3, 1 / 3)), 1)
 @settings(max_examples=300, deadline=None)
 def test_equal_weight_sides_match_the_argsort_path_bit_for_bit(side_a, side_b, p):
-    """A side of equal weights is sorted by value alone and its weights are not gathered."""
+    """Beside a weighted side, a side of equal weights is sorted by value alone and its weights are
+    not gathered.  Pairs with equal weights on both sides take the exact grid instead (see
+    `test_equal_weight_pairs_are_within_their_rounding_of_the_exact_grid`)."""
     (x, a), (y, b) = side_a, side_b
+    assume(a.min() != a.max() or b.min() != b.max())
     got = _quantile_cost_discrete(p, x, a, y, b)
     assert [v.hex() for v in got] == [v.hex() for v in _argsort_cost(p, x, a, y, b)]
+
+
+_U, _ETA = Fraction(1, 2**53), Fraction(1, 2**1075)  # unit round-off; half the smallest subnormal
+
+
+def _exact_grid_cost(p, x, y):
+    """Exact integral of |F^-1 - G^-1|^p for atoms x of mass 1/n and y of mass 1/N, as a Fraction.
+
+    A walk over the 1/L grid, L = lcm(n, N), in Python integers: the positions are scaled by a
+    common power of two to integers, and each piece adds (its width in 1/L) * |X_i - Y_j|^p.
+    """
+    x, y = sorted(float(v) for v in x), sorted(float(v) for v in y)
+    n, N = len(x), len(y)
+    L = math.lcm(n, N)
+    ratios = [v.as_integer_ratio() for v in x + y]  # denominators are powers of two
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    ints = [num << (shift + 1 - d.bit_length()) for num, d in ratios]
+    X, Y = ints[:n], ints[n:]
+    i = j = prev = total = 0
+    while i < n and j < N:
+        end = min((i + 1) * (L // n), (j + 1) * (L // N))
+        total += (end - prev) * abs(X[i] - Y[j]) ** p
+        prev = end
+        i += (i + 1) * (L // n) == end
+        j += (j + 1) * (L // N) == end
+    return Fraction(total, L << (shift * p))
+
+
+def _pairwise_depth(k):
+    """The most roundings one term meets in numpy's pairwise sum of k terms.
+
+    Below 8 terms a running sum from 0; up to 128, eight running sums of k // 8 terms, three levels
+    joining them and the k % 8 rest added one by one; above, one more level over two halves split at
+    a multiple of 8.  (Emulated in Python, this order gives `np.sum`'s bits at every size tried.)
+    """
+    if k < 8:
+        return max(k - 1, 0)
+    if k <= 128:
+        return k // 8 - 1 + 3 + k % 8
+    half = k // 2 - k // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(k - half))
+
+
+def _power_roundings(p, rescaled):
+    """Roundings a gap^p term carries, in units of u: the difference and (when rescaled) the division
+    by s, each raised to p, then the power: exact at p = 1, one square at p = 2, else libm's `pow`,
+    within 1 ulp (2u)."""
+    return (2 if rescaled else 1) * p + {1: 0, 2: 1}.get(p, 2)
+
+
+def _gamma(c):
+    return c * _U / (1 - c * _U)
+
+
+def _grid_error_bound(p, n, N, s, exact):
+    """Largest |cost - exact| `_grid_cost` may show, from its roundings.
+
+    Each of the K pieces (K = N when n divides N, else n + N - gcd(n, N)) is
+    fl(w * fl(fl(|x - y| / s)^p)), its integer mass w exact in float (L < 2^53 here; the
+    product is formed only when n and N do not divide each other), then numpy's pairwise sum and
+    one division by L.  By Higham's lemma a term that meets c roundings of relative size u is off by
+    a factor within gamma_c = cu / (1 - cu), with c = `_power_roundings` + 1 (product) +
+    `_pairwise_depth(K)` + 1 (division).  The terms are nonnegative, so the cost is within gamma_c
+    of `exact`, about c ulps of it: c is at most 26 at p <= 3 on the drawn sizes (31 on 1,000
+    against 64,000 atoms) and up to 420 at p = 200, where the difference's rounding is raised to
+    the 200th power.  Roundings in the subnormal range are absolute instead, at most
+    eta = 2^-1075 each at the power, the product and the division, and the first two carry
+    weights summing to at most L before the division by L: with the relative factors, below
+    4 eta in all.
+    """
+    lo, hi = sorted((n, N))
+    divides = hi % lo == 0
+    assert math.lcm(n, N) < 2**53
+    pieces = hi if divides else n + N - math.gcd(n, N)
+    c = _power_roundings(p, s != 1.0) + (0 if divides else 1) + _pairwise_depth(pieces) + 1
+    return _gamma(c) * exact + 4 * _ETA
+
+
+_RELATIONS = {  # (n, N) from two draws k, r in 1..8
+    "n | N": lambda k, r: (k, k * r),
+    "N | n": lambda k, r: (k * r, k),
+    "coprime": lambda k, r: (k, k * r + 1),
+    "shared factor": lambda k, r: (2 * k, 3 * k),
+    "n = N": lambda k, r: (k, k),
+    "n = 1": lambda k, r: (1, k * r),
+}
+
+
+@st.composite
+def _equal_pair(draw):
+    """Positions with ties and signed zeros for n and N atoms, n and N in one of `_RELATIONS`."""
+    n, N = _RELATIONS[draw(st.sampled_from(sorted(_RELATIONS)))](draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    return tuple(np.array(draw(st.lists(_signed, min_size=m, max_size=m))) for m in (n, N))
+
+
+def _check_grid_cost(p, x, y):
+    n, N = x.size, y.size
+    cost, s = _quantile_cost_discrete(p, x, np.full(n, 1.0 / n), y, np.full(N, 1.0 / N))
+    exact = _exact_grid_cost(p, x, y) / Fraction(s) ** p
+    assert abs(Fraction(cost) - exact) <= _grid_error_bound(p, n, N, s, exact)
+    return cost, exact
+
+
+@given(_equal_pair(), st.sampled_from([1, 2, 3, 200]))
+@example((_ZEROS, np.array([0.0, -0.0, 1.0])), 1)  # exactly 1/3; merged cumulative sums read 1 ulp high
+@settings(max_examples=200, deadline=None)
+def test_equal_weight_pairs_are_within_their_rounding_of_the_exact_grid(pair, p):
+    """Equal weights on both sides: the cost is within `_grid_error_bound` of the exact sum over
+    the 1/lcm(n, N) grid, for n | N, N | n, coprime and other sizes, n = N and n = 1."""
+    _check_grid_cost(p, *pair)
+
+
+def test_equal_weight_grid_keeps_its_rounding_where_cumulative_sums_drift():
+    """1,000 against 64,000 normal draws at p = 2: the float cumulative sums of 1/n and 1/N round
+    apart where k/n = l/N, so the merged route misplaces pieces.  The grid route stays within its
+    rounding (it reads -0.26 ulp from the exact cost), while the merged route is 1.6e-10 off."""
+    rng = stream_rng(0x6D1D)
+    x, y = rng.normal(size=1000), rng.normal(size=64000)
+    cost, exact = _check_grid_cost(2, x, y)
+    merged = _argsort_cost(2, x, np.full(1000, 1e-3), y, np.full(64000, 1 / 64000))[0]
+    assert abs(Fraction(merged) - exact) > 1e-12 * exact
+
+
+def test_splitting_an_atom_keeps_the_cost_across_routes():
+    """Split one atom of an equal-weight pair into two half-weight atoms at the same position: the
+    measure is the same, but the pair now takes the merged cumulative-weight route.  On 50 pairs
+    (the sizes of `_RELATIONS`, normal positions, p = 1, 2, 3) the two routes agree within the sum
+    of their error bounds.
+
+    Grid route: within gamma_ce of the exact cost V (`_grid_error_bound`).  Merged route: the
+    breakpoint after b atoms of a side of m atoms is a sequential cumulative sum of b rounded
+    weights, within gamma_b of its exact value (b < m; the last is pinned to 1).  Moving one
+    breakpoint by e changes which atom a piece of width e meets, so the integral by at most
+    e * T, T = (largest |x - y|)^p; E * T in all, E the sum over both sides' breakpoints.  Its
+    pieces then meet the difference and the power (`_power_roundings`), one rounding of each
+    breakpoint difference, one of each product and the pairwise sum over at most m_a + m_b
+    pieces: within gamma_cw of V + E * T.  So |merged - grid| <= gamma_ce V + gamma_cw (V + E T)
+    + E T + 8 eta (each route's underflow allowance), with V <= grid / (1 - gamma_ce).  No scale is
+    taken at these p (both s read 1).
+    """
+    rng = stream_rng(0x5B117)
+    relations = sorted(_RELATIONS)
+    for t in range(50):
+        p = 1 + t % 3
+        n, N = _RELATIONS[relations[t % len(relations)]](*(int(v) for v in rng.integers(1, 9, 2)))
+        x, y = rng.normal(size=n), rng.normal(size=N) + rng.uniform(-1, 1)
+        a, b = np.full(n, 1.0 / n), np.full(N, 1.0 / N)
+        grid, s = _quantile_cost_discrete(p, x, a, y, b)
+        k = int(rng.integers(n))  # split x's atom k: two atoms of weight a[k] / 2 at x[k]
+        xs, ws = np.insert(x, k, x[k]), np.insert(a, k, a[k] / 2)
+        ws[k + 1] /= 2
+        if t % 2:  # the split side second
+            merged, sw = _quantile_cost_discrete(p, y, b, xs, ws)
+        else:
+            merged, sw = _quantile_cost_discrete(p, xs, ws, y, b)
+        assert s == sw == 1.0
+        gamma_ce = _grid_error_bound(p, n, N, 1.0, 1) - 4 * _ETA
+        V = Fraction(grid) / (1 - gamma_ce)
+        E = sum(_gamma(j) for m in (n + 1, N) for j in range(1, m))
+        T = max(Fraction(x.max()) - Fraction(y.min()), Fraction(y.max()) - Fraction(x.min())) ** p
+        depth = max(_pairwise_depth(j) for j in range(1, n + N + 2))
+        gamma_cw = _gamma(_power_roundings(p, False) + 2 + depth)
+        tol = gamma_ce * V + gamma_cw * (V + E * T) + E * T + 8 * _ETA
+        assert abs(Fraction(merged) - Fraction(grid)) <= tol, (n, N, p)
 
 
 def test_overshoot_example_passes_one_early():
@@ -763,9 +932,10 @@ def test_infeasible_lp_names_the_highs_status():
 
 
 def test_highs_errors_are_failed_solves(monkeypatch):
-    """A model HiGHS refuses to load, or a run that returns kError, is a failed solve named by the model status."""
+    """A model HiGHS refuses to load, or a run that returns kError, is a failed solve named by the model
+    status, with 0 simplex iterations (HiGHS's own count reads -1 when no simplex ran)."""
     rejected = transport.linprog(np.ones(2), np.array([0, 1, 2]), np.array([0, 5]), np.ones(2))  # row 5 of 2
-    assert not rejected.success and rejected.message == "Model error"
+    assert not rejected.success and rejected.message == "Model error" and rejected.nit == 0
     from scipy.optimize._highspy import _core as h
 
     class RunError(h._Highs):
@@ -773,6 +943,8 @@ def test_highs_errors_are_failed_solves(monkeypatch):
             return h.HighsStatus.kError
 
     monkeypatch.setattr(h, "_Highs", RunError)
+    not_run = transport.linprog(np.ones(2), np.array([0, 1, 2]), np.array([0, 1]), np.ones(2))
+    assert not not_run.success and not_run.message == "Not Set" and not_run.nit == 0
     with pytest.raises(RuntimeError, match=r"^transport LP failed: Not Set$"):
         transport._solve_transport_lp([(np.eye(2), np.array([0.5, 0.5]), np.array([0.25, 0.75]))])
 
@@ -850,13 +1022,18 @@ def _traced_peak(f, *args):
 
 def test_w1d_and_atom_distances_stay_within_their_memory():
     """Peaks, traced after the inputs exist: the 1-D coupling of 8,192 against 64 x 8,192 uniform
-    atoms below 6 x 8(n + N) bytes (it was 9.2x), and 1,024^2 distances in d = 3 below
-    1.5 x 8nm bytes (it was 3.0x).  scipy.optimize is imported by this module, so its first-call
-    import (about 24 MiB) is not traced."""
+    atoms (the exact grid, its gaps formed in the larger side's sorted copy) below 1.5 x 8(n + N)
+    bytes (it reads 1.02x; 9.2x, then 4.9x, on the merged route), the same with the 8,192 atoms
+    weighted (the merged route) below 6 x 8(n + N) bytes (it reads 5.02x), and 1,024^2 distances
+    in d = 3 below 1.5 x 8nm bytes (it was 3.0x).  scipy.optimize is imported by this module, so
+    its first-call import (about 24 MiB) is not traced."""
     rng = stream_rng(0x3E3)
     n, N = 8192, 64 * 8192
     mu, nu = _uniform(rng.uniform(size=(n, 1))), _uniform(rng.uniform(size=(N, 1)))
-    assert _traced_peak(w1d, 1, mu, nu) < 6 * 8 * (n + N)
+    assert _traced_peak(w1d, 1, mu, nu) < 1.5 * 8 * (n + N)
+    a = rng.uniform(0.1, 1, n)
+    weighted = DiscreteMeasure(rng.uniform(size=(n, 1)), a / a.sum())
+    assert _traced_peak(w1d, 1, weighted, nu) < 6 * 8 * (n + N)
     X, Y = _uniform(rng.uniform(size=(1024, 3))), _uniform(rng.uniform(size=(1024, 3)))
     assert _traced_peak(transport._atom_dists, X, Y) < 1.5 * 8 * 1024**2
 
