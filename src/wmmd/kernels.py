@@ -173,8 +173,8 @@ class KernelSpec:
             return acc / T
         if self.family == "modified":
             return self.base.gram(X, Y) + self.mean_weight * (X @ Y.T)
-        r = np.sqrt(_sq_dists(X, Y))
-        return self._kappa0_r(r)
+        with np.errstate(over="ignore"):  # atoms beyond about 1e154 apart are at distance inf by design
+            return self._kappa0_r(np.sqrt(_sq_dists(X, Y)))
 
     # -- spectral representation -------------------------------------------
 

@@ -50,33 +50,28 @@ _DIST_BLOCK_ENTRIES = 2**15  # entries per `_sq_dists` call of `_dist_matrix` (2
 class TransportPlan:
     """A feasible coupling together with its transport cost.
 
-    `cost` is the sum of coupling_ij (|x_i - y_j| / scale)^p; `scale` is 1
-    unless the distances or their p-th powers leave the normal float range.
+    `cost` is the sum of coupling_ij C_ij for `_cost_matrix`'s (C, s, t), and
+    W_p = scale * cost^(1/p) for `scale` = s / t (inf where M / t is not a float).
     """
 
     __slots__ = ("coupling", "cost", "p", "source", "target", "scale")
 
     def __init__(self, coupling, cost, p, source, target, cost_matrix=None, scale=1.0):
-        self.coupling = coupling
-        self.cost = float(cost)
-        self.p = float(p)
-        self.source = source
-        self.target = target
-        self.scale = float(scale)
+        self.coupling, self.source, self.target = coupling, source, target
+        self.cost, self.p, self.scale = float(cost), float(p), float(scale)
         self.validate(cost_matrix=cost_matrix)
 
     def validate(self, cost_matrix=None):
-        """Check marginals, sign and stored cost; `cost_matrix` is (|x_i - y_j| / scale)^p if known."""
-        g = self.coupling
+        """Check marginals, sign and stored cost; `cost_matrix` is `_cost_matrix`'s C if known."""
+        g, mu, nu = self.coupling, self.source, self.target
         if np.any(g < -_PLAN_TOL):
             raise ValueError("coupling has negative mass")
-        if np.max(np.abs(g.sum(axis=1) - self.source.weights)) > _PLAN_TOL:
+        if np.max(np.abs(g.sum(axis=1) - mu.weights)) > _PLAN_TOL:
             raise ValueError("row marginals do not match source weights")
-        if np.max(np.abs(g.sum(axis=0) - self.target.weights)) > _PLAN_TOL:
+        if np.max(np.abs(g.sum(axis=0) - nu.weights)) > _PLAN_TOL:
             raise ValueError("column marginals do not match target weights")
         if cost_matrix is None:
-            D, t = _atom_dists(self.source, self.target)
-            cost_matrix = (D / (t * self.scale)) ** self.p
+            cost_matrix = _cost_matrix(self.p, mu, nu, mu.n if _is_uniform(mu, nu) else 1)[0]
         recomputed = float(np.vdot(g, cost_matrix))
         if abs(recomputed - self.cost) > _PLAN_TOL * max(1.0, abs(self.cost)):
             raise ValueError("stored cost inconsistent with the plan")
@@ -96,45 +91,61 @@ def _dist_matrix(X, Y):
     return D
 
 
+def _prescale(mu, nu):
+    """The power of two t <= 1 that scales the largest coordinate with mass to just under 2^480."""
+    big = max(np.abs(m.points[m.weights > 0]).max() for m in (mu, nu))
+    return float(np.ldexp(1.0, min(0, 480 - int(np.frexp(big)[1]))))
+
+
 def _atom_dists(mu, nu):
     """(D, t): the distances between the atoms of mu and nu, times a power of two t.
 
     t is 1 unless squared coordinate differences overflow (coordinates beyond
-    about 1e154).  Then the points are first scaled by t, which is exact, to a
-    largest coordinate with mass just under 2^480: the squares stay finite in
-    fewer than 2^60 dimensions, and differences down to 2^-990 of that
-    coordinate keep normal squares.  Distances that still overflow reach
-    only atoms without mass, and are set to 0; no plan moves mass over them.
+    about 1e154); then the points are first scaled by `_prescale`'s t: the
+    squares stay finite in fewer than 2^60 dimensions, and differences down to
+    2^-990 of the largest coordinate keep normal squares.  Distances from atoms
+    without mass are set to 0: no plan moves mass over them, and so the costs
+    stay finite and D.max() is the largest distance that carries mass.
     """
     try:
         with np.errstate(over="raise", under="ignore"):
-            return _dist_matrix(mu.points, nu.points), 1.0
+            D, t = _dist_matrix(mu.points, nu.points), 1.0
     except FloatingPointError:
-        pass
-    big = max(np.abs(m.points[m.weights > 0]).max() for m in (mu, nu))
-    t = np.ldexp(1.0, min(0, 480 - int(np.frexp(big)[1])))
-    with np.errstate(all="ignore"):
-        D = _dist_matrix(mu.points * t, nu.points * t)
-    D[~np.isfinite(D)] = 0.0
-    return D, float(t)
+        t = _prescale(mu, nu)
+        with np.errstate(all="ignore"):  # only distances from atoms without mass still overflow
+            D = _dist_matrix(mu.points * t, nu.points * t)
+    D[mu.weights == 0] = D[:, nu.weights == 0] = 0.0
+    return D, t
 
 
-def _pth_power(D, p, M):
-    """((D / s)^p, s), computed in D's own memory: s is 1 unless M^p leaves the normal float range, else M.
+def _pth_power(D, p, M, count):
+    """((D / s)^p, s) in D's own memory: s is 1 unless count * M^p leaves the normal float range, else M.
 
-    Raising distances to a large p overflows (or underflows to 0) before the
-    root is taken; dividing by M, the largest distance that carries mass,
-    keeps the largest term at 1, and W_p is s times the p-th root of the
-    rescaled cost.  `D **= p` takes numpy's scalar-power path, as `D ** p` does.
+    Blue's scaled accumulation (1978, ACM TOMS 4(1)): the caller adds `count`
+    terms of at most M^p, M the largest distance that carries mass (L grid
+    pieces, n assigned pairs, 2 mixture rows, 1 for masses summing to 1);
+    divided by M each is at most 1.  Terms far below it underflow to 0.
     """
     with np.errstate(over="ignore", under="ignore"):
-        Mp = np.power(M, p)
-    with np.errstate(under="ignore"):  # terms far below the largest underflow to 0 by design
-        rescale = M > 0 and not _TINY <= Mp <= _HUGE
+        rescale = M > 0 and not _TINY <= np.power(M, p) <= _HUGE / count
+    with np.errstate(under="ignore"):
         if rescale:
             D /= M
         D **= p
     return D, float(M) if rescale else 1.0
+
+
+def _cost_matrix(p, mu, nu, count):
+    """(C, s, t): the costs (t |x_i - y_j| / s)^p of `count` summed terms (`_atom_dists`, `_pth_power`)."""
+    D, t = _atom_dists(mu, nu)
+    return *_pth_power(D, p, D.max(), count), t
+
+
+def _value(p, cost, s, t):
+    """W_p = s cost^(1/p) / t, the power of two t last; `ValueError` naming p where W_p is not a float."""
+    if (w := s * float(cost ** (1.0 / p)) / t) < np.inf:
+        return w
+    raise ValueError(f"W_p at p = {p:g} exceeds the largest float")
 
 
 def _monotone_support(a, b):
@@ -208,7 +219,7 @@ def _grid_cost(p, x, y):
         gap = x[pos // u]
         gap -= y[pos // v]
     np.abs(gap, out=gap)
-    gap, s = _pth_power(gap, p, gap.max())
+    gap, s = _pth_power(gap, p, gap.max(), L)
     if mass is not None:
         gap *= mass
     # numpy's pairwise sum, not a BLAS dot, whose bits depend on OpenBLAS's thread count
@@ -219,13 +230,11 @@ def _quantile_cost_discrete(p, x, a, y, b):
     """(cost, s): s^p times cost is the integral of |F^-1 - G^-1|^p (see `_pth_power`).
 
     The integral is exact over the breakpoints of the monotone coupling of
-    the sorted atoms.  Each side is sorted unstably (atoms at equal positions
-    cost the same in any order), by `np.sort` alone when its weights are all
-    equal.  When both sides have equal weights (empirical measures), the
-    breakpoints are the exact grid of `_grid_cost`: no cumulative sum, no
-    merge of floats.  Otherwise they are the merged cumulative weights of
-    `_monotone_support`; the gaps and the breakpoint differences are formed
-    in place, and each index array is freed once read.
+    the atoms, each side sorted unstably (atoms at equal positions cost the
+    same in any order; by `np.sort` alone when its weights are all equal).
+    Equal weights on both sides take the exact grid of `_grid_cost`; else the
+    breakpoints are `_monotone_support`'s merged cumulative weights, and the
+    gaps and their masses are formed in place, each index array freed once read.
     """
 
     def ordered(v, w):
@@ -243,7 +252,7 @@ def _quantile_cost_discrete(p, x, a, y, b):
     gap -= y[j]
     del j
     np.abs(gap, out=gap)
-    gap, s = _pth_power(gap, p, gap.max())
+    gap, s = _pth_power(gap, p, gap.max(), 1)
     q[1:] -= q[:-1]  # np.diff(q, prepend=0.0): q[0] - 0.0 is q[0]
     # numpy's pairwise sum, not a BLAS dot, whose bits depend on OpenBLAS's
     # thread count; einsum's running sum strays up to 13 ulp at 64n atoms
@@ -254,25 +263,32 @@ def w1d(p, mu, nu):
     """W_p on the real line via the quantile coupling.
 
     Takes two discrete measures or two Gaussian mixtures.  Discrete pairs are
-    exact.  When both have equal weights (empirical measures of n and N
-    atoms), the coupling's breakpoints are integers on the grid 1/L,
-    L = lcm(n, N) < 2^63, so no cumulative weight is rounded; a weighted side
-    merges the two cumulative-weight runs.  Mixture pairs integrate
-    |F^-1 - G^-1|^p by `_tanh_sinh` over q in (0, 1/2], the upper half as the
-    mirrored mixtures' lower half, so that both tails are resolved at levels
-    near 0; each level's four quantile functions are one `gmm_quantiles` call.
-    The integral is cut where F - G changes sign (a kink; bisected up to 64
-    times, stopping at a fixed point) and at each density's valleys (a steep
-    quantile function), found on a grid of +-12 sigma around every component.
-    The gaps are scaled (see `_pth_power`) by one M fixed first: the largest
-    gap at q = 1/2 and 1e-300, below the rule's smallest node.
+    exact: equal weights on both sides (empirical measures of n and N atoms)
+    meet on the integer grid 1/L, L = lcm(n, N) < 2^63; a weighted side merges
+    the cumulative weights.  Gaps that overflow take `_atom_dists`' prescale,
+    the terms `_pth_power`'s count rule, and a W_p beyond the float range
+    raises `ValueError` naming p.  Mixture pairs integrate |F^-1 - G^-1|^p by
+    `_tanh_sinh` over q in (0, 1/2], the upper half as the mirrored mixtures'
+    lower half, so both tails are resolved near 0; a level's four quantile
+    functions are one `gmm_quantiles` call.  The integral is cut where F - G
+    changes sign (a kink; bisected up to 64 times, stopping at a fixed point)
+    and at each density's valleys (a steep quantile function), found on a
+    grid of +-12 sigma around every component.  The gaps are scaled by one M
+    fixed first: the largest gap at q = 1/2 and 1e-300, below the rule's
+    smallest node.
     """
     _check_p(p)
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w1d needs 1-D measures")
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        c, s = _quantile_cost_discrete(p, mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
-        return s * c ** (1.0 / p)
+        x, y = mu.points[:, 0], nu.points[:, 0]
+        try:
+            with np.errstate(over="raise", under="ignore"):
+                return _value(p, *_quantile_cost_discrete(p, x, mu.weights, y, nu.weights), 1.0)
+        except FloatingPointError:  # a gap beyond the float range: prescale as `_atom_dists` does
+            t = _prescale(mu, nu)
+        with np.errstate(under="ignore"):
+            return _value(p, *_quantile_cost_discrete(p, x * t, mu.weights, y * t, nu.weights), t)
     if not (isinstance(mu, GaussianMixture) and isinstance(nu, GaussianMixture)):
         raise ValueError("w1d takes two discrete measures or two Gaussian mixtures")
 
@@ -296,9 +312,9 @@ def w1d(p, mu, nu):
     marks = [(0, a)] + [(k, x[1:-1][valleys(mus[k].pdf(x))]) for k in (0, 2)]
     levels = np.concatenate([np.r_[mus[k].cdf(y), mus[k + 1].cdf(-y)] for k, y in marks])
     M = gaps(np.array([1e-300, 0.5])).max()
-    f = lambda q: _pth_power(gaps(q), p, M)[0].sum(axis=0)
+    f = lambda q: _pth_power(gaps(q), p, M, 2)[0].sum(axis=0)
     cuts = np.unique(np.r_[0.0, 0.5, levels[levels < 0.5]])
-    return _pth_power(M, p, M)[1] * _tanh_sinh(f, cuts) ** (1.0 / p)
+    return _value(p, _tanh_sinh(f, cuts), _pth_power(M, p, M, 2)[1], 1.0)
 
 
 def _check_p(p):
@@ -320,21 +336,19 @@ def w_exact(p, mu, nu):
     """Exact W_p between discrete measures with an optimal plan.
 
     Uniform equal-size inputs reduce to an assignment problem (Birkhoff);
-    the general case is solved as an LP on the transport polytope, which
-    refuses instances with more than 10^6 plan entries.  1-D pairs take
-    these routes too, not the quantile coupling `w1d`.  HiGHS's tolerances are
-    absolute on costs scaled to at most 1, so at large p, where most scaled
-    costs are far below the largest, the LP value is not certified: on a
-    1-D pair at p = 200 it can read three times `w1d`'s.  LPs of at least
-    2^10 plan entries are solved on a Sinkhorn-seeded support (`_lp_seed`) and
-    certified over every entry by their reduced costs (see
-    `_solve_transport_lp`).  When the distances or their p-th powers would
-    leave the float range they are rescaled first (see `_atom_dists` and
-    `_pth_power`), and the plan's `scale` holds the factor.  An optimum of cost
-    0 that moves mass over a positive distance raises `ValueError`: at such a
-    p every scaled cost below the largest has underflowed to 0.  It stands
-    where W_p is within round-off of 0 or mu and nu are equal measures (see
-    `_zero_cost_plan`).
+    the general case is an LP on the transport polytope of at most 10^6 plan
+    entries.  1-D pairs take these routes too, not `w1d`.  LPs of at least
+    2^10 entries are solved on a Sinkhorn-seeded support (`_lp_seed`) and
+    certified over every entry by their reduced costs (`_solve_transport_lp`).
+    HiGHS's tolerances are absolute on costs scaled to at most 1, so at large
+    p the LP value is not certified: on a 1-D pair at p = 200 it can read
+    three times `w1d`'s.  The costs follow one range rule (`_cost_matrix`):
+    coordinates beyond about 1e154 are scaled by a power of two, distances are
+    divided by M when count * M^p leaves the float range, and a W_p beyond it
+    raises `ValueError` naming p.  So does an optimum of cost 0 that moves
+    mass over a positive distance (every scaled cost below the largest has
+    underflowed), unless W_p is within round-off of 0 or mu and nu are equal
+    measures (`_zero_cost_plan`).
 
     `mu` and `nu` may also be equal-length lists of measures; the result is
     then the list of `(value, plan)` pairs in input order.  Consecutive LP
@@ -353,33 +367,23 @@ def w_exact(p, mu, nu):
         uniform = _is_uniform(x, y)
         if not uniform and x.n * y.n > _SIZE_GUARD:
             raise ValueError(f"instance too large: {x.n}x{y.n} exceeds the LP size guard")
-        D, t = _atom_dists(x, y)
-        M = D.max(axis=1, initial=0.0, where=y.weights > 0)[x.weights > 0].max()
-        if M > _HUGE * t:  # M / t, the largest distance that carries mass, is not a float
-            raise ValueError("distances between atoms with mass exceed the float range")
-        C, s = _pth_power(D, p, M)
-        s /= t
+        C, s, t = _cost_matrix(p, x, y, x.n if uniform else 1)
         if uniform:
             rows, cols = linear_sum_assignment(C)
             g = np.zeros(C.shape)
             g[rows, cols] = 1.0 / x.n
-            out[k] = (g, float(C[rows, cols].sum() / x.n), C, s)
+            out[k] = (g, float(C[rows, cols].sum() / x.n), C, s, t)
         else:
             if not groups or entries + C.size > _SIZE_GUARD:
                 groups.append([])
                 entries = 0
-            groups[-1].append((k, C, s))
+            groups[-1].append((k, C, s, t))
             entries += C.size
     for group in groups:
-        solved = _solve_transport_lp([(C, mu[k].weights, nu[k].weights) for k, C, _ in group])
-        for (k, C, s), (g, cost) in zip(group, solved):
-            out[k] = (g, cost, C, s)
-    results = []
-    for x, y, (g, cost, C, s) in zip(mu, nu, out):
-        if cost == 0:
-            g = _zero_cost_plan(p, g, x, y)
-        results.append((s * cost ** (1.0 / p), TransportPlan(g, cost, p, x, y, cost_matrix=C, scale=s)))
-    return results
+        for (k, *st), solved in zip(group, _solve_transport_lp([(C, mu[k].weights, nu[k].weights) for k, C, *_ in group])):
+            out[k] = (*solved, *st)
+    return [(_value(p, cost, s, t), TransportPlan(_zero_cost_plan(p, g, x, y) if cost == 0 else g, cost, p, x, y, C, s / t))
+            for x, y, (g, cost, C, s, t) in zip(mu, nu, out)]
 
 
 def _zero_cost_plan(p, g, mu, nu):
@@ -608,23 +612,19 @@ def w_brute(p, mu, nu):
     vectorisation.
     """
     _check_p(p)
-    if mu.n != nu.n or mu.n > 8:
+    if (n := mu.n) != nu.n or n > 8:
         raise ValueError("w_brute needs equal atom counts with n <= 8")
-    n = mu.n
     if not _is_uniform(mu, nu):
         raise ValueError("w_brute needs uniform weights")
-    D, t = _atom_dists(mu, nu)
-    C, s = _pth_power(D, p, D.max())
+    C, s, t = _cost_matrix(p, mu, nu, n)
     P = _permutations(n)
     total = np.zeros(P.shape[0])
     for i in range(n):
         total += C[i, P[:, i]]
     k = total.argmin()
     if total[k] == 0:
-        g = np.zeros((n, n))
-        g[np.arange(n), P[k]] = 1.0 / n
-        _zero_cost_plan(p, g, mu, nu)
-    return s / t * (total[k] / n) ** (1.0 / p)
+        _zero_cost_plan(p, np.eye(n)[P[k]] / n, mu, nu)  # the plan g[i, P[k, i]] = 1/n
+    return _value(p, total[k] / n, s, t)
 
 
 def translation_split(mu, nu):

@@ -890,3 +890,33 @@ def test_lab_fourier_bound_non_finite_integral_is_one_line(tmp_path, capsys):
     assert "not finite" in _fails_with_one_line(argv, capsys)
     assert not out.exists()
 
+
+
+def test_mmd_of_atoms_beyond_1e154_prints_no_warning(tmp_path, capsys):
+    """Squared distances beyond the float maximum are inf by design, where the Gaussian kernel reads
+    0: `mmd` printed an overflow RuntimeWarning from the Gram matrix beside the right value."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0\n0\n2e154\n")
+    b.write_text("x0\n0.5\n")
+    assert dispatch(["mmd", str(a), str(b), "--kernel", "gaussian"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out == "0.78581365311084073\n"
+    assert float(out.out) == pytest.approx(np.sqrt(1.5 - np.exp(-0.125)), rel=1e-15)
+
+
+def test_wass_w1_near_the_float_maximum_prints_its_value(tmp_path, capsys):
+    """The gaps of {1.5e308, 0} against {-1.5e308, 1} overflow, but W_1 = 1.5e308: `wass` printed inf."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0\n1.5e308\n0\n")
+    b.write_text("x0\n-1.5e308\n1\n")
+    assert dispatch(["wass", str(a), str(b), "--p", "1"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and float(out.out) == 1.5e308
+
+
+def test_wass_w1_beyond_the_float_maximum_is_one_error_line(tmp_path, capsys):
+    """W_1 of {1.7e308} against {-1e308} is 2.7e308, not a float: `wass` printed nan."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0\n1.7e308\n")
+    b.write_text("x0\n-1e308\n")
+    assert "p = 1 " in _fails_with_one_line(["wass", str(a), str(b), "--p", "1"], capsys)

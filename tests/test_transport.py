@@ -195,7 +195,7 @@ def _argsort_cost(p, x, a, y, b):
     ix, iy = np.argsort(x), np.argsort(y)
     q, i, j = _argsort_merge(a[ix], b[iy])
     gap = np.abs(x[ix[i]] - y[iy[j]])
-    gap, s = transport._pth_power(gap, p, gap.max())
+    gap, s = transport._pth_power(gap, p, gap.max(), 1)
     return float((np.diff(q, prepend=0.0) * gap).sum()), s
 
 
@@ -490,14 +490,17 @@ def test_pth_power_underflow_is_not_an_error():
 
 
 def test_zero_weight_atoms_do_not_set_the_scale():
-    """A far atom without mass neither rescales nor turns the 1-D value into nan."""
+    """Far atoms without mass neither rescale nor turn the value into nan, on the 1-D coupling and
+    on the LP: at 1e100 the squared distance is finite, but its p-th power overflowed at p = 200
+    and the LP's cost read 0 * inf = nan."""
     rng = stream_rng(506)
     x, y = rng.normal(size=(8, 1)), rng.normal(size=(6, 1))
     a = rng.uniform(0.1, 1, 8)
     nu = _uniform(y)
-    with_far = DiscreteMeasure(np.vstack([[-1e200], x]), np.concatenate([[0.0], a]))
+    with_far = DiscreteMeasure(np.vstack([[-1e200], [1e100], x]), np.concatenate([[0.0, 0.0], a]))
     for p in (1, 2, 200):
         assert w1d(p, with_far, nu) == pytest.approx(w1d(p, DiscreteMeasure(x, a), nu), rel=1e-14)
+        assert w_exact(p, with_far, nu)[0] == pytest.approx(w_exact(p, DiscreteMeasure(x, a), nu)[0], rel=1e-12)
 
 
 def test_w1d_gmm_translation():
@@ -1311,10 +1314,118 @@ def test_coordinates_whose_squares_overflow_are_rescaled(m):
     val, plan = w_exact(2, far, _uniform(Y))
     plan.validate()
     assert val == pytest.approx(w_exact(2, DiscreteMeasure(X, a), _uniform(Y))[0], rel=1e-14)
-    # distances beyond the float range are refused by name
-    target = [[-1.5e308, 0.0], [0.0, 1.0], [3.0, 3.0]][: 2 if m == 40 else 3]
-    with pytest.raises(ValueError, match="exceed the float range"):
-        w_exact(1, _uniform([[1.5e308, 0.0], [0.0, 0.0]]), _uniform(target))
+    # a largest distance beyond the float maximum still gives W_1, a float: the pair scaled by
+    # 2^-10 (exact) reads 1.5e308 / 2^10 on the assignment and 1.25e308 / 2^10 on the LP
+    source, target = [[1.5e308, 0.0], [0.0, 0.0]], [[-1.5e308, 0.0], [0.0, 1.0], [3.0, 3.0]][: 2 if m == 40 else 3]
+    val = w_exact(1, _uniform(source), _uniform(target))[0]
+    assert val == np.ldexp(w_exact(1, _uniform(np.ldexp(source, -10)), _uniform(np.ldexp(target, -10)))[0], 10)
+    assert val == pytest.approx(1.5e308 if m == 40 else 1.25e308, rel=1e-15)
+    # W_1 itself beyond the float maximum (2.7e308, and 3.05e308 on the LP) is refused naming p
+    with pytest.raises(ValueError, match="W_p at p = 1 exceeds the largest float"):
+        w_exact(1, _uniform([[1.7e308, 0.0]]), _uniform([[-1e308, 0.0], [-1.7e308, 0.0]][: 1 if m == 40 else 2]))
+
+
+# Extremes of the float line: the largest magnitudes, coordinates whose squares overflow once
+# doubled, subnormals, both zeros and two ordinary values.  Repeated draws give duplicate atoms.
+_EXTREMES = [1.7e308, -1.7e308, 1e154, -1e154, 5e-324, -5e-324, 1e-310, 0.0, -0.0, 1.0, -3.0]
+_MAX = Fraction(np.finfo(float).max)
+
+
+@st.composite
+def _extreme_side(draw):
+    """1-6 atoms from `_EXTREMES` with masses 1/n each, or multiples of 1/16 (zeros among them),
+    which are exact in float, as are their cumulative sums."""
+    x = draw(st.lists(st.sampled_from(_EXTREMES), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        return x, [Fraction(1, len(x))] * len(x)
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=len(x) - 1, max_size=len(x) - 1)))
+    return x, [Fraction(hi - lo, 16) for lo, hi in zip([0, *cuts], [*cuts, 16])]
+
+
+def _exact_w1(x, a, y, b):
+    """W_1 = the integral of |F - G| over the line, in Fractions: F - G is constant between
+    consecutive atom positions (-0.0 and 0.0 are one position)."""
+    signed = {}
+    for v, w in [*zip(x, a), *zip(y, [-w for w in b])]:
+        signed[Fraction(v)] = signed.get(Fraction(v), 0) + w
+    at = sorted(signed)
+    total, gap = Fraction(0), Fraction(0)
+    for z, z_next in zip(at, at[1:]):
+        gap += signed[z]
+        total += abs(gap) * (z_next - z)
+    return total
+
+
+@given(_extreme_side(), _extreme_side())
+@example(([1.5e308, 0.0], [Fraction(1, 2)] * 2), ([-1.5e308, 1.0], [Fraction(1, 2)] * 2))  # gaps overflow
+@example(([1.7e308], [Fraction(1)]), ([-1e308], [Fraction(1)]))  # W_1 = 2.7e308 is not a float
+@example(([0.0, 1.0], [Fraction(1, 2)] * 2), ([0.0, 0.5, 1e154, 1e154], [Fraction(1, 4)] * 4))
+@example(([1.7e308, 1.0], [Fraction(1, 2)] * 2), ([1.7e308, -0.0], [Fraction(1, 2)] * 2))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_w1_of_extreme_pairs_matches_the_exact_integral(side_a, side_b):
+    """Every route's W_1 is within its round-off of the exact integral V of |F - G|, or raises
+    `ValueError` naming p where V itself is beyond the float maximum.
+
+    Routes: `w1d`; `w_exact` on the pair placed on the first axis in d = 2 (assignment when uniform
+    and equal-size, else the LP); `w_brute` on the uniform equal-size pairs.  At p = 1 every term
+    of a route meets at most 17 roundings of relative size u = 2^-53: the difference, its square
+    and root (distance routes), the division by s, the product by its mass, a sum of at most 36
+    terms (`_pairwise_depth(36)` = 10), the division by the count and the product by s; the powers
+    of two t are exact.  So the value is within gamma_17 V (`_gamma`), plus absolute errors in the
+    units of the data:
+    - a coordinate scaled by t <= 1 that lands below the normal range is off by at most
+      eta = 2^-1075 (2 eta / t per term); a cost below the normal range is off by eta in units
+      of s, at most 40 eta s / t over the products, the sum and the quotient.  Either t = 1 and
+      s <= the float maximum, or t < 1 and s = 1 (at p = 1 a prescaled M stays below 2^482):
+      below 2^-45 in all.
+    - distance routes square the difference first: a square below the normal range is off by at
+      most eta, and so its root by sqrt(eta) = 2^-537.5, which is 2^-537.5 / t in the data's units
+      (t >= 2^-544, so below 2^7).
+    - `w1d`'s merged route (the sides' weights not both constant): a weight 1/n is rounded, then
+      normalised by a rounded sum, and its running sum rounded again, so each of the at most
+      n + m breakpoints is off by at most gamma_14 (n <= 6); a piece of that width meets atoms
+      at most T apart, T the largest distance between atoms with mass: (n + m) gamma_14 T.
+    - the LP: HiGHS stops at primal residuals of 1e-10 on the n + m - 1 constraints and dual
+      residuals of 1e-10, on costs scaled to a largest in [1/2, 1).  The basis' duals are sums of
+      at most n + m - 1 <= 11 such costs, so the plan's cost is within (11 * 11 + 1) * 1e-10 of
+      the optimum on either side, 2.5e-8 in all, and the float weights 1/n move it by at most
+      2u: below 1e-7 T in the data's units, T the largest distance between atoms with mass.
+    """
+    (x, a), (y, b) = side_a, side_b
+    V = _exact_w1(x, a, y, b)
+    big = max(abs(float(v)) for v, w in [*zip(x, a), *zip(y, b)] if w > 0)
+    t = Fraction(2) ** min(0, 480 - math.frexp(big)[1])
+    T = max(abs(Fraction(u) - Fraction(v)) for u, wu in zip(x, a) for v, wv in zip(y, b) if wu > 0 and wv > 0)
+    uniform = len(x) == len(y) and set(a) == set(b) == {Fraction(1, len(x))}
+    measure = lambda P, w: DiscreteMeasure(np.reshape(P, (len(w), -1)), [float(v) for v in w])
+    mu, nu = measure(x, a), measure(y, b)
+    mu2, nu2 = measure(np.c_[x, np.zeros(len(x))], a), measure(np.c_[y, np.zeros(len(y))], b)
+    root, lp = Fraction(2) ** -537 / t, 0 if uniform else Fraction(1, 10**7) * T  # sqrt(eta) / t, rounded up
+    merged = 0 if len(set(a)) == len(set(b)) == 1 else (len(x) + len(y)) * _gamma(14) * T
+    routes = [("w1d", lambda: w1d(1, mu, nu), merged), ("w_exact", lambda: w_exact(1, mu2, nu2)[0], root + lp)]
+    if uniform:
+        routes.append(("w_brute", lambda: w_brute(1, mu, nu), root))
+    for name, route, allowance in routes:
+        tol = _gamma(17) * V + Fraction(2) ** -45 + allowance
+        if V - tol > _MAX:
+            with pytest.raises(ValueError, match="W_p at p = 1 exceeds the largest float"):
+                route()
+        elif V + tol <= _MAX:
+            assert abs(Fraction(route()) - V) <= tol, (name, float(V))
+
+
+@pytest.mark.parametrize("route, x, y", [
+    (w1d, [0.0, 1.0], [0.0, 0.5, 1e154, 1e154]),
+    (w1d, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.4, 1e154, 1.5, 0.7]),
+    (lambda p, mu, nu: w_exact(p, mu, nu)[0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1e154, 1e154]),
+])
+def test_w2_whose_summed_squares_overflow_is_finite(route, x, y):
+    """Each squared gap is at most 1e308, but the grid's L of them, or the assignment's n, summed
+    overflowed before the division by their count: W_2 read inf.  The rescaled sum's roundings
+    (`_grid_error_bound`, with the root and the product by s) keep it within 1e-14 of exact."""
+    exact = _exact_grid_cost(2, x, y)  # the sorted matching is the optimal assignment on the line
+    w = route(2, _uniform(np.array(x)[:, None]), _uniform(np.array(y)[:, None]))
+    assert abs(Fraction(w) ** 2 / exact - 1) < 1e-14
 
 
 def _brute_loop(p, mu, nu):
